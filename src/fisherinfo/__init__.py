@@ -49,17 +49,9 @@ from .fisher import (
     sld_solve,
 )
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, eig_hermitian, unitary_exp
-from .models import (
-    ComposedModel,
-    KrausFamily,
-    ParameterizedModel,
-    UnitaryFamily,
-    compose,
-    make_unitary_family,
-)
+from .models import KrausFamily, ParameterizedModel, UnitaryFamily
 from .optimize import (
     ContextSpace,
-    ModelFamily,
     OptimizationResult,
     circumvention_report,
     maximize_bayesian,

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DocumentError, ZeroEvidence
-from .fisher import bayesian_information
+from .fisher import bayesian_information, outcome_trajectory
 from .models import ParameterizedModel
-from .quantum import Povm, born_probabilities
+from .quantum import Povm
 
 DEFAULT_GRID = 201
 MIN_GRID = 3
@@ -106,22 +106,28 @@ def gaussian_prior(mu: float, sigma: float, a: float, b: float, n: int = DEFAULT
 
 
 def parse_prior_spec(spec: str, n: int = DEFAULT_GRID) -> PriorGrid:
-    """Parse "uniform:a,b" or "gauss:mu,sigma,a,b" into a PriorGrid."""
+    """Parse "uniform:a,b" or "gauss:mu,sigma,a,b" into a PriorGrid.
+
+    Every malformed or out-of-range spec, grid size included, raises
+    DocumentError.
+    """
+    kind, _, rest = spec.partition(":")
     try:
-        kind, _, rest = spec.partition(":")
         args = [float(x) for x in rest.split(",")] if rest else []
+        if not np.all(np.isfinite(args)):
+            raise ValueError("entries must be finite")
+        if kind == "uniform" and len(args) == 2:
+            return uniform_prior(args[0], args[1], n)
+        if kind == "gauss" and len(args) == 4:
+            return gaussian_prior(args[0], args[1], args[2], args[3], n)
     except ValueError as exc:
         raise DocumentError(f"bad prior spec {spec!r}: {exc}") from None
-    if kind == "uniform" and len(args) == 2:
-        return uniform_prior(args[0], args[1], n)
-    if kind == "gauss" and len(args) == 4:
-        return gaussian_prior(args[0], args[1], args[2], args[3], n)
     raise DocumentError(f"bad prior spec {spec!r}; expected uniform:a,b or gauss:mu,sigma,a,b")
 
 
 def likelihood_table(model: ParameterizedModel, povm: Povm, nodes) -> np.ndarray:
     """Pr(x | theta_i) with rows indexed by grid node, columns by outcome."""
-    return np.array([born_probabilities(model.state_at(t), povm) for t in nodes])
+    return outcome_trajectory(model, povm, nodes)[0]
 
 
 def posterior(prior: PriorGrid, model: ParameterizedModel, povm: Povm, outcome: int) -> PosteriorGrid:

@@ -13,10 +13,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-
-import numpy as np
 
 from . import bayes as bayes_mod
 from . import dpi as dpi_mod
@@ -51,9 +50,9 @@ def _emit(report: dict, started: float) -> None:
 
 def cmd_fisher(args) -> int:
     started = time.perf_counter()
-    family, rho0 = load_model_document(args.model)
+    model = load_model_document(args.model)
     povm = load_povm_document(args.povm)
-    value = classical_fisher(family.build(rho0), povm, args.theta).value
+    value = classical_fisher(model, povm, args.theta).value
     _emit({
         "command": "fisher",
         "inputs": {"model": args.model, "povm": args.povm, "theta": args.theta},
@@ -66,8 +65,7 @@ def cmd_fisher(args) -> int:
 
 def cmd_qfi(args) -> int:
     started = time.perf_counter()
-    family, rho0 = load_model_document(args.model)
-    result = sld_solve(family.build(rho0), args.theta)
+    result = sld_solve(load_model_document(args.model), args.theta)
     _emit({
         "command": "qfi",
         "inputs": {"model": args.model, "theta": args.theta},
@@ -81,10 +79,9 @@ def cmd_qfi(args) -> int:
 
 def cmd_bayes(args) -> int:
     started = time.perf_counter()
-    family, rho0 = load_model_document(args.model)
+    model = load_model_document(args.model)
     povm = load_povm_document(args.povm)
     prior = parse_prior_spec(args.prior, args.grid)
-    model = family.build(rho0)
     report = check_bcrb(prior, model, povm)
     _emit({
         "command": "bayes",
@@ -105,17 +102,17 @@ def cmd_bayes(args) -> int:
 
 def cmd_optimize(args) -> int:
     started = time.perf_counter()
-    family, rho0 = load_model_document(args.model)
-    fixed_state = rho0 if args.fix_state else None
+    model = load_model_document(args.model)
+    fixed_state = model.rho0 if args.fix_state else None
     fixed_povm = load_povm_document(args.fix_povm) if args.fix_povm else None
     label_bits = []
     if fixed_state is not None:
         label_bits.append("fixed state")
     if fixed_povm is not None:
         label_bits.append("fixed povm")
-    space = ContextSpace(family.dim, state=fixed_state, povm=fixed_povm,
+    space = ContextSpace(model.dim, state=fixed_state, povm=fixed_povm,
                          label=", ".join(label_bits) or "unrestricted")
-    result = maximize_fisher(family, space, args.theta,
+    result = maximize_fisher(model, space, args.theta,
                              restarts=args.restarts, seed=args.seed)
     _emit({
         "command": "optimize",
@@ -186,6 +183,22 @@ def cmd_paper_example(args) -> int:
     return EXIT_OK
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        return value
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fisherinfo",
@@ -197,12 +210,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fisher", help="classical Fisher information of a model and POVM")
     p.add_argument("--model", required=True)
     p.add_argument("--povm", required=True)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite_float, required=True)
     p.set_defaults(run=cmd_fisher)
 
     p = sub.add_parser("qfi", help="quantum Fisher information via the SLD")
     p.add_argument("--model", required=True)
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite_float, required=True)
     p.set_defaults(run=cmd_qfi)
 
     p = sub.add_parser("bayes", help="Bayes risk and the Bayesian bound")
@@ -215,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="maximize Fisher information over contexts")
     p.add_argument("--model", required=True)
-    p.add_argument("--theta", type=float, required=True)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--theta", type=_finite_float, required=True)
+    p.add_argument("--restarts", type=_int_at_least(0), default=32)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--fix-state", action="store_true",
                    help="freeze the state to the model document's initial state")
     p.add_argument("--fix-povm", default=None, metavar="FILE",
@@ -226,16 +239,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dpi", help="randomized data-processing inequality suites")
     p.add_argument("--mode", choices=("classical", "quantum"), required=True)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_int_at_least(0), default=100)
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--kraus", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--kraus", type=_int_at_least(1), default=2)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(run=cmd_dpi)
 
     p = sub.add_parser("paper-example",
                        help="the built-in qubit scenario: base, multipass, "
                             "restricted, restricted plus rotation")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument("--theta", type=_finite_float, required=True)
     p.set_defaults(run=cmd_paper_example)
 
     return parser

@@ -3,7 +3,8 @@
 Complex numbers are encoded as [re, im] pairs; matrices as row-major
 nested lists of pairs.  A model document declares a unitary family
 (generator, initial state, pass count) and optionally a list of fixed
-channels to compose.
+channels to compose: "pre" channels act on the initial state and "post"
+channels after the dynamics, each kind in list order.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 import numpy as np
 
 from .errors import DocumentError, FisherinfoError
-from .optimize import ModelFamily
+from .models import UnitaryFamily
 from .quantum import DensityMatrix, KrausChannel, Povm, pure_state
 
 
@@ -66,8 +67,8 @@ def _dim_of(doc: dict, path: str) -> int:
     return dim
 
 
-def model_from_document(doc: dict, where: str = "model") -> tuple[ModelFamily, DensityMatrix]:
-    """Build the model family and its declared initial state."""
+def model_from_document(doc: dict, where: str = "model") -> UnitaryFamily:
+    """Build the model with its declared initial state and channels."""
     dim = _dim_of(doc, where)
     if doc.get("kind") != "unitary":
         raise DocumentError(f"{where}: unsupported kind {doc.get('kind')!r}")
@@ -77,25 +78,21 @@ def model_from_document(doc: dict, where: str = "model") -> tuple[ModelFamily, D
     try:
         generator = matrix_from_pairs(doc.get("generator"), dim, f"{where}.generator")
         amplitudes = vector_from_pairs(doc.get("initial_state"), dim, f"{where}.initial_state")
-        family = ModelFamily(generator, passes)
-        rho0 = pure_state(amplitudes)
+        channels = []
         for k, entry in enumerate(doc.get("compose", [])):
             if not isinstance(entry, dict):
                 raise DocumentError(f"{where}.compose[{k}] must be an object")
-            placement = entry.get("placement", "post")
-            if placement not in ("pre", "post"):
-                raise DocumentError(f"{where}.compose[{k}]: bad placement {placement!r}")
             kraus_rows = entry.get("kraus")
             if not isinstance(kraus_rows, list) or not kraus_rows:
                 raise DocumentError(f"{where}.compose[{k}]: 'kraus' must be a nonempty list")
             kraus = [matrix_from_pairs(m, dim, f"{where}.compose[{k}].kraus[{j}]")
                      for j, m in enumerate(kraus_rows)]
-            family = family.with_channel(KrausChannel(kraus), placement)
+            channels.append((KrausChannel(kraus), entry.get("placement", "post")))
+        return UnitaryFamily(generator, pure_state(amplitudes), passes, tuple(channels))
     except DocumentError:
         raise
-    except FisherinfoError as exc:
+    except (FisherinfoError, ValueError) as exc:
         raise DocumentError(f"{where}: {exc}") from None
-    return family, rho0
 
 
 def povm_from_document(doc: dict, where: str = "povm") -> Povm:
@@ -112,7 +109,7 @@ def povm_from_document(doc: dict, where: str = "povm") -> Povm:
         raise DocumentError(f"{where}: {exc}") from None
 
 
-def load_model_document(path: str) -> tuple[ModelFamily, DensityMatrix]:
+def load_model_document(path: str) -> UnitaryFamily:
     return model_from_document(_read_json(path), path)
 
 

@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fisher import (
-    CURVATURE_STEP,
-    classical_fisher,
+    averaged_information,
     information_from_outcomes,
+    outcome_trajectory,
     sld_solve,
 )
-from .models import ParameterizedModel
-from .optimize import ContextSpace, ModelFamily, maximize_fisher
-from .quantum import Povm, born_probabilities, dual_channel
+from .models import ParameterizedModel, UnitaryFamily
+from .optimize import ContextSpace, maximize_fisher
+from .quantum import Povm, dual_channel
 from .sampling import (
     random_channel,
     random_hermitian,
@@ -74,7 +74,8 @@ class StochasticMap:
         return self.matrix.shape[0]
 
     def push(self, p: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(p, dtype=float)
+        """Push distributions whose outcome index is the last axis."""
+        return np.asarray(p, dtype=float) @ self.matrix.T
 
 
 @dataclass
@@ -110,11 +111,14 @@ class DpiTrialReport:
         return out
 
 
-def _raw_probabilities(model: ParameterizedModel, povm: Povm, theta: float):
-    p = born_probabilities(model.state_at(theta), povm)
-    drho = model.derivative_at(theta)
-    dp = np.array([np.trace(drho @ e).real for e in povm.effects])
-    return p, dp
+def _push(tmap: StochasticMap, povm: Povm, blocks) -> tuple:
+    """Push each outcome block (p, dp, d2p) through the map; T is linear, so
+    it carries the derivatives as it carries the probabilities."""
+    if tmap.in_count != len(povm):
+        raise ValueError(
+            f"map expects {tmap.in_count} outcomes, POVM has {len(povm)}"
+        )
+    return tuple(tmap.push(block) for block in blocks)
 
 
 def pushforward_likelihood(model: ParameterizedModel, povm: Povm,
@@ -123,43 +127,29 @@ def pushforward_likelihood(model: ParameterizedModel, povm: Povm,
 
     The derivative is pushed linearly: d(T p) = T dp.
     """
-    if tmap.in_count != len(povm):
-        raise ValueError(
-            f"map expects {tmap.in_count} outcomes, POVM has {len(povm)}"
-        )
-    p, dp = _raw_probabilities(model, povm, theta)
-    return PushedDistribution(probabilities=tmap.push(p), derivatives=tmap.push(dp))
+    p, dp, _ = _push(tmap, povm, outcome_trajectory(model, povm, [theta]))
+    return PushedDistribution(probabilities=p[0], derivatives=dp[0])
 
 
 def postprocessed_fisher(model: ParameterizedModel, povm: Povm,
                          tmap: StochasticMap, theta: float) -> float:
     """Fisher information of the post-processed outcome distribution."""
-    pushed = pushforward_likelihood(model, povm, tmap, theta)
-
-    def curvature(y: int) -> float:
-        h = CURVATURE_STEP
-        _, hi = _raw_probabilities(model, povm, theta + h)
-        _, lo = _raw_probabilities(model, povm, theta - h)
-        return float((tmap.push(hi)[y] - tmap.push(lo)[y]) / (2.0 * h))
-
-    return information_from_outcomes(pushed.probabilities, pushed.derivatives, curvature)
+    p, dp, d2p = _push(tmap, povm, outcome_trajectory(model, povm, [theta]))
+    return information_from_outcomes(p[0], dp[0], d2p[0])
 
 
 def postprocess_likelihood(model: ParameterizedModel, povm: Povm,
                            tmap: StochasticMap, theta: float) -> tuple[float, float]:
     """Fisher information before and after post-processing, as (i_x, i_y)."""
-    i_x = classical_fisher(model, povm, theta).value
-    return i_x, postprocessed_fisher(model, povm, tmap, theta)
+    return _bayesian_pair(model, povm, tmap, [theta], [1.0])
 
 
 def _bayesian_pair(model, povm, tmap, nodes, weights):
-    """Prior-averaged information before and after post-processing."""
-    j_before = 0.0
-    j_after = 0.0
-    for t, w in zip(nodes, weights):
-        j_before += w * classical_fisher(model, povm, t).value
-        j_after += w * postprocessed_fisher(model, povm, tmap, t)
-    return j_before, j_after
+    """Prior-averaged information before and after post-processing; one node
+    of weight 1 gives the pointwise pair."""
+    before = outcome_trajectory(model, povm, nodes)
+    after = _push(tmap, povm, before)
+    return averaged_information(weights, *before), averaged_information(weights, *after)
 
 
 def classical_dpi_suite(trials: int, seed: int, dims=(2, 3)) -> list[DpiTrialReport]:
@@ -181,7 +171,7 @@ def classical_dpi_suite(trials: int, seed: int, dims=(2, 3)) -> list[DpiTrialRep
     for trial in range(trials):
         rng = np.random.default_rng(int(seeds[trial]))
         dim = int(rng.choice(dims))
-        model = ModelFamily(random_hermitian(rng, dim)).build(random_pure_state(rng, dim))
+        model = UnitaryFamily(random_hermitian(rng, dim), random_pure_state(rng, dim))
         povm = random_projective_povm(rng, dim)
         tmap = StochasticMap(random_stochastic_map(rng, int(rng.integers(2, 5)), dim))
         theta = float(rng.uniform(lo, hi))
@@ -215,7 +205,7 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2, kraus_count: int = 2
     reports = []
     for trial in range(trials):
         rng = np.random.default_rng(int(seeds[trial]))
-        family = ModelFamily(random_hermitian(rng, dim))
+        family = UnitaryFamily(random_hermitian(rng, dim))
         channel = random_channel(rng, dim, kraus_count)
         noisy = family.with_channel(channel, "post")
         theta = float(rng.uniform(*J_RANGE))
@@ -226,11 +216,11 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2, kraus_count: int = 2
         after = maximize_fisher(noisy, space, theta, restarts=restarts, seed=opt_seed + 1,
                                 maxiter=OPT_MAXITER)
 
-        state = after.best_state
-        sld_before = sld_solve(family.build(state), theta).qfi
-        sld_after = sld_solve(noisy.build(state), theta).qfi
+        bare = family.with_state(after.best_state)
+        sld_before = sld_solve(bare, theta).qfi
+        sld_after = sld_solve(noisy.with_state(after.best_state), theta).qfi
 
-        rho = family.build(state).state_at(theta).mat
+        rho = bare.state_at(theta).mat
         dual = dual_channel(channel)
         pushed = sum(k @ rho @ np.conj(k.T) for k in channel.kraus)
         dual_defect = max(

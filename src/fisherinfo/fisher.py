@@ -3,9 +3,9 @@
 The classical score sums (dp_x)^2 / p_x over measurement outcomes.  An
 outcome whose probability and probability-derivative both (numerically)
 vanish sits at a removable singularity of that ratio; its contribution is
-the limit 2 * d2p_x, obtained by differencing the model's analytic first
-derivative.  A vanishing probability with a non-vanishing derivative has
-divergent information and raises SingularOutcome instead.
+the limit 2 * d2p_x, read from the model's second derivative.  A vanishing
+probability with a non-vanishing derivative has divergent information and
+raises SingularOutcome instead.
 """
 
 from __future__ import annotations
@@ -14,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeOffSupport, DimensionMismatch, SingularOutcome
+from .errors import DerivativeOffSupport, SingularOutcome
 from .linalg import adjoint
 from .models import ParameterizedModel
-from .quantum import DensityMatrix, Povm, born_probabilities, projective_povm
+from .quantum import DensityMatrix, Povm, born_probabilities, outcome_traces, projective_povm
 
 P_FLOOR = 1e-12       # probabilities at or below this count as zero
 D_FLOOR = 1e-9        # derivative magnitude above this at p ~ 0 is divergent
-CURVATURE_STEP = 1e-6  # step for the second-derivative limit at removable points
 
 EPS_SLD = 1e-10       # eigenvalue-pair sums at or below this are off support
 DELTA_SLD = 1e-8      # derivative weight allowed on the off-support block
@@ -45,14 +44,13 @@ class SldResult:
     support_rank: int
 
 
-def information_from_outcomes(p, dp, curvature=None, *,
+def information_from_outcomes(p, dp, d2p=None, *,
                               p_floor: float = P_FLOOR,
                               d_floor: float = D_FLOOR) -> float:
     """Score an outcome-probability vector and its derivative.
 
-    ``curvature``, if given, maps an outcome index to d2p_x/dtheta2 and is
-    only consulted for outcomes at a removable singularity.  Without it
-    such outcomes contribute zero.
+    ``d2p``, if given, holds d2p_x/dtheta2 and is only read for outcomes at
+    a removable singularity.  Without it such outcomes contribute zero.
     """
     total = 0.0
     for x in range(len(p)):
@@ -64,42 +62,40 @@ def information_from_outcomes(p, dp, curvature=None, *,
             raise SingularOutcome(
                 f"outcome {x} has probability {px:.3e} but derivative {dx:.3e}"
             )
-        elif curvature is not None:
-            total += max(0.0, 2.0 * float(curvature(x)))
+        elif d2p is not None:
+            total += max(0.0, 2.0 * float(d2p[x]))
     return total
 
 
-def _probability_derivatives(model: ParameterizedModel, povm: Povm, theta: float) -> np.ndarray:
-    drho = model.derivative_at(theta)
-    return np.array([np.trace(drho @ e).real for e in povm.effects])
+def outcome_trajectory(model: ParameterizedModel, povm: Povm, thetas):
+    """Born probabilities p and their first two theta-derivatives.
+
+    Returns (p, dp, d2p), each shaped (len(thetas), len(povm)).  Derivatives
+    come from the model's trajectory; they are never re-differenced from
+    probabilities.
+    """
+    rho, drho, d2rho = model.trajectory(thetas)
+    p = born_probabilities(rho, povm)
+    dp, d2p = outcome_traces(np.stack((drho, d2rho)), povm)
+    return p, dp, d2p
 
 
 def classical_fisher(model: ParameterizedModel, povm: Povm, theta: float,
                      description: str = "") -> FisherValue:
-    """Fisher information of the Born distribution at ``theta``.
-
-    Probability derivatives come from the model's derivative_at; they are
-    never re-differenced from probabilities.
-    """
-    if model.dim != povm.dim:
-        raise DimensionMismatch("model and POVM dimensions differ")
-    p = born_probabilities(model.state_at(theta), povm)
-    dp = _probability_derivatives(model, povm, theta)
-
-    def curvature(x: int) -> float:
-        h = CURVATURE_STEP
-        hi = _probability_derivatives(model, povm, theta + h)[x]
-        lo = _probability_derivatives(model, povm, theta - h)[x]
-        return (hi - lo) / (2.0 * h)
-
-    value = information_from_outcomes(p, dp, curvature)
+    """Fisher information of the Born distribution at ``theta``."""
+    p, dp, d2p = outcome_trajectory(model, povm, [theta])
+    value = information_from_outcomes(p[0], dp[0], d2p[0])
     return FisherValue(value=value, theta=float(theta), context_description=description)
+
+
+def averaged_information(weights, p, dp, d2p) -> float:
+    """Weighted sum of the scores of stacked outcome rows, one row per node."""
+    return float(np.dot(weights, [information_from_outcomes(*row) for row in zip(p, dp, d2p)]))
 
 
 def bayesian_information(model: ParameterizedModel, povm: Povm, prior) -> float:
     """Average Fisher information of the measurement under a prior grid."""
-    values = [classical_fisher(model, povm, t).value for t in prior.nodes]
-    return float(np.dot(prior.weights, values))
+    return averaged_information(prior.weights, *outcome_trajectory(model, povm, prior.nodes))
 
 
 def sld_solve(model: ParameterizedModel, theta: float) -> SldResult:
@@ -109,9 +105,9 @@ def sld_solve(model: ParameterizedModel, theta: float) -> SldResult:
     wherever the eigenvalue pair-sum is above EPS_SLD.  Derivative weight
     above DELTA_SLD on the remaining block means no SLD exists.
     """
-    rho = model.state_at(theta)
-    drho = model.derivative_at(theta)
-    w, v = rho.eig()
+    rho, drho, _ = model.trajectory([theta])
+    w, v = DensityMatrix(rho[0], validate=False).eig()
+    drho = drho[0]
     d_eig = adjoint(v) @ drho @ v
 
     pair_sums = w[:, None] + w[None, :]

@@ -41,25 +41,9 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def trace(a) -> complex:
-    m = as_complex_matrix(a)
-    return complex(np.trace(m))
-
-
-def matmul(a, b) -> np.ndarray:
-    ma = as_complex_matrix(a, "left operand")
-    mb = as_complex_matrix(b, "right operand")
-    if ma.shape != mb.shape:
-        raise DimensionMismatch(f"cannot multiply {ma.shape} by {mb.shape}")
-    return ma @ mb
-
-
 def hermiticity_defect(a: np.ndarray) -> float:
     """Largest entrywise deviation of ``a`` from its adjoint."""
     return float(np.max(np.abs(a - adjoint(a)))) if a.size else 0.0
-
-def is_hermitian(a: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    return hermiticity_defect(a) <= atol
 
 
 def require_hermitian(a, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Parameterized families of quantum states theta -> rho(theta).
 
-Each model exposes the state and its analytic (or finite-difference)
-derivative with respect to the scalar parameter.  Information functionals
-always consume the model's own derivative; they never re-difference.
+Each model exposes one kernel, ``trajectory``: the state and its first two
+theta-derivatives, stacked over a vector of theta values.  Information
+functionals always consume the model's own derivatives; they never
+re-difference.
 """
 
 from __future__ import annotations
@@ -17,79 +18,101 @@ FD_STEP = 1e-5  # central-difference step for families without analytic rules
 
 
 class ParameterizedModel:
-    """Base class; concrete families implement state_at / derivative_at."""
+    """Base class; concrete families implement ``trajectory``."""
 
-    kind = "abstract"
-
-    @property
-    def dim(self) -> int:
+    def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rho, d rho / d theta, d2 rho / d theta2), each shaped (len(thetas), dim, dim)."""
         raise NotImplementedError
 
     def state_at(self, theta: float) -> DensityMatrix:
-        raise NotImplementedError
+        # the dynamics and fixed channels preserve validity
+        return DensityMatrix(self.trajectory([theta])[0][0], validate=False)
 
     def derivative_at(self, theta: float) -> np.ndarray:
         """d rho / d theta, Hermitian and traceless."""
-        raise NotImplementedError
-
-    def with_initial_state(self, rho0: DensityMatrix) -> "ParameterizedModel":
-        raise NotImplementedError(f"{self.kind} does not expose an initial state")
+        return self.trajectory([theta])[1][0]
 
 
 class UnitaryFamily(ParameterizedModel):
-    """rho(theta) = U rho0 U^dag with U = exp(-i theta passes G).
+    """rho(theta) = E_post(U E_pre(rho0) U^dag) with U = exp(-i theta passes G).
 
     ``passes`` counts repeated applications of the same generator, so the
-    effective generator is passes * G.  The generator's eigendecomposition
-    is cached; evaluating the family at any theta is then two small matrix
-    products.
+    effective generator is passes * G.  ``channels`` is an ordered tuple of
+    (KrausChannel, placement) pairs: "pre" channels act on rho0 in list
+    order when the model is built, "post" channels act after the dynamics,
+    also in list order.  ``rho0`` may be left unset to describe the
+    dynamics alone; ``with_state`` binds one.  The generator's
+    eigendecomposition is cached and shared by every derived instance.
     """
 
-    kind = "UnitaryFamily"
-
-    def __init__(self, generator, rho0: DensityMatrix, passes: int = 1, *, _gen_eig=None):
+    def __init__(self, generator, rho0: DensityMatrix | None = None, passes: int = 1,
+                 channels: tuple = (), *, _gen_eig=None):
         self.generator = require_hermitian(generator, "generator")
-        if not isinstance(rho0, DensityMatrix):
-            raise InvalidState("rho0 must be a DensityMatrix")
-        if rho0.dim != self.generator.shape[0]:
-            raise DimensionMismatch("generator and initial state dimensions differ")
+        dim = self.generator.shape[0]
         if int(passes) < 1:
             raise ValueError(f"passes must be a positive integer, got {passes!r}")
-        self.rho0 = rho0
+        for channel, placement in channels:
+            if placement not in ("pre", "post"):
+                raise ValueError(f"placement must be 'pre' or 'post', got {placement!r}")
+            if channel.dim != dim:
+                raise DimensionMismatch("channel and model dimensions differ")
         self.passes = int(passes)
+        self.channels = tuple(channels)
         self._gen_eig = _gen_eig if _gen_eig is not None else eig_hermitian(self.generator)
+        self.rho0 = rho0
+        self._input = None
+        if rho0 is not None:
+            if not isinstance(rho0, DensityMatrix):
+                raise InvalidState("rho0 must be a DensityMatrix")
+            if rho0.dim != dim:
+                raise DimensionMismatch("generator and initial state dimensions differ")
+            self._input = rho0
+            for channel, placement in self.channels:
+                if placement == "pre":
+                    self._input = DensityMatrix(apply_channel_matrix(channel, self._input.mat))
 
     @property
     def dim(self) -> int:
         return self.generator.shape[0]
 
-    def propagator(self, theta: float) -> np.ndarray:
+    def with_state(self, rho0: DensityMatrix) -> "UnitaryFamily":
+        return UnitaryFamily(self.generator, rho0, self.passes, self.channels,
+                             _gen_eig=self._gen_eig)
+
+    def with_channel(self, channel: KrausChannel, placement: str = "post") -> "UnitaryFamily":
+        return UnitaryFamily(self.generator, self.rho0, self.passes,
+                             self.channels + ((channel, placement),), _gen_eig=self._gen_eig)
+
+    def propagator(self, theta) -> np.ndarray:
+        """exp(-i theta passes G); a vector of theta values gives a stack."""
         w, v = self._gen_eig
-        phases = np.exp(-1j * theta * self.passes * w)
-        return (v * phases) @ adjoint(v)
+        phases = np.exp(-1j * np.asarray(theta, dtype=float)[..., None] * self.passes * w)
+        return (v * phases[..., None, :]) @ adjoint(v)
 
-    def state_at(self, theta: float) -> DensityMatrix:
-        u = self.propagator(theta)
-        # unitary conjugation of a valid state stays valid
-        return DensityMatrix(u @ self.rho0.mat @ adjoint(u), validate=False)
-
-    def derivative_at(self, theta: float) -> np.ndarray:
-        rho = self.state_at(theta).mat
-        comm = self.generator @ rho - rho @ self.generator
-        return -1j * self.passes * comm
-
-    def with_initial_state(self, rho0: DensityMatrix) -> "UnitaryFamily":
-        return UnitaryFamily(self.generator, rho0, self.passes, _gen_eig=self._gen_eig)
+    def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Analytic: d rho = -i k [G, rho], d2 rho = -k^2 [G, [G, rho]], then the post channels."""
+        if self._input is None:
+            raise InvalidState("the model has no initial state; bind one with with_state")
+        k = self.passes
+        u = self.propagator(np.asarray(thetas, dtype=float).reshape(-1))
+        rho = u @ self._input.mat @ adjoint(u)
+        g = self.generator
+        comm = g @ rho - rho @ g
+        drho = -1j * k * comm
+        d2rho = -(k * k) * (g @ comm - comm @ g)
+        for channel, placement in self.channels:
+            if placement == "post":
+                rho, drho, d2rho = (apply_channel_matrix(channel, a) for a in (rho, drho, d2rho))
+        return rho, drho, d2rho
 
 
 class KrausFamily(ParameterizedModel):
     """rho(theta) = E_theta(rho0) for a theta-dependent Kraus channel.
 
     ``kraus_at`` maps theta to a KrausChannel.  No analytic derivative is
-    assumed; a central finite difference of the state serves instead.
+    assumed; central finite differences of the state serve instead, which
+    makes this family the finite-difference reference for analytic models.
     """
-
-    kind = "KrausFamily"
 
     def __init__(self, kraus_at, rho0: DensityMatrix, fd_step: float = FD_STEP):
         if not isinstance(rho0, DensityMatrix):
@@ -98,76 +121,17 @@ class KrausFamily(ParameterizedModel):
         self.rho0 = rho0
         self.fd_step = float(fd_step)
 
-    @property
-    def dim(self) -> int:
-        return self.rho0.dim
+    def _state(self, theta: float) -> np.ndarray:
+        return apply_channel_matrix(self.kraus_at(theta), self.rho0.mat)
 
-    def state_at(self, theta: float) -> DensityMatrix:
-        channel = self.kraus_at(theta)
-        if channel.dim != self.rho0.dim:
-            raise DimensionMismatch("channel and initial state dimensions differ")
-        return DensityMatrix(apply_channel_matrix(channel, self.rho0.mat), validate=False)
-
-    def derivative_at(self, theta: float) -> np.ndarray:
+    def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         h = self.fd_step
-        hi = self.state_at(theta + h).mat
-        lo = self.state_at(theta - h).mat
+        thetas = np.asarray(thetas, dtype=float).reshape(-1)
+        rho = np.stack([self._state(t) for t in thetas])
+        hi = np.stack([self._state(t + h) for t in thetas])
+        lo = np.stack([self._state(t - h) for t in thetas])
         d = (hi - lo) / (2.0 * h)
         # symmetrize away the last bits of roundoff
-        return (d + adjoint(d)) / 2.0
-
-    def with_initial_state(self, rho0: DensityMatrix) -> "KrausFamily":
-        return KrausFamily(self.kraus_at, rho0, self.fd_step)
-
-
-class ComposedModel(ParameterizedModel):
-    """A model with a fixed (theta-independent) channel attached.
-
-    placement "post" applies the channel after the inner family, so the
-    derivative is the channel applied to the inner derivative.  placement
-    "pre" rebuilds the inner family from the transformed initial state.
-    """
-
-    kind = "Composed"
-
-    def __init__(self, inner: ParameterizedModel, channel: KrausChannel, placement: str = "post"):
-        if placement not in ("pre", "post"):
-            raise ValueError(f"placement must be 'pre' or 'post', got {placement!r}")
-        if channel.dim != inner.dim:
-            raise DimensionMismatch("channel and model dimensions differ")
-        self.inner = inner
-        self.channel = channel
-        self.placement = placement
-        if placement == "pre":
-            rho0 = DensityMatrix(apply_channel_matrix(channel, inner.rho0.mat))
-            self._effective = inner.with_initial_state(rho0)
-        else:
-            self._effective = None
-
-    @property
-    def dim(self) -> int:
-        return self.inner.dim
-
-    def state_at(self, theta: float) -> DensityMatrix:
-        if self.placement == "pre":
-            return self._effective.state_at(theta)
-        rho = self.inner.state_at(theta)
-        return DensityMatrix(apply_channel_matrix(self.channel, rho.mat), validate=False)
-
-    def derivative_at(self, theta: float) -> np.ndarray:
-        if self.placement == "pre":
-            return self._effective.derivative_at(theta)
-        return apply_channel_matrix(self.channel, self.inner.derivative_at(theta))
-
-    def with_initial_state(self, rho0: DensityMatrix) -> "ComposedModel":
-        return ComposedModel(self.inner.with_initial_state(rho0), self.channel, self.placement)
-
-
-def make_unitary_family(generator, rho0: DensityMatrix, passes: int = 1) -> UnitaryFamily:
-    """Validated constructor for unitary families."""
-    return UnitaryFamily(generator, rho0, passes)
-
-
-def compose(model: ParameterizedModel, channel: KrausChannel, placement: str = "post") -> ComposedModel:
-    """Attach a fixed channel to a model, before or after the dynamics."""
-    return ComposedModel(model, channel, placement)
+        drho = (d + adjoint(d)) / 2.0
+        d2rho = (hi - 2.0 * rho + lo) / (h * h)
+        return rho, drho, (d2rho + adjoint(d2rho)) / 2.0

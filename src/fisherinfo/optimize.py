@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
@@ -25,52 +25,14 @@ from .fisher import (
     sld_solve,
     sld_optimal_povm,
 )
-from .linalg import PAULI_X, PAULI_Z, adjoint, eig_hermitian, require_hermitian, unitary_exp
-from .models import ParameterizedModel, UnitaryFamily, compose
-from .quantum import DensityMatrix, KrausChannel, Povm, projective_povm, pure_state, unitary_channel
+from .linalg import PAULI_X, PAULI_Z, adjoint, unitary_exp
+from .models import UnitaryFamily
+from .quantum import DensityMatrix, Povm, projective_povm, pure_state, unitary_channel
 
 MAX_OPT_DIM = 8          # larger searches are out of scope
 VALUE_SPREAD_TOL = 1e-10  # simplex value spread at termination
 MAX_ITER = 2000
 DEFAULT_RESTARTS = 32
-
-
-@dataclass(frozen=True, eq=False)
-class ModelFamily:
-    """Recipe binding parameter dynamics to an arbitrary initial state.
-
-    The generator and pass count define the unitary imprinting; optional
-    fixed channels (with their placement) are attached in order.
-    """
-
-    generator: np.ndarray
-    passes: int = 1
-    channels: tuple = ()
-    _gen_eig: tuple = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        g = require_hermitian(self.generator, "generator")
-        object.__setattr__(self, "generator", g)
-        if self._gen_eig is None:
-            object.__setattr__(self, "_gen_eig", eig_hermitian(g))
-
-    @property
-    def dim(self) -> int:
-        return self.generator.shape[0]
-
-    def build(self, rho0: DensityMatrix) -> ParameterizedModel:
-        model: ParameterizedModel = UnitaryFamily(
-            self.generator, rho0, self.passes, _gen_eig=self._gen_eig
-        )
-        for channel, placement in self.channels:
-            model = compose(model, channel, placement)
-        return model
-
-    def with_channel(self, channel: KrausChannel, placement: str = "post") -> "ModelFamily":
-        return ModelFamily(
-            self.generator, self.passes,
-            self.channels + ((channel, placement),), self._gen_eig,
-        )
 
 
 class ContextSpace:
@@ -178,14 +140,14 @@ class OptimizationResult:
     theta: float | None = None
 
 
-def _extreme_superposition(family: ModelFamily) -> DensityMatrix:
+def _extreme_superposition(family: UnitaryFamily) -> DensityMatrix:
     """Equal superposition of the generator's extreme eigenvectors."""
     w, v = family._gen_eig
     psi = (v[:, 0] + v[:, -1]) / np.sqrt(2.0)
     return pure_state(psi)
 
 
-def _fast_fisher_objective(family: ModelFamily, space: ContextSpace, theta: float):
+def _fast_fisher_objective(family: UnitaryFamily, space: ContextSpace, theta: float):
     """Precompiled Fisher evaluation for generator families with post channels.
 
     Computes the same outcome probabilities and derivatives as the public
@@ -196,9 +158,8 @@ def _fast_fisher_objective(family: ModelFamily, space: ContextSpace, theta: floa
     """
     if any(placement != "post" for _, placement in family.channels):
         return None
-    w, v = family._gen_eig
     k = family.passes
-    u_theta = (v * np.exp(-1j * theta * k * w)) @ adjoint(v)
+    u_theta = family.propagator(theta)
     gen = family.generator
     kraus_stack = [[(op, adjoint(op)) for op in ch.kraus] for ch, _ in family.channels]
     fixed_rho = space.state.mat if space.state is not None else None
@@ -226,7 +187,7 @@ def _fast_fisher_objective(family: ModelFamily, space: ContextSpace, theta: floa
     return evaluate
 
 
-def _structured_candidates(family: ModelFamily, space: ContextSpace, theta: float):
+def _structured_candidates(family: UnitaryFamily, space: ContextSpace, theta: float):
     """Directly evaluated starting contexts (no parameter encoding needed)."""
     states = [space.state] if space.state is not None else [_extreme_superposition(family)]
     for state in states:
@@ -234,13 +195,13 @@ def _structured_candidates(family: ModelFamily, space: ContextSpace, theta: floa
             yield state, space.povm
         else:
             try:
-                result = sld_solve(family.build(state), theta)
+                result = sld_solve(family.with_state(state), theta)
             except DerivativeOffSupport:
                 continue
             yield state, sld_optimal_povm(result)
 
 
-def _search(family: ModelFamily, space: ContextSpace, score, theta_for_warm,
+def _search(family: UnitaryFamily, space: ContextSpace, score, theta_for_warm,
             restarts: int, seed: int, maxiter: int, fast_score=None):
     candidates = []
     for state, povm in _structured_candidates(family, space, theta_for_warm):
@@ -278,34 +239,37 @@ def _search(family: ModelFamily, space: ContextSpace, score, theta_for_warm,
     return value, state, povm
 
 
-def maximize_fisher(family: ModelFamily, space: ContextSpace, theta: float, *,
+def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
                     restarts: int = DEFAULT_RESTARTS, seed: int = 0,
                     maxiter: int = MAX_ITER) -> OptimizationResult:
-    """Largest classical Fisher information over the context space."""
+    """Largest classical Fisher information over the context space.
+
+    Each candidate state replaces the family's own rho0, if it has one.
+    """
 
     def score(state, povm):
-        return classical_fisher(family.build(state), povm, theta).value
+        return classical_fisher(family.with_state(state), povm, theta).value
 
     fast = _fast_fisher_objective(family, space, theta)
     value, state, povm = _search(family, space, score, theta, restarts, seed, maxiter,
                                  fast_score=fast)
     # report the value recomputed through the public scoring path
-    best = classical_fisher(family.build(state), povm, theta).value
+    best = classical_fisher(family.with_state(state), povm, theta).value
     return OptimizationResult(best_value=best, best_state=state, best_povm=povm,
                               restarts_used=restarts, seed=seed, theta=float(theta))
 
 
-def maximize_bayesian(family: ModelFamily, space: ContextSpace, prior, *,
+def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
                       restarts: int = DEFAULT_RESTARTS, seed: int = 0,
                       maxiter: int = MAX_ITER) -> OptimizationResult:
     """Largest prior-averaged Fisher information over the context space."""
 
     def score(state, povm):
-        return bayesian_information(family.build(state), povm, prior)
+        return bayesian_information(family.with_state(state), povm, prior)
 
     theta_for_warm = float(np.dot(prior.nodes, prior.weights))
     value, state, povm = _search(family, space, score, theta_for_warm, restarts, seed, maxiter)
-    best = bayesian_information(family.build(state), povm, prior)
+    best = bayesian_information(family.with_state(state), povm, prior)
     return OptimizationResult(best_value=best, best_state=state, best_povm=povm,
                               restarts_used=restarts, seed=seed, theta=None)
 
@@ -323,12 +287,12 @@ def circumvention_report(theta: float, *, seed: int = 0, restarts: int = 8) -> d
     z_basis = projective_povm(np.eye(2))
     rotation = unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0))
 
-    base_family = ModelFamily(PAULI_Z)
+    base_family = UnitaryFamily(PAULI_Z)
     free = ContextSpace(2, label="unrestricted")
     frozen = ContextSpace(2, state=plus, povm=z_basis, label="fixed |+> state, z-basis")
 
     base = maximize_fisher(base_family, free, theta, restarts=restarts, seed=seed)
-    multipass = maximize_fisher(ModelFamily(PAULI_Z, passes=2), free, theta,
+    multipass = maximize_fisher(UnitaryFamily(PAULI_Z, passes=2), free, theta,
                                 restarts=restarts, seed=seed)
     restricted = maximize_fisher(base_family, frozen, theta, restarts=restarts, seed=seed)
     rotated = maximize_fisher(base_family.with_channel(rotation, "post"), frozen, theta,

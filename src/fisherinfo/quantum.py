@@ -163,13 +163,14 @@ class DualChannel:
 
 
 def apply_channel_matrix(channel: KrausChannel, a: np.ndarray) -> np.ndarray:
-    """Linear action sum_j K_j A K_j^dag on an arbitrary matrix.
+    """Linear action sum_j K_j A K_j^dag on a matrix or a stack (..., d, d).
 
     Used for states and for state derivatives alike, since the map is the
-    same linear map in both cases.
+    same linear map in both cases.  The operators are applied one at a time
+    so a stack never grows by the Kraus count.
     """
-    m = as_complex_matrix(a, "operator")
-    if m.shape[0] != channel.dim:
+    m = np.asarray(a, dtype=complex)
+    if m.shape[-2:] != (channel.dim, channel.dim):
         raise DimensionMismatch("operator dimension does not match the channel")
     return sum(k @ m @ adjoint(k) for k in channel.kraus)
 
@@ -194,17 +195,28 @@ def dual_povm(dual: DualChannel, povm: Povm) -> Povm:
     return Povm([dual.apply(e) for e in povm.effects], povm.labels)
 
 
-def born_probabilities(rho: DensityMatrix, povm: Povm) -> np.ndarray:
-    """Outcome probabilities tr(rho E_x), clamped against tiny negatives."""
-    if rho.dim != povm.dim:
+def outcome_traces(a: np.ndarray, povm: Povm) -> np.ndarray:
+    """tr(A E_x) for a matrix or a stack (..., d, d); the outcome index goes last."""
+    return np.einsum("...ij,xji->...x", a, np.stack(povm.effects)).real
+
+
+def born_probabilities(rho: DensityMatrix | np.ndarray, povm: Povm) -> np.ndarray:
+    """Outcome probabilities tr(rho E_x), clamped against tiny negatives.
+
+    ``rho`` is a DensityMatrix or a stack of state matrices (..., d, d);
+    every row of the result must sum to 1.
+    """
+    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    if mat.shape[-1] != povm.dim:
         raise DimensionMismatch("state and POVM dimensions differ")
-    p = np.array([np.trace(rho.mat @ e).real for e in povm.effects])
+    p = outcome_traces(mat, povm)
     if np.min(p) < BORN_CLAMP:
         raise InvalidPovm(f"probability {np.min(p):.3e} below clamp floor")
     p = np.clip(p, 0.0, None)
-    total = float(np.sum(p))
-    if abs(total - 1.0) > BORN_SUM_ATOL:
-        raise InvalidPovm(f"probabilities sum to {total!r}, not 1")
+    totals = np.sum(p, axis=-1)
+    worst = float(totals.flat[np.argmax(np.abs(totals - 1.0))])
+    if abs(worst - 1.0) > BORN_SUM_ATOL:
+        raise InvalidPovm(f"probabilities sum to {worst!r}, not 1")
     return p
 
 

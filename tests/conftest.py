@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fisherinfo.linalg import PAULI_X, PAULI_Y, PAULI_Z
-from fisherinfo.models import make_unitary_family
+from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import projective_povm, pure_state
 
 _acceptance_lines = []
@@ -34,12 +34,12 @@ def plus_state():
 @pytest.fixture(scope="session")
 def base_model(plus_state):
     """z rotation imprinted on |+>, the recurring qubit example."""
-    return make_unitary_family(PAULI_Z, plus_state, 1)
+    return UnitaryFamily(PAULI_Z, plus_state, 1)
 
 
 @pytest.fixture(scope="session")
 def multipass_model(plus_state):
-    return make_unitary_family(PAULI_Z, plus_state, 2)
+    return UnitaryFamily(PAULI_Z, plus_state, 2)
 
 
 @pytest.fixture(scope="session")

@@ -29,7 +29,7 @@ from fisherinfo.fisher import (
 )
 from fisherinfo.errors import SingularOutcome
 from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
-from fisherinfo.models import KrausFamily, compose, make_unitary_family
+from fisherinfo.models import KrausFamily, UnitaryFamily
 from fisherinfo.quantum import (
     KrausChannel,
     apply_channel_matrix,
@@ -68,7 +68,7 @@ def test_criterion_02_multipass_information(acceptance_log, multipass_model, x_b
 
 def test_criterion_03_restriction_and_recovery(acceptance_log, base_model, z_basis_povm):
     restricted = [abs(classical_fisher(base_model, z_basis_povm, t).value) for t in THETAS]
-    rotated = compose(base_model, unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post")
+    rotated = base_model.with_channel(unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post")
     recovered = [abs(classical_fisher(rotated, z_basis_povm, t).value - 4.0) for t in THETAS]
     ok = max(restricted) < 1e-10 and max(recovered) < 1e-8
     assert acceptance_log(
@@ -87,7 +87,7 @@ def test_criterion_04_sld_consistency(acceptance_log, base_model):
     rng = np.random.default_rng(113)
     worst_gap = 0.0
     for _ in range(200):
-        model = make_unitary_family(random_hermitian(rng, 2), random_full_rank_state(rng, 2), 1)
+        model = UnitaryFamily(random_hermitian(rng, 2), random_full_rank_state(rng, 2), 1)
         theta = float(rng.uniform(-1.0, 1.0))
         res = sld_solve(model, theta)
         got = classical_fisher(model, sld_optimal_povm(res), theta).value
@@ -129,7 +129,7 @@ def test_criterion_06_classical_dpi_suite(acceptance_log):
     worst_eq = 0.0
     for _ in range(50):
         dim = int(rng.integers(2, 4))
-        model = make_unitary_family(random_hermitian(rng, dim), random_pure_state(rng, dim), 1)
+        model = UnitaryFamily(random_hermitian(rng, dim), random_pure_state(rng, dim), 1)
         povm = random_projective_povm(rng, dim)
         perm = StochasticMap(np.eye(dim)[rng.permutation(dim)])
         i_x, i_y = postprocess_likelihood(model, povm, perm, float(rng.uniform(0.2, 1.2)))
@@ -182,7 +182,7 @@ def bcrb_configurations(target: int = 500, attempts: int = 5000):
         a = float(rng.uniform(0.0, 1.0))
         width = float(rng.uniform(0.8, 1.6))
         prior = uniform_prior(a, a + width, 41)
-        model = make_unitary_family(g, state, passes)
+        model = UnitaryFamily(g, state, passes)
         try:
             quick = classical_fisher(model, povm, prior.mean()).value
             if quick * prior.variance() < 2.0:
@@ -238,9 +238,9 @@ def test_criterion_09_derivative_hygiene(acceptance_log, base_model, multipass_m
     builtins = [
         base_model,
         multipass_model,
-        compose(base_model, unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post"),
-        compose(base_model, depolarizing_channel(0.3), "post"),
-        compose(base_model, unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "pre"),
+        base_model.with_channel(unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post"),
+        base_model.with_channel(depolarizing_channel(0.3), "post"),
+        base_model.with_channel(unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "pre"),
         KrausFamily(lambda t: KrausChannel([unitary_exp(PAULI_Z, t)]), plus_state),
     ]
     worst_builtin = 0.0
@@ -254,9 +254,9 @@ def test_criterion_09_derivative_hygiene(acceptance_log, base_model, multipass_m
     for k in range(200):
         dim = int(rng.integers(2, 5))
         state = (random_pure_state(rng, dim) if k % 2 else random_full_rank_state(rng, dim))
-        model = make_unitary_family(random_hermitian(rng, dim), state, int(rng.integers(1, 4)))
+        model = UnitaryFamily(random_hermitian(rng, dim), state, int(rng.integers(1, 4)))
         if k % 4 == 0:
-            model = compose(model, random_channel(rng, dim, 8 // dim), "post")
+            model = model.with_channel(random_channel(rng, dim, 8 // dim), "post")
         theta = float(rng.uniform(-1.0, 1.0))
         dev = np.max(np.abs(model.derivative_at(theta) - fd_state_derivative(model, theta)))
         worst_random = max(worst_random, float(dev))

@@ -15,7 +15,7 @@ from fisherinfo.bayes import (
 )
 from fisherinfo.errors import DocumentError, ZeroEvidence
 from fisherinfo.linalg import PAULI_Z
-from fisherinfo.models import make_unitary_family
+from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import Povm
 from fisherinfo.sampling import random_full_rank_state, random_hermitian, random_projective_povm
 
@@ -73,7 +73,8 @@ def test_parse_prior_spec_round_trips():
     assert gauss.mean() == pytest.approx(0.5, abs=1e-12)
 
 
-@pytest.mark.parametrize("spec", ["uniform:0", "uniform:zero,one", "tri:0,1", "gauss:1,2", ""])
+@pytest.mark.parametrize("spec", ["uniform:0", "uniform:zero,one", "tri:0,1", "gauss:1,2", "",
+                                  "uniform:1,0", "uniform:0,inf", "gauss:0,-1,0,1"])
 def test_parse_prior_spec_rejects_malformed_input(spec):
     with pytest.raises(DocumentError):
         parse_prior_spec(spec)
@@ -143,7 +144,7 @@ def test_risk_routes_agree_and_never_beat_the_prior():
     rng = np.random.default_rng(53)
     for _ in range(20):
         dim = int(rng.integers(2, 4))
-        model = make_unitary_family(random_hermitian(rng, dim), random_full_rank_state(rng, dim), 1)
+        model = UnitaryFamily(random_hermitian(rng, dim), random_full_rank_state(rng, dim), 1)
         povm = random_projective_povm(rng, dim)
         a = float(rng.uniform(-1.0, 0.5))
         prior = uniform_prior(a, a + float(rng.uniform(0.5, 2.0)), 61)
@@ -196,7 +197,7 @@ def test_posterior_mean_minimizes_the_quadratic_risk():
     rng = np.random.default_rng(59)
     for _ in range(50):
         dim = int(rng.integers(2, 4))
-        model = make_unitary_family(random_hermitian(rng, dim), random_full_rank_state(rng, dim), 1)
+        model = UnitaryFamily(random_hermitian(rng, dim), random_full_rank_state(rng, dim), 1)
         povm = random_projective_povm(rng, dim)
         prior = uniform_prior(0.0, float(rng.uniform(0.5, 2.0)), 41)
         table = likelihood_table(model, povm, prior.nodes)

@@ -178,6 +178,28 @@ def test_bad_prior_spec_exits_2(capsys, model_file, x_povm_file):
     assert err.startswith("error:2:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["optimize", "--model", "{model}", "--theta", "nan"],
+    ["optimize", "--model", "{model}", "--theta", "0.3", "--restarts", "-2"],
+    ["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:1,0"],
+    ["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1", "--grid", "2"],
+    ["dpi", "--mode", "classical", "--trials", "-1"],
+    ["dpi", "--mode", "quantum", "--trials", "1", "--kraus", "0"],
+    ["dpi", "--mode", "classical", "--trials", "1", "--seed", "-1"],
+], ids=["theta-nan", "negative-restarts", "empty-prior-interval", "grid-2",
+        "negative-trials", "kraus-0", "negative-seed"])
+def test_bad_arguments_exit_2(capsys, model_file, x_povm_file, argv):
+    argv = [a.format(model=model_file, povm=x_povm_file) for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value itself
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error" in captured.err
+
+
 def test_dimension_mismatch_exits_3(capsys, model_file, tmp_path):
     path = tmp_path / "big_povm.json"
     path.write_text(json.dumps(povm_to_document(projective_povm(np.eye(3)))))

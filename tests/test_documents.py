@@ -13,9 +13,12 @@ from fisherinfo.documents import (
     povm_to_document,
     state_to_pairs,
 )
+from fisherinfo.cli import main
 from fisherinfo.errors import DocumentError
+from fisherinfo.fisher import classical_fisher, sld_solve
 from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
-from fisherinfo.quantum import projective_povm, pure_state
+from fisherinfo.models import UnitaryFamily
+from fisherinfo.quantum import KrausChannel, apply_channel, projective_povm, pure_state
 
 
 def model_doc(**overrides):
@@ -36,17 +39,17 @@ def test_pair_encoding_round_trips_exactly():
 
 
 def test_model_document_round_trip():
-    family, rho0 = model_from_document(model_doc(passes=2))
-    assert np.array_equal(family.generator, PAULI_Z)
-    assert family.passes == 2
+    model = model_from_document(model_doc(passes=2))
+    assert np.array_equal(model.generator, PAULI_Z)
+    assert model.passes == 2
     expected = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    assert np.max(np.abs(rho0.mat - expected.mat)) < 1e-15
+    assert np.max(np.abs(model.rho0.mat - expected.mat)) < 1e-15
 
 
 def test_model_document_defaults_to_one_pass():
-    family, _ = model_from_document(model_doc())
-    assert family.passes == 1
-    assert family.channels == ()
+    model = model_from_document(model_doc())
+    assert model.passes == 1
+    assert model.channels == ()
 
 
 def test_model_document_with_composed_channels():
@@ -55,11 +58,42 @@ def test_model_document_with_composed_channels():
         {"kraus": [pairs_from_matrix(u)]},
         {"kraus": [pairs_from_matrix(np.eye(2))], "placement": "pre"},
     ])
-    family, _ = model_from_document(doc)
-    assert len(family.channels) == 2
-    assert family.channels[0][1] == "post"
-    assert family.channels[1][1] == "pre"
-    assert np.max(np.abs(family.channels[0][0].kraus[0] - u)) < 1e-15
+    model = model_from_document(doc)
+    assert len(model.channels) == 2
+    assert model.channels[0][1] == "post"
+    assert model.channels[1][1] == "pre"
+    assert np.max(np.abs(model.channels[0][0].kraus[0] - u)) < 1e-15
+
+
+@pytest.mark.parametrize("order", [("post", "pre"), ("pre", "pre")])
+def test_fisher_and_qfi_apply_pre_channels_in_list_order(capsys, tmp_path, order):
+    rotation = KrausChannel([unitary_exp(PAULI_X, 0.3)])
+    damping = KrausChannel([np.diag([1.0, np.sqrt(0.6)]), np.array([[0.0, np.sqrt(0.4)], [0.0, 0.0]])])
+    plus = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
+    if order == ("post", "pre"):
+        channels = [damping, rotation]
+        direct = UnitaryFamily(PAULI_Z, apply_channel(rotation, plus)).with_channel(damping, "post")
+    else:
+        channels = [rotation, damping]
+        direct = UnitaryFamily(PAULI_Z, apply_channel(damping, apply_channel(rotation, plus)))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_doc(compose=[
+        {"kraus": [pairs_from_matrix(k) for k in channel.kraus], "placement": placement}
+        for channel, placement in zip(channels, order)
+    ])))
+    x_basis = projective_povm(np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    povm_path = tmp_path / "povm.json"
+    povm_path.write_text(json.dumps(povm_to_document(x_basis)))
+
+    theta = 0.4
+    assert main(["fisher", "--model", str(model_path), "--povm", str(povm_path),
+                 "--theta", str(theta)]) == 0
+    fisher_value = json.loads(capsys.readouterr().out)["value"]
+    assert main(["qfi", "--model", str(model_path), "--theta", str(theta)]) == 0
+    qfi_value = json.loads(capsys.readouterr().out)["value"]
+    assert fisher_value == pytest.approx(classical_fisher(direct, x_basis, theta).value, abs=1e-12)
+    assert qfi_value == pytest.approx(sld_solve(direct, theta).qfi, abs=1e-12)
+    assert fisher_value > 0.1
 
 
 @pytest.mark.parametrize("corruption", [
@@ -129,8 +163,7 @@ def test_state_to_pairs_encodes_the_density_matrix():
 def test_document_loading_from_files(tmp_path):
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(model_doc()))
-    family, rho0 = load_model_document(str(model_path))
-    assert family.dim == 2
+    assert load_model_document(str(model_path)).dim == 2
 
     povm_path = tmp_path / "povm.json"
     povm_path.write_text(json.dumps(povm_to_document(projective_povm(np.eye(2)))))

@@ -18,8 +18,7 @@ from fisherinfo.dpi import (
 )
 from fisherinfo.fisher import sld_solve
 from fisherinfo.linalg import adjoint
-from fisherinfo.models import compose
-from fisherinfo.optimize import ModelFamily
+from fisherinfo.models import UnitaryFamily
 from fisherinfo.sampling import (
     random_channel,
     random_full_rank_state,
@@ -135,8 +134,8 @@ def test_sld_information_is_monotone_under_channels():
     for _ in range(500):
         dim = int(rng.integers(2, 4))
         state = random_full_rank_state(rng, dim)
-        model = ModelFamily(random_hermitian(rng, dim)).build(state)
-        noisy = compose(model, random_channel(rng, dim, 2), "post")
+        model = UnitaryFamily(random_hermitian(rng, dim), state)
+        noisy = model.with_channel(random_channel(rng, dim, 2), "post")
         theta = float(rng.uniform(0.2, 1.2))
         assert sld_solve(noisy, theta).qfi <= sld_solve(model, theta).qfi + SLD_TOL
 

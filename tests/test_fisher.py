@@ -15,7 +15,7 @@ from fisherinfo.fisher import (
 )
 from fisherinfo.bayes import uniform_prior
 from fisherinfo.linalg import PAULI_Z, adjoint
-from fisherinfo.models import make_unitary_family
+from fisherinfo.models import ParameterizedModel, UnitaryFamily
 from fisherinfo.quantum import DensityMatrix, Povm, projective_povm, pure_state
 from fisherinfo.sampling import (
     random_full_rank_state,
@@ -39,10 +39,17 @@ def test_two_passes_quadruple_the_information(multipass_model, x_basis_povm):
         assert classical_fisher(multipass_model, x_basis_povm, theta).value == pytest.approx(16.0, abs=1e-8)
 
 
+def test_removable_points_take_the_analytic_limit(base_model, multipass_model, x_basis_povm):
+    # one outcome has p = dp = 0 here; its score is the limit 2 d2p
+    for model, limit in ((base_model, 4.0), (multipass_model, 16.0)):
+        for theta in (0.0, np.pi / 2):
+            assert abs(classical_fisher(model, x_basis_povm, theta).value - limit) < 1e-12
+
+
 def test_outcome_scoring_without_curvature_drops_flat_outcomes():
-    # both floors satisfied and no curvature callback: contributes zero
+    # both floors satisfied and no second derivative: contributes zero
     assert information_from_outcomes([1.0, 0.0], [0.0, 0.0]) == 0.0
-    assert information_from_outcomes([1.0, 0.0], [0.0, 0.0], lambda x: 2.0) == 4.0
+    assert information_from_outcomes([1.0, 0.0], [0.0, 0.0], [-3.0, 2.0]) == 4.0
 
 
 def test_outcome_scoring_raises_on_divergent_outcome():
@@ -88,21 +95,19 @@ def test_sld_of_base_model(base_model):
 
 
 def test_sld_of_constant_model():
-    model = make_unitary_family(PAULI_Z, pure_state(np.array([1.0, 0.0])), 1)
+    model = UnitaryFamily(PAULI_Z, pure_state(np.array([1.0, 0.0])), 1)
     assert sld_solve(model, 0.9).qfi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sld_detects_derivative_off_support():
-    class FrozenModel:
+    class FrozenModel(ParameterizedModel):
         dim = 3
 
-        def state_at(self, theta):
-            return DensityMatrix(np.diag([1.0, 0.0, 0.0]))
-
-        def derivative_at(self, theta):
-            d = np.zeros((3, 3), dtype=complex)
-            d[1, 2] = d[2, 1] = 1.0
-            return d
+        def trajectory(self, thetas):
+            rho = np.diag([1.0, 0.0, 0.0]).astype(complex)[None]
+            d = np.zeros((1, 3, 3), dtype=complex)
+            d[0, 1, 2] = d[0, 2, 1] = 1.0
+            return rho, d, np.zeros_like(d)
 
     with pytest.raises(DerivativeOffSupport):
         sld_solve(FrozenModel(), 0.0)
@@ -118,7 +123,7 @@ def test_sld_measurement_achieves_the_quantum_value(base_model):
 def test_sld_achievability_on_random_full_rank_models():
     rng = np.random.default_rng(37)
     for _ in range(200):
-        model = make_unitary_family(random_hermitian(rng, 2), random_full_rank_state(rng, 2), 1)
+        model = UnitaryFamily(random_hermitian(rng, 2), random_full_rank_state(rng, 2), 1)
         theta = float(rng.uniform(-1.0, 1.0))
         result = sld_solve(model, theta)
         achieved = classical_fisher(model, sld_optimal_povm(result), theta).value
@@ -129,7 +134,7 @@ def test_no_measurement_beats_the_sld_value():
     rng = np.random.default_rng(41)
     for _ in range(500):
         dim = int(rng.integers(2, 4))
-        model = make_unitary_family(random_hermitian(rng, dim), random_full_rank_state(rng, dim), 1)
+        model = UnitaryFamily(random_hermitian(rng, dim), random_full_rank_state(rng, dim), 1)
         theta = float(rng.uniform(-1.0, 1.0))
         qfi = sld_solve(model, theta).qfi
         value = classical_fisher(model, random_projective_povm(rng, dim), theta).value
@@ -140,7 +145,7 @@ def test_no_measurement_beats_the_sld_value():
 def test_mixed_state_sld_matches_measurement_sphere_search():
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     rho0 = DensityMatrix(0.5 * np.eye(2) / 2.0 + 0.5 * np.outer(plus, plus.conj()))
-    model = make_unitary_family(PAULI_Z, rho0, 1)
+    model = UnitaryFamily(PAULI_Z, rho0, 1)
     theta = 0.3
     qfi = sld_solve(model, theta).qfi
     assert qfi == pytest.approx(1.0, abs=1e-10)
@@ -182,6 +187,6 @@ def test_prior_average_of_blind_measurement(base_model, z_basis_povm):
 
 
 def test_prior_average_of_constant_model(x_basis_povm):
-    model = make_unitary_family(PAULI_Z, pure_state(np.array([1.0, 0.0])), 1)
+    model = UnitaryFamily(PAULI_Z, pure_state(np.array([1.0, 0.0])), 1)
     j = bayesian_information(model, x_basis_povm, uniform_prior(0.2, 1.2, 51))
     assert j == pytest.approx(0.0, abs=1e-12)

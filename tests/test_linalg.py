@@ -4,14 +4,11 @@ import pytest
 from fisherinfo.errors import DimensionMismatch, NotHermitian
 from fisherinfo.linalg import (
     PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     adjoint,
     as_complex_matrix,
     eig_hermitian,
     identity,
-    matmul,
-    trace,
     unitary_exp,
 )
 
@@ -26,31 +23,10 @@ def test_as_complex_matrix_rejects_oversized():
         as_complex_matrix(np.eye(65))
 
 
-def test_trace_of_identity():
-    assert trace(identity(3)) == pytest.approx(3.0)
-
-
 def test_adjoint_is_an_involution():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     assert np.array_equal(adjoint(adjoint(a)), a)
-
-
-def test_trace_of_pauli_product_vanishes():
-    assert abs(trace(matmul(PAULI_X, PAULI_Y))) < 1e-15
-
-
-def test_trace_is_cyclic():
-    rng = np.random.default_rng(2)
-    for _ in range(50):
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert abs(trace(matmul(a, b)) - trace(matmul(b, a))) < 1e-12
-
-
-def test_matmul_rejects_mismatched_shapes():
-    with pytest.raises(DimensionMismatch):
-        matmul(np.eye(2), np.eye(3))
 
 
 def test_eig_identity_is_degenerate_ones():

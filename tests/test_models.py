@@ -1,17 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fisherinfo.errors import DimensionMismatch, InvalidState, NotHermitian
+from fisherinfo.fisher import classical_fisher, sld_solve
 from fisherinfo.linalg import PAULI_X, PAULI_Z, adjoint
-from fisherinfo.models import KrausFamily, compose, make_unitary_family
+from fisherinfo.models import KrausFamily, UnitaryFamily
 from fisherinfo.quantum import (
     KrausChannel,
+    apply_channel,
     depolarizing_channel,
     pure_state,
     unitary_channel,
 )
 from fisherinfo.linalg import unitary_exp
-from fisherinfo.sampling import random_full_rank_state, random_hermitian
+from fisherinfo.sampling import (
+    random_channel,
+    random_full_rank_state,
+    random_hermitian,
+    random_projective_povm,
+)
 
 
 def fd_derivative(model, theta, h=1e-5):
@@ -46,26 +54,26 @@ def test_derivative_matches_finite_difference_builtin(base_model, multipass_mode
 
 
 def test_generator_eigenstate_gives_constant_model():
-    model = make_unitary_family(PAULI_Z, pure_state(np.array([1.0, 0.0])), 1)
+    model = UnitaryFamily(PAULI_Z, pure_state(np.array([1.0, 0.0])), 1)
     for theta in (0.0, 0.4, 2.0):
         assert np.max(np.abs(model.derivative_at(theta))) < 1e-12
         assert np.max(np.abs(model.state_at(theta).mat - np.diag([1.0, 0.0]))) < 1e-12
 
 
 def test_passes_double_the_angle(plus_state):
-    single = make_unitary_family(PAULI_Z, plus_state, 1)
-    double = make_unitary_family(PAULI_Z, plus_state, 2)
+    single = UnitaryFamily(PAULI_Z, plus_state, 1)
+    double = UnitaryFamily(PAULI_Z, plus_state, 2)
     for theta in (0.1, 0.9):
         assert np.max(np.abs(double.state_at(theta).mat - single.state_at(2 * theta).mat)) < 1e-12
 
 
 def test_make_unitary_family_validates_inputs(plus_state):
     with pytest.raises(NotHermitian):
-        make_unitary_family(np.array([[0.0, 1.0], [0.0, 0.0]]), plus_state, 1)
+        UnitaryFamily(np.array([[0.0, 1.0], [0.0, 0.0]]), plus_state, 1)
     with pytest.raises(InvalidState):
-        make_unitary_family(PAULI_Z, np.eye(2) / 2.0, 1)
+        UnitaryFamily(PAULI_Z, np.eye(2) / 2.0, 1)
     with pytest.raises(ValueError):
-        make_unitary_family(PAULI_Z, plus_state, 0)
+        UnitaryFamily(PAULI_Z, plus_state, 0)
 
 
 def test_kraus_family_reproduces_unitary_dynamics(plus_state, base_model):
@@ -80,14 +88,14 @@ def test_kraus_family_reproduces_unitary_dynamics(plus_state, base_model):
 
 
 def test_compose_identity_channel_changes_nothing(base_model):
-    wrapped = compose(base_model, KrausChannel([np.eye(2)]), "post")
+    wrapped = base_model.with_channel(KrausChannel([np.eye(2)]), "post")
     for theta in (0.0, 0.8):
         assert np.max(np.abs(wrapped.state_at(theta).mat - base_model.state_at(theta).mat)) < 1e-14
         assert np.max(np.abs(wrapped.derivative_at(theta) - base_model.derivative_at(theta))) < 1e-14
 
 
 def test_compose_full_depolarizing_kills_dependence(base_model):
-    wrapped = compose(base_model, depolarizing_channel(1.0), "post")
+    wrapped = base_model.with_channel(depolarizing_channel(1.0), "post")
     for theta in (0.0, 0.6):
         assert np.max(np.abs(wrapped.state_at(theta).mat - np.eye(2) / 2.0)) < 1e-12
         assert np.max(np.abs(wrapped.derivative_at(theta))) < 1e-12
@@ -95,7 +103,7 @@ def test_compose_full_depolarizing_kills_dependence(base_model):
 
 def test_compose_post_applies_channel_to_derivative(base_model):
     channel = unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0))
-    wrapped = compose(base_model, channel, "post")
+    wrapped = base_model.with_channel(channel, "post")
     theta = 0.5
     u = channel.kraus[0]
     expect = u @ base_model.derivative_at(theta) @ adjoint(u)
@@ -106,10 +114,10 @@ def test_compose_post_applies_channel_to_derivative(base_model):
 
 def test_compose_pre_transforms_the_input(plus_state, base_model):
     channel = unitary_channel(unitary_exp(PAULI_X, 0.3))
-    wrapped = compose(base_model, channel, "pre")
+    wrapped = base_model.with_channel(channel, "pre")
     u = channel.kraus[0]
     moved = pure_state(u @ np.array([1.0, 1.0]) / np.sqrt(2.0))
-    direct = make_unitary_family(PAULI_Z, moved, 1)
+    direct = UnitaryFamily(PAULI_Z, moved, 1)
     for theta in (0.0, 0.7):
         assert np.max(np.abs(wrapped.state_at(theta).mat - direct.state_at(theta).mat)) < 1e-12
         assert np.max(np.abs(wrapped.derivative_at(theta) - direct.derivative_at(theta))) < 1e-12
@@ -117,16 +125,16 @@ def test_compose_pre_transforms_the_input(plus_state, base_model):
 
 def test_compose_rejects_mismatched_dimensions(base_model):
     with pytest.raises(DimensionMismatch):
-        compose(base_model, KrausChannel([np.eye(3)]), "post")
+        base_model.with_channel(KrausChannel([np.eye(3)]), "post")
 
 
 def test_compose_rejects_unknown_placement(base_model):
     with pytest.raises(ValueError):
-        compose(base_model, KrausChannel([np.eye(2)]), "sideways")
+        base_model.with_channel(KrausChannel([np.eye(2)]), "sideways")
 
 
 def test_with_initial_state_rebinds(base_model):
-    rebound = base_model.with_initial_state(pure_state(np.array([1.0, 0.0])))
+    rebound = base_model.with_state(pure_state(np.array([1.0, 0.0])))
     assert np.max(np.abs(rebound.state_at(1.0).mat - np.diag([1.0, 0.0]))) < 1e-12
 
 
@@ -134,7 +142,7 @@ def test_random_families_match_finite_differences():
     rng = np.random.default_rng(23)
     for _ in range(50):
         dim = int(rng.integers(2, 5))
-        model = make_unitary_family(
+        model = UnitaryFamily(
             random_hermitian(rng, dim),
             random_full_rank_state(rng, dim),
             int(rng.integers(1, 4)),
@@ -143,3 +151,60 @@ def test_random_families_match_finite_differences():
         err = np.max(np.abs(model.derivative_at(theta) - fd_derivative(model, theta)))
         assert err < 1e-6
         assert abs(np.trace(model.derivative_at(theta))) < 1e-10
+
+
+def amplitude_damping(gamma: float) -> KrausChannel:
+    return KrausChannel([
+        np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
+        np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
+    ])
+
+
+@pytest.mark.parametrize("order", ["post-pre", "pre-pre"])
+def test_pre_channels_act_on_the_input_in_list_order(plus_state, base_model, order):
+    # the two pre channels do not commute, so list order shows in the result
+    first = unitary_channel(unitary_exp(PAULI_X, 0.3))
+    second = amplitude_damping(0.4)
+    if order == "post-pre":
+        model = base_model.with_channel(second, "post").with_channel(first, "pre")
+        direct = UnitaryFamily(PAULI_Z, apply_channel(first, plus_state)).with_channel(second)
+    else:
+        model = base_model.with_channel(first, "pre").with_channel(second, "pre")
+        direct = UnitaryFamily(PAULI_Z, apply_channel(second, apply_channel(first, plus_state)))
+    for theta in (0.0, 0.7):
+        for a, b in zip(model.trajectory([theta]), direct.trajectory([theta])):
+            assert np.max(np.abs(a - b)) < 1e-14
+
+
+def test_trajectory_needs_an_initial_state():
+    with pytest.raises(InvalidState):
+        UnitaryFamily(PAULI_Z).trajectory([0.1])
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4),
+       placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3))
+def test_trajectory_invariants_with_random_channels(seed, dim, placements):
+    rng = np.random.default_rng(seed)
+    model = UnitaryFamily(random_hermitian(rng, dim), random_full_rank_state(rng, dim),
+                          int(rng.integers(1, 4)))
+    for placement in placements:
+        model = model.with_channel(random_channel(rng, dim, int(rng.integers(1, 3))), placement)
+    thetas = rng.uniform(-1.5, 1.5, size=4)
+    stacked = model.trajectory(thetas)
+
+    # a stack of theta values equals its single-theta rows
+    for i, theta in enumerate(thetas):
+        for block, row in zip(stacked, model.trajectory([theta])):
+            assert np.max(np.abs(block[i] - row[0])) < 1e-13
+
+    # the analytic second derivative matches a central difference of the first
+    h = 1e-5
+    fd = (model.trajectory(thetas + h)[1] - model.trajectory(thetas - h)[1]) / (2.0 * h)
+    scale = max(1.0, float(np.max(np.abs(stacked[2]))))
+    assert np.max(np.abs(stacked[2] - fd)) < 1e-6 * scale
+
+    # no measurement beats the SLD value
+    theta = float(thetas[0])
+    povm = random_projective_povm(rng, dim)
+    assert classical_fisher(model, povm, theta).value <= sld_solve(model, theta).qfi + 1e-7

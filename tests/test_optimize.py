@@ -5,9 +5,9 @@ from fisherinfo.bayes import uniform_prior
 from fisherinfo.errors import DimensionMismatch
 from fisherinfo.fisher import classical_fisher, bayesian_information, sld_solve
 from fisherinfo.linalg import PAULI_X, PAULI_Z, adjoint, unitary_exp
+from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import (
     ContextSpace,
-    ModelFamily,
     OptimizationResult,
     circumvention_report,
     maximize_bayesian,
@@ -83,20 +83,20 @@ def test_fixed_sides_pass_through_decode(plus_state, z_basis_povm):
 
 
 def test_unrestricted_maximum_for_one_pass():
-    result = maximize_fisher(ModelFamily(PAULI_Z), ContextSpace(2), 0.3, restarts=4)
+    result = maximize_fisher(UnitaryFamily(PAULI_Z), ContextSpace(2), 0.3, restarts=4)
     assert result.best_value == pytest.approx(4.0, abs=1e-8)
     assert isinstance(result, OptimizationResult)
     assert result.restarts_used == 4
 
 
 def test_unrestricted_maximum_scales_with_passes_squared():
-    result = maximize_fisher(ModelFamily(PAULI_Z, passes=2), ContextSpace(2), 0.3, restarts=4)
+    result = maximize_fisher(UnitaryFamily(PAULI_Z, passes=2), ContextSpace(2), 0.3, restarts=4)
     assert result.best_value == pytest.approx(16.0, abs=1e-8)
 
 
 def test_frozen_context_is_scored_not_searched(plus_state, z_basis_povm):
     frozen = ContextSpace(2, state=plus_state, povm=z_basis_povm)
-    result = maximize_fisher(ModelFamily(PAULI_Z), frozen, 0.3, restarts=4)
+    result = maximize_fisher(UnitaryFamily(PAULI_Z), frozen, 0.3, restarts=4)
     assert result.best_value == pytest.approx(0.0, abs=1e-12)
     assert result.best_state is plus_state
     assert result.best_povm is z_basis_povm
@@ -105,7 +105,7 @@ def test_frozen_context_is_scored_not_searched(plus_state, z_basis_povm):
 def test_fixed_rotation_revives_a_frozen_context(plus_state, z_basis_povm):
     from fisherinfo.quantum import unitary_channel
 
-    family = ModelFamily(PAULI_Z).with_channel(
+    family = UnitaryFamily(PAULI_Z).with_channel(
         unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post"
     )
     frozen = ContextSpace(2, state=plus_state, povm=z_basis_povm)
@@ -114,14 +114,14 @@ def test_fixed_rotation_revives_a_frozen_context(plus_state, z_basis_povm):
 
 
 def test_reported_value_reproduces_through_the_public_path():
-    family = ModelFamily(PAULI_Z, passes=2)
+    family = UnitaryFamily(PAULI_Z, passes=2)
     result = maximize_fisher(family, ContextSpace(2), 0.7, restarts=4)
-    replay = classical_fisher(family.build(result.best_state), result.best_povm, 0.7).value
+    replay = classical_fisher(family.with_state(result.best_state), result.best_povm, 0.7).value
     assert replay == pytest.approx(result.best_value, abs=1e-12)
 
 
 def test_optimization_is_deterministic_for_a_fixed_seed():
-    family = ModelFamily(random_hermitian(np.random.default_rng(3), 2))
+    family = UnitaryFamily(random_hermitian(np.random.default_rng(3), 2))
     runs = [maximize_fisher(family, ContextSpace(2), 0.5, restarts=6, seed=42) for _ in range(2)]
     assert runs[0].best_value == runs[1].best_value
     assert np.array_equal(runs[0].best_state.mat, runs[1].best_state.mat)
@@ -133,12 +133,12 @@ def test_optimization_is_deterministic_for_a_fixed_seed():
 
 def test_no_hand_built_context_beats_the_optimizer():
     rng = np.random.default_rng(71)
-    family = ModelFamily(random_hermitian(rng, 2), passes=1)
+    family = UnitaryFamily(random_hermitian(rng, 2), passes=1)
     result = maximize_fisher(family, ContextSpace(2), 0.4, restarts=8, seed=1)
     for _ in range(100):
         state = random_pure_state(rng, 2)
         povm = random_projective_povm(rng, 2)
-        value = classical_fisher(family.build(state), povm, 0.4).value
+        value = classical_fisher(family.with_state(state), povm, 0.4).value
         assert value <= result.best_value + 1e-9
 
 
@@ -176,7 +176,7 @@ def test_optimizer_matches_the_bloch_sphere_oracle():
     for _ in range(5):
         generator = random_hermitian(rng, 2)
         passes = int(rng.integers(1, 3))
-        family = ModelFamily(generator, passes=passes)
+        family = UnitaryFamily(generator, passes=passes)
         result = maximize_fisher(family, ContextSpace(2), float(rng.uniform(-1, 1)),
                                  restarts=4, seed=2)
         oracle = bloch_state_grid_oracle(generator, passes)
@@ -191,17 +191,17 @@ def test_optimizer_matches_the_bloch_sphere_oracle():
 def test_unrestricted_maximum_equals_the_best_quantum_value():
     rng = np.random.default_rng(79)
     generator = random_hermitian(rng, 2)
-    family = ModelFamily(generator, passes=1)
+    family = UnitaryFamily(generator, passes=1)
     theta = 0.6
     result = maximize_fisher(family, ContextSpace(2), theta, restarts=8, seed=3)
-    qfi = sld_solve(family.build(result.best_state), theta).qfi
+    qfi = sld_solve(family.with_state(result.best_state), theta).qfi
     assert result.best_value <= qfi + 1e-9
     assert abs(result.best_value - qfi) < 1e-3
 
 
 def test_fixing_a_side_never_helps():
     rng = np.random.default_rng(83)
-    family = ModelFamily(random_hermitian(rng, 2))
+    family = UnitaryFamily(random_hermitian(rng, 2))
     theta = 0.4
     free_value = maximize_fisher(family, ContextSpace(2), theta, restarts=8, seed=4).best_value
     for _ in range(5):
@@ -212,11 +212,11 @@ def test_fixing_a_side_never_helps():
 
 def test_bayesian_maximum_for_the_standard_scenario():
     prior = uniform_prior(0.0, np.pi / 2, 21)
-    result = maximize_bayesian(ModelFamily(PAULI_Z), ContextSpace(2), prior,
+    result = maximize_bayesian(UnitaryFamily(PAULI_Z), ContextSpace(2), prior,
                                restarts=2, maxiter=100)
     assert result.best_value == pytest.approx(4.0, abs=1e-6)
     assert result.theta is None
-    replay = bayesian_information(ModelFamily(PAULI_Z).build(result.best_state),
+    replay = bayesian_information(UnitaryFamily(PAULI_Z).with_state(result.best_state),
                                   result.best_povm, prior)
     assert replay == pytest.approx(result.best_value, abs=1e-12)
 
@@ -224,13 +224,13 @@ def test_bayesian_maximum_for_the_standard_scenario():
 def test_bayesian_maximum_of_a_frozen_blind_context(plus_state, z_basis_povm):
     prior = uniform_prior(0.0, np.pi / 2, 21)
     frozen = ContextSpace(2, state=plus_state, povm=z_basis_povm)
-    result = maximize_bayesian(ModelFamily(PAULI_Z), frozen, prior, restarts=2)
+    result = maximize_bayesian(UnitaryFamily(PAULI_Z), frozen, prior, restarts=2)
     assert result.best_value == pytest.approx(0.0, abs=1e-12)
 
 
 def test_bayesian_maximum_vanishes_after_total_depolarization():
     prior = uniform_prior(0.0, np.pi / 2, 21)
-    family = ModelFamily(PAULI_Z).with_channel(depolarizing_channel(1.0), "post")
+    family = UnitaryFamily(PAULI_Z).with_channel(depolarizing_channel(1.0), "post")
     result = maximize_bayesian(family, ContextSpace(2), prior, restarts=2, maxiter=60)
     assert result.best_value == pytest.approx(0.0, abs=1e-9)
 
