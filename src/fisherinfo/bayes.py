@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DocumentError, ZeroEvidence
-from .fisher import bayesian_information, outcome_trajectory
+from .fisher import averaged_information, outcome_trajectory
 from .models import ParameterizedModel
 from .quantum import Povm
 
@@ -155,7 +155,11 @@ def bayes_risk(prior: PriorGrid, model: ParameterizedModel, povm: Povm,
     Outcomes with zero evidence are skipped: they occur with probability
     zero and contribute nothing to the risk.
     """
-    like = likelihood_table(model, povm, prior.nodes)
+    return _risk(prior, likelihood_table(model, povm, prior.nodes), method)
+
+
+def _risk(prior: PriorGrid, like: np.ndarray, method: str = "posterior-variance") -> float:
+    """bayes_risk from the likelihood table ``like``."""
     joint = prior.weights[:, None] * like            # Pr(theta_i, x)
     evidence = joint.sum(axis=0)                     # Pr(x)
     risk = 0.0
@@ -190,8 +194,9 @@ def check_bcrb(prior: PriorGrid, model: ParameterizedModel, povm: Povm) -> BcrbR
     reads risk >= 1/J; with J at numerical zero it is vacuous and reported
     as such (satisfied trivially, since 1/J is +inf).
     """
-    risk = bayes_risk(prior, model, povm)
-    j = bayesian_information(model, povm, prior)
+    p, dp, d2p = outcome_trajectory(model, povm, prior.nodes)
+    risk = _risk(prior, p)
+    j = averaged_information(prior.weights, p, dp, d2p)
     if j <= VACUOUS_J:
         return BcrbReport(risk=risk, j=j, satisfied=True, vacuous=True)
     return BcrbReport(risk=risk, j=j, satisfied=bool(risk >= 1.0 / j - BCRB_SLACK), vacuous=False)

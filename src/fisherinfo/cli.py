@@ -45,7 +45,7 @@ EXIT_VIOLATION = 5
 
 def _emit(report: dict, started: float) -> None:
     report["runtime_ms"] = (time.perf_counter() - started) * 1000.0
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2, allow_nan=False))
 
 
 def cmd_fisher(args) -> int:
@@ -144,7 +144,7 @@ def cmd_dpi(args) -> int:
     for report in reports:
         if report.violated:
             violations += 1
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(report.to_dict(), allow_nan=False))
     summary = {
         "command": "dpi",
         "inputs": {"mode": args.mode, "trials": args.trials, "dim": args.dim,

@@ -10,6 +10,7 @@ channels after the dynamics, each kind in list order.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -47,13 +48,20 @@ def pairs_from_matrix(a: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(a, dtype=complex)]
 
 
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: top level must be an object")
@@ -103,6 +111,9 @@ def povm_from_document(doc: dict, where: str = "povm") -> Povm:
     effects = [matrix_from_pairs(m, dim, f"{where}.effects[{k}]")
                for k, m in enumerate(effects_rows)]
     labels = doc.get("labels")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(type(x) is int for x in labels)):
+        raise DocumentError(f"{where}: 'labels' must be a list of integers")
     try:
         return Povm(effects, labels)
     except FisherinfoError as exc:

@@ -42,10 +42,11 @@ COLUMN_SUM_ATOL = 1e-12
 J_GRID = 31             # quadrature nodes for per-trial Bayesian checks
 J_RANGE = (0.2, 1.2)    # uniform prior window for per-trial Bayesian checks
 
-# Screening budget for the per-trial optimizations.  The structured warm
-# start already lands on the bare model's exact optimum, and a truncated
-# search can only under-report i_after, which keeps the inequality check
-# conservative; a full-depth polish would change nothing but the runtime.
+# Nelder-Mead budget for the noisy model's state search; the bare model
+# takes the closed-form optimum and is never searched.  Runs that stop at
+# this budget end near states whose channel output is close to pure, where
+# the QFI has a kink.  A truncated search can only under-report i_after,
+# which keeps the inequality check conservative.
 OPT_MAXITER = 100
 
 

@@ -102,7 +102,7 @@ class UnitaryFamily(ParameterizedModel):
         d2rho = -(k * k) * (g @ comm - comm @ g)
         for channel, placement in self.channels:
             if placement == "post":
-                rho, drho, d2rho = (apply_channel_matrix(channel, a) for a in (rho, drho, d2rho))
+                rho, drho, d2rho = apply_channel_matrix(channel, np.stack((rho, drho, d2rho)))
         return rho, drho, d2rho
 
 

@@ -1,11 +1,17 @@
 """Context optimization: maximize information over states and measurements.
 
 A context is a (state, POVM) pair.  Either side can be fixed, which models
-a restricted experiment; the free sides are parameterized by real vectors
-and searched with multi-start Nelder-Mead.  One structured start per run
-evaluates the generator's extreme-eigenvector superposition together with
-the SLD eigenbasis measurement, which for unitary families is the exact
-optimum; random restarts take it from there.
+a restricted experiment.  At one theta the measurement side is never
+searched: the SLD eigenbasis measurement attains the quantum Fisher
+information at every state (Braunstein & Caves 1994), so a free POVM is
+read off the chosen state's SLD.  A fixed state is never searched either.
+Without channels, the best state for a free POVM is the equal
+superposition of the generator's extreme eigenvectors, worth
+k^2 (lmax - lmin)^2 (Giovannetti, Lloyd & Maccone 2006).  Otherwise the
+2(dim-1) state parameters are searched with multi-start Nelder-Mead,
+scored by the QFI for a free POVM or by the classical Fisher information
+for a fixed one.  A prior average has no such closed form, so
+maximize_bayesian searches state and measurement parameters together.
 """
 
 from __future__ import annotations
@@ -15,16 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import DerivativeOffSupport, DimensionMismatch, SingularOutcome, ZeroEvidence
-from .fisher import (
-    classical_fisher,
-    bayesian_information,
-    information_from_outcomes,
-    sld_solve,
-    sld_optimal_povm,
-)
+from .fisher import bayesian_information, classical_fisher, sld_optimal_povm, sld_solve
 from .linalg import PAULI_X, PAULI_Z, adjoint, unitary_exp
 from .models import UnitaryFamily
 from .quantum import DensityMatrix, Povm, projective_povm, pure_state, unitary_channel
@@ -93,21 +92,6 @@ class ContextSpace:
         """Measurement-basis unitary from the POVM block of the parameters."""
         d = self.dim
         vec = params[self.n_state_params:]
-        if d == 2:
-            # traceless part squares to r^2, so the exponential closes in
-            # cos/sinc form without an eigendecomposition
-            mean = 0.5 * float(vec[0] + vec[1])
-            b3 = 0.5 * float(vec[0] - vec[1])
-            re, im = float(vec[2]), float(vec[3])
-            r = math.sqrt(b3 * b3 + re * re + im * im)
-            s = math.sin(r) / r if r > 1e-300 else 1.0
-            phase = cmath.exp(-1j * mean)
-            c = math.cos(r)
-            off = -1j * s * complex(re, im)
-            return np.array([
-                [phase * (c - 1j * s * b3), phase * off],
-                [-phase * off.conjugate(), phase * (c + 1j * s * b3)],
-            ])
         h = np.zeros((d, d), dtype=complex)
         h[np.diag_indices(d)] = vec[:d]
         m = d * (d - 1) // 2
@@ -147,96 +131,41 @@ def _extreme_superposition(family: UnitaryFamily) -> DensityMatrix:
     return pure_state(psi)
 
 
-def _fast_fisher_objective(family: UnitaryFamily, space: ContextSpace, theta: float):
-    """Precompiled Fisher evaluation for generator families with post channels.
+def _search(decode, n_params: int, score, starts, restarts: int, seed: int, maxiter: int):
+    """Best (value, context) among the start contexts and the restarts' ends.
 
-    Computes the same outcome probabilities and derivatives as the public
-    classical_fisher path, minus per-call object validation, which keeps
-    the inner optimization loop cheap.  Returns None when the family shape
-    is not supported (a pre-placed channel), letting callers fall back to
-    the generic path.
+    Each restart runs Nelder-Mead on -score(decode(params)) from a uniform
+    point in [-pi, pi]^n_params.  A context whose score raises
+    SingularOutcome, ZeroEvidence or DerivativeOffSupport scores 0 inside a
+    run and is never a candidate.
     """
-    if any(placement != "post" for _, placement in family.channels):
-        return None
-    k = family.passes
-    u_theta = family.propagator(theta)
-    gen = family.generator
-    kraus_stack = [[(op, adjoint(op)) for op in ch.kraus] for ch, _ in family.channels]
-    fixed_rho = space.state.mat if space.state is not None else None
-    fixed_effects = (np.stack(space.povm.effects) if space.povm is not None else None)
 
-    def evaluate(params: np.ndarray) -> float:
-        if fixed_rho is None:
-            phi = u_theta @ space.decode_amplitudes(params)
-            rho = np.outer(phi, phi.conj())
-        else:
-            rho = u_theta @ fixed_rho @ adjoint(u_theta)
-        drho = -1j * k * (gen @ rho - rho @ gen)
-        for ops in kraus_stack:
-            rho = sum(op @ rho @ op_dag for op, op_dag in ops)
-            drho = sum(op @ drho @ op_dag for op, op_dag in ops)
-        if fixed_effects is None:
-            cols = space.decode_basis(params)
-            p = np.einsum("ji,ji->i", cols.conj(), rho @ cols).real
-            dp = np.einsum("ji,ji->i", cols.conj(), drho @ cols).real
-        else:
-            p = np.einsum("xij,ji->x", fixed_effects, rho).real
-            dp = np.einsum("xij,ji->x", fixed_effects, drho).real
-        return information_from_outcomes(np.clip(p, 0.0, None), dp)
-
-    return evaluate
-
-
-def _structured_candidates(family: UnitaryFamily, space: ContextSpace, theta: float):
-    """Directly evaluated starting contexts (no parameter encoding needed)."""
-    states = [space.state] if space.state is not None else [_extreme_superposition(family)]
-    for state in states:
-        if space.povm is not None:
-            yield state, space.povm
-        else:
-            try:
-                result = sld_solve(family.with_state(state), theta)
-            except DerivativeOffSupport:
-                continue
-            yield state, sld_optimal_povm(result)
-
-
-def _search(family: UnitaryFamily, space: ContextSpace, score, theta_for_warm,
-            restarts: int, seed: int, maxiter: int, fast_score=None):
-    candidates = []
-    for state, povm in _structured_candidates(family, space, theta_for_warm):
+    def evaluate(context):
         try:
-            candidates.append((score(state, povm), state, povm))
-        except (SingularOutcome, ZeroEvidence):
-            pass
+            return score(context)
+        except (SingularOutcome, ZeroEvidence, DerivativeOffSupport):
+            return None
 
-    n = space.n_params
-    if n > 0:
+    candidates = [(evaluate(context), context) for context in starts]
+    if n_params > 0:
+        from scipy.optimize import minimize
+
         def objective(params):
-            try:
-                if fast_score is not None:
-                    return -fast_score(params)
-                state, povm = space.decode(params)
-                return -score(state, povm)
-            except (SingularOutcome, ZeroEvidence):
-                return 0.0
+            value = evaluate(decode(params))
+            return 0.0 if value is None else -value
 
         # terminate on the simplex's value spread alone
         options = {"maxiter": maxiter, "fatol": VALUE_SPREAD_TOL, "xatol": np.inf}
         rng = np.random.default_rng(seed)
         for _ in range(restarts):
-            x0 = rng.uniform(-np.pi, np.pi, size=n)
-            res = minimize(objective, x0, method="Nelder-Mead", options=options)
-            try:
-                state, povm = space.decode(res.x)
-                candidates.append((score(state, povm), state, povm))
-            except (SingularOutcome, ZeroEvidence):
-                continue
+            x0 = rng.uniform(-np.pi, np.pi, size=n_params)
+            context = decode(minimize(objective, x0, method="Nelder-Mead", options=options).x)
+            candidates.append((evaluate(context), context))
 
+    candidates = [c for c in candidates if c[0] is not None]
     if not candidates:
         raise SingularOutcome("no evaluable context in the search space")
-    value, state, povm = max(candidates, key=lambda c: c[0])
-    return value, state, povm
+    return max(candidates, key=lambda c: c[0])
 
 
 def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
@@ -244,16 +173,30 @@ def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
                     maxiter: int = MAX_ITER) -> OptimizationResult:
     """Largest classical Fisher information over the context space.
 
-    Each candidate state replaces the family's own rho0, if it has one.
+    Each candidate state replaces the family's own rho0, if it has one.  A
+    free POVM is the SLD eigenbasis of the chosen state, so only the state
+    is searched, and only when neither a fixed state nor the channel-free
+    closed form settles it.
     """
 
-    def score(state, povm):
-        return classical_fisher(family.with_state(state), povm, theta).value
+    def qfi(state):
+        return sld_solve(family.with_state(state), theta).qfi
 
-    fast = _fast_fisher_objective(family, space, theta)
-    value, state, povm = _search(family, space, score, theta, restarts, seed, maxiter,
-                                 fast_score=fast)
-    # report the value recomputed through the public scoring path
+    def classical(state):
+        return classical_fisher(family.with_state(state), space.povm, theta).value
+
+    if space.state is not None:
+        state = space.state
+    elif space.povm is None and not family.channels:
+        state = _extreme_superposition(family)
+    else:
+        _, state = _search(space.decode_state, space.n_state_params,
+                           qfi if space.povm is None else classical,
+                           [_extreme_superposition(family)], restarts, seed, maxiter)
+    povm = space.povm
+    if povm is None:
+        povm = sld_optimal_povm(sld_solve(family.with_state(state), theta))
+    # report the value computed through the public scoring path
     best = classical_fisher(family.with_state(state), povm, theta).value
     return OptimizationResult(best_value=best, best_state=state, best_povm=povm,
                               restarts_used=restarts, seed=seed, theta=float(theta))
@@ -262,13 +205,28 @@ def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
 def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
                       restarts: int = DEFAULT_RESTARTS, seed: int = 0,
                       maxiter: int = MAX_ITER) -> OptimizationResult:
-    """Largest prior-averaged Fisher information over the context space."""
+    """Largest prior-averaged Fisher information over the context space.
 
-    def score(state, povm):
+    Pointwise SLD measurements do not maximize a prior average, so state
+    and measurement are searched together; the structured start pairs the
+    extreme-eigenvector superposition with its SLD measurement at the prior
+    mean.
+    """
+
+    def score(context):
+        state, povm = context
         return bayesian_information(family.with_state(state), povm, prior)
 
-    theta_for_warm = float(np.dot(prior.nodes, prior.weights))
-    value, state, povm = _search(family, space, score, theta_for_warm, restarts, seed, maxiter)
+    state = space.state if space.state is not None else _extreme_superposition(family)
+    povm = space.povm
+    if povm is None:
+        try:
+            povm = sld_optimal_povm(sld_solve(family.with_state(state), prior.mean()))
+        except DerivativeOffSupport:
+            pass
+    starts = [] if povm is None else [(state, povm)]
+    _, (state, povm) = _search(space.decode, space.n_params, score, starts,
+                               restarts, seed, maxiter)
     best = bayesian_information(family.with_state(state), povm, prior)
     return OptimizationResult(best_value=best, best_state=state, best_povm=povm,
                               restarts_used=restarts, seed=seed, theta=None)

@@ -73,10 +73,11 @@ class Povm:
     """A measurement: positive effects that sum to the identity.
 
     Labels are stable integers so classical post-processing maps can refer
-    to outcomes by index.
+    to outcomes by index.  ``stack`` holds the effects as one (n, d, d)
+    array for the Born kernel.
     """
 
-    __slots__ = ("effects", "labels")
+    __slots__ = ("effects", "labels", "stack")
 
     def __init__(self, effects, labels=None, *, validate: bool = True):
         effects = tuple(as_complex_matrix(e, "POVM effect") for e in effects)
@@ -105,6 +106,7 @@ class Povm:
                 raise InvalidPovm(f"effects sum deviates from identity by {defect:.3e}")
         self.effects = effects
         self.labels = labels
+        self.stack = np.stack(effects)
 
     @property
     def dim(self) -> int:
@@ -197,7 +199,7 @@ def dual_povm(dual: DualChannel, povm: Povm) -> Povm:
 
 def outcome_traces(a: np.ndarray, povm: Povm) -> np.ndarray:
     """tr(A E_x) for a matrix or a stack (..., d, d); the outcome index goes last."""
-    return np.einsum("...ij,xji->...x", a, np.stack(povm.effects)).real
+    return np.einsum("...ij,xji->...x", a, povm.stack).real
 
 
 def born_probabilities(rho: DensityMatrix | np.ndarray, povm: Povm) -> np.ndarray:

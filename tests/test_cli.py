@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -168,6 +171,42 @@ def test_malformed_document_exits_2(capsys, tmp_path, x_povm_file):
     assert code == 2
     assert out == ""
     assert err.startswith("error:2:")
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_number_in_a_document_exits_2(capsys, tmp_path, x_povm_file, constant):
+    path = tmp_path / "nan_model.json"
+    path.write_text(
+        '{"dim": 2, "kind": "unitary", '
+        f'"generator": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{constant}, 0.0]]], '
+        '"initial_state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}'
+    )
+    for argv in (["fisher", "--povm", x_povm_file], ["qfi"]):
+        code, out, err = run_cli(capsys, argv + ["--model", str(path), "--theta", "0.3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:2:")
+
+
+def test_non_integer_povm_labels_exit_2(capsys, tmp_path, model_file):
+    doc = povm_to_document(projective_povm(np.eye(2)))
+    doc["labels"] = ["a", "b"]
+    path = tmp_path / "labelled_povm.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, [
+        "fisher", "--model", model_file, "--povm", str(path), "--theta", "0.3",
+    ])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:2:")
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded():
+    probe = "import sys, fisherinfo.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_bad_prior_spec_exits_2(capsys, model_file, x_povm_file):

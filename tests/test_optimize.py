@@ -13,8 +13,16 @@ from fisherinfo.optimize import (
     maximize_bayesian,
     maximize_fisher,
 )
-from fisherinfo.quantum import DensityMatrix, Povm, depolarizing_channel, projective_povm, pure_state
+from fisherinfo.quantum import (
+    DensityMatrix,
+    KrausChannel,
+    Povm,
+    depolarizing_channel,
+    projective_povm,
+    pure_state,
+)
 from fisherinfo.sampling import (
+    random_channel,
     random_full_rank_state,
     random_hermitian,
     random_projective_povm,
@@ -60,21 +68,6 @@ def test_decoded_contexts_are_always_valid(dim):
         assert isinstance(povm, Povm)
 
 
-def test_qubit_basis_decode_matches_the_generic_exponential():
-    # the 2x2 branch avoids the eigendecomposition; cross-check it against
-    # the matrix exponential of the same Hermitian generator
-    rng = np.random.default_rng(67)
-    space = ContextSpace(2)
-    for _ in range(50):
-        params = rng.uniform(-4.0, 4.0, size=6)
-        vec = params[2:]
-        h = np.array([
-            [vec[0], vec[2] + 1j * vec[3]],
-            [vec[2] - 1j * vec[3], vec[1]],
-        ])
-        assert np.max(np.abs(space.decode_basis(params) - unitary_exp(h, 1.0))) < 1e-12
-
-
 def test_fixed_sides_pass_through_decode(plus_state, z_basis_povm):
     space = ContextSpace(2, state=plus_state, povm=z_basis_povm)
     state, povm = space.decode(np.zeros(0))
@@ -87,6 +80,47 @@ def test_unrestricted_maximum_for_one_pass():
     assert result.best_value == pytest.approx(4.0, abs=1e-8)
     assert isinstance(result, OptimizationResult)
     assert result.restarts_used == 4
+
+
+def test_amplitude_damping_caps_the_maximum_at_the_damped_bloch_speed():
+    # damping shrinks the equatorial Bloch radius to sqrt(1 - gamma), and the
+    # rotation speed stays 2, so the best value is 4 (1 - gamma)
+    gamma = 0.3
+    damping = KrausChannel([
+        np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - gamma)]]),
+        np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
+    ])
+    family = UnitaryFamily(PAULI_Z).with_channel(damping, "post")
+    result = maximize_fisher(family, ContextSpace(2), 0.3, restarts=4, seed=5)
+    assert result.best_value == pytest.approx(4.0 * (1.0 - gamma), abs=1e-8)
+    replay = classical_fisher(family.with_state(result.best_state), result.best_povm, 0.3).value
+    assert replay == pytest.approx(result.best_value, abs=1e-12)
+
+
+def test_channel_free_maximum_is_the_closed_form_without_a_search(monkeypatch):
+    import scipy.optimize
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a channel-free family must not be searched")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_search)
+    rng = np.random.default_rng(89)
+    for dim, passes in [(2, 1), (3, 2), (4, 3)]:
+        generator = random_hermitian(rng, dim)
+        w = np.linalg.eigvalsh(generator)
+        result = maximize_fisher(UnitaryFamily(generator, passes=passes), ContextSpace(dim),
+                                 float(rng.uniform(-1, 1)), restarts=4)
+        assert result.best_value == pytest.approx((passes * (w[-1] - w[0])) ** 2, abs=1e-12)
+
+
+def test_fixed_state_with_a_free_measurement_attains_the_qfi():
+    rng = np.random.default_rng(97)
+    family = UnitaryFamily(random_hermitian(rng, 3)).with_channel(random_channel(rng, 3, 2))
+    state = random_pure_state(rng, 3)
+    result = maximize_fisher(family, ContextSpace(3, state=state), 0.5, restarts=4)
+    assert result.best_state is state
+    qfi = sld_solve(family.with_state(state), 0.5).qfi
+    assert result.best_value == pytest.approx(qfi, abs=1e-7)
 
 
 def test_unrestricted_maximum_scales_with_passes_squared():
