@@ -254,8 +254,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list) -> list:
+    """Write '--theta -5e-05' as '--theta=-5e-05'.
+
+    argparse takes a token that starts with '-' for an option name unless it
+    is a plain negative decimal, so a negative value in exponent form would
+    leave --theta without its argument.
+    """
+    out = []
+    for token in argv:
+        if out and out[-1] == "--theta" and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"--theta={token}"
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.run(args)
     except DocumentError as exc:

@@ -23,7 +23,10 @@ def _complex_from_pair(v, where: str) -> complex:
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or not all(isinstance(x, (int, float)) for x in v)):
         raise DocumentError(f"{where}: expected an [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    try:
+        return complex(float(v[0]), float(v[1]))
+    except OverflowError:
+        raise DocumentError(f"{where}: an integer entry is too large for a float") from None
 
 
 def matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DerivativeOffSupport, SingularOutcome
 from .linalg import adjoint
 from .models import ParameterizedModel
-from .quantum import DensityMatrix, Povm, born_probabilities, outcome_traces, projective_povm
+from .quantum import Povm, born_probabilities, outcome_traces, projective_povm
 
 P_FLOOR = 1e-12       # probabilities at or below this count as zero
 D_FLOOR = 1e-9        # derivative magnitude above this at p ~ 0 is divergent
@@ -74,7 +74,11 @@ def outcome_trajectory(model: ParameterizedModel, povm: Povm, thetas):
     come from the model's trajectory; they are never re-differenced from
     probabilities.
     """
-    rho, drho, d2rho = model.trajectory(thetas)
+    return outcome_blocks(povm, *model.trajectory(thetas))
+
+
+def outcome_blocks(povm: Povm, rho, drho, d2rho):
+    """(p, dp, d2p) of a state and its derivatives, one matrix or a stack each."""
     p = born_probabilities(rho, povm)
     dp, d2p = outcome_traces(np.stack((drho, d2rho)), povm)
     return p, dp, d2p
@@ -99,15 +103,24 @@ def bayesian_information(model: ParameterizedModel, povm: Povm, prior) -> float:
 
 
 def sld_solve(model: ParameterizedModel, theta: float) -> SldResult:
-    """Solve rho' = (rho L + L rho) / 2 for the SLD L, and the QFI.
-
-    Works in the eigenbasis of rho(theta): L_ij = 2 rho'_ij / (l_i + l_j)
-    wherever the eigenvalue pair-sum is above EPS_SLD.  Derivative weight
-    above DELTA_SLD on the remaining block means no SLD exists.
-    """
+    """Solve rho' = (rho L + L rho) / 2 for the SLD L, and the QFI."""
     rho, drho, _ = model.trajectory([theta])
-    w, v = DensityMatrix(rho[0], validate=False).eig()
-    drho = drho[0]
+    qfi, v, l_eig, on_support = sld_eigen(rho[0], drho[0])
+    sld = v @ l_eig @ adjoint(v)
+    sld = (sld + adjoint(sld)) / 2.0
+    support_rank = int(np.count_nonzero(on_support.diagonal()))
+    return SldResult(sld=sld, qfi=qfi, support_rank=support_rank)
+
+
+def sld_eigen(rho: np.ndarray, drho: np.ndarray):
+    """The SLD of (rho, rho') in the eigenbasis of rho, and the QFI.
+
+    L_ij = 2 rho'_ij / (l_i + l_j) wherever the eigenvalue pair-sum is
+    above EPS_SLD.  Derivative weight above DELTA_SLD on the remaining block
+    means no SLD exists.  Returns (qfi, eigenvectors, L in the eigenbasis,
+    the on-support mask of eigenvalue pairs).
+    """
+    w, v = np.linalg.eigh((rho + adjoint(rho)) / 2.0)
     d_eig = adjoint(v) @ drho @ v
 
     pair_sums = w[:, None] + w[None, :]
@@ -120,10 +133,7 @@ def sld_solve(model: ParameterizedModel, theta: float) -> SldResult:
         )
     l_eig = np.where(on_support, 2.0 * d_eig / np.where(on_support, pair_sums, 1.0), 0.0)
     qfi = float(np.sum(w[:, None] * np.abs(l_eig) ** 2).real)
-    sld = v @ l_eig @ adjoint(v)
-    sld = (sld + adjoint(sld)) / 2.0
-    support_rank = int(np.sum(w > EPS_SLD / 2.0))
-    return SldResult(sld=sld, qfi=qfi, support_rank=support_rank)
+    return qfi, v, l_eig, on_support
 
 
 def sld_optimal_povm(result: SldResult) -> Povm:

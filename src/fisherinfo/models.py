@@ -60,20 +60,22 @@ class UnitaryFamily(ParameterizedModel):
         self.channels = tuple(channels)
         self._gen_eig = _gen_eig if _gen_eig is not None else eig_hermitian(self.generator)
         self.rho0 = rho0
-        self._input = None
-        if rho0 is not None:
-            if not isinstance(rho0, DensityMatrix):
-                raise InvalidState("rho0 must be a DensityMatrix")
-            if rho0.dim != dim:
-                raise DimensionMismatch("generator and initial state dimensions differ")
-            self._input = rho0
-            for channel, placement in self.channels:
-                if placement == "pre":
-                    self._input = DensityMatrix(apply_channel_matrix(channel, self._input.mat))
+        self._input = None if rho0 is None else self.prepare_input(rho0)
 
     @property
     def dim(self) -> int:
         return self.generator.shape[0]
+
+    def prepare_input(self, rho0: DensityMatrix) -> DensityMatrix:
+        """rho0 after the "pre" channels in list order, each output validated."""
+        if not isinstance(rho0, DensityMatrix):
+            raise InvalidState("rho0 must be a DensityMatrix")
+        if rho0.dim != self.dim:
+            raise DimensionMismatch("generator and initial state dimensions differ")
+        for channel, placement in self.channels:
+            if placement == "pre":
+                rho0 = DensityMatrix(apply_channel_matrix(channel, rho0.mat))
+        return rho0
 
     def with_state(self, rho0: DensityMatrix) -> "UnitaryFamily":
         return UnitaryFamily(self.generator, rho0, self.passes, self.channels,
@@ -90,12 +92,31 @@ class UnitaryFamily(ParameterizedModel):
         return (v * phases[..., None, :]) @ adjoint(v)
 
     def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Analytic: d rho = -i k [G, rho], d2 rho = -k^2 [G, [G, rho]], then the post channels."""
         if self._input is None:
             raise InvalidState("the model has no initial state; bind one with with_state")
+        return self._evolve(self._input.mat, np.asarray(thetas, dtype=float).reshape(-1))
+
+    def transfer(self, theta: float) -> np.ndarray:
+        """The linear map from a prepared input to (rho, d rho, d2 rho) at theta.
+
+        A (3 dim^2, dim^2) matrix: applied to the row-major flattening of an
+        input after the "pre" channels (``prepare_input``), it gives the three
+        blocks of ``trajectory([theta])`` flattened the same way, stacked.
+        """
+        d = self.dim
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
+        blocks = np.stack(self._evolve(units, np.array([float(theta)])))
+        return blocks.reshape(3, d * d, d * d).transpose(0, 2, 1).reshape(3 * d * d, d * d)
+
+    def _evolve(self, inputs: np.ndarray, thetas: np.ndarray):
+        """Analytic: d rho = -i k [G, rho], d2 rho = -k^2 [G, [G, rho]], then the post channels.
+
+        ``inputs`` is one prepared input or a stack of them, ``thetas`` a
+        vector; the two stacks broadcast against each other.
+        """
         k = self.passes
-        u = self.propagator(np.asarray(thetas, dtype=float).reshape(-1))
-        rho = u @ self._input.mat @ adjoint(u)
+        u = self.propagator(thetas)
+        rho = u @ inputs @ adjoint(u)
         g = self.generator
         comm = g @ rho - rho @ g
         drho = -1j * k * comm

@@ -10,8 +10,13 @@ superposition of the generator's extreme eigenvectors, worth
 k^2 (lmax - lmin)^2 (Giovannetti, Lloyd & Maccone 2006).  Otherwise the
 2(dim-1) state parameters are searched with multi-start Nelder-Mead,
 scored by the QFI for a free POVM or by the classical Fisher information
-for a fixed one.  A prior average has no such closed form, so
-maximize_bayesian searches state and measurement parameters together.
+for a fixed one.  Theta is fixed during a search, so the dynamics and the
+post channels form one linear map from the prepared input to
+(rho, rho', rho''), built once per search (``UnitaryFamily.transfer``);
+each candidate state then costs its pre channels, one matrix-vector
+product and one SLD eigensolve or Born evaluation.  A prior average has
+no such closed form, so maximize_bayesian searches state and measurement
+parameters together, rebuilding the model for each candidate.
 """
 
 from __future__ import annotations
@@ -23,7 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DerivativeOffSupport, DimensionMismatch, SingularOutcome, ZeroEvidence
-from .fisher import bayesian_information, classical_fisher, sld_optimal_povm, sld_solve
+from .fisher import (
+    bayesian_information,
+    classical_fisher,
+    information_from_outcomes,
+    outcome_blocks,
+    sld_eigen,
+    sld_optimal_povm,
+    sld_solve,
+)
 from .linalg import PAULI_X, PAULI_Z, adjoint, unitary_exp
 from .models import UnitaryFamily
 from .quantum import DensityMatrix, Povm, projective_povm, pure_state, unitary_channel
@@ -124,11 +137,31 @@ class OptimizationResult:
     theta: float | None = None
 
 
-def _extreme_superposition(family: UnitaryFamily) -> DensityMatrix:
-    """Equal superposition of the generator's extreme eigenvectors."""
+def _extreme_superposition(family: UnitaryFamily) -> np.ndarray:
+    """Amplitudes of the equal superposition of the generator's extreme eigenvectors."""
     w, v = family._gen_eig
-    psi = (v[:, 0] + v[:, -1]) / np.sqrt(2.0)
-    return pure_state(psi)
+    return (v[:, 0] + v[:, -1]) / np.sqrt(2.0)
+
+
+def state_objective(family: UnitaryFamily, povm: Povm | None, theta: float):
+    """Score of a pure input state, given by its amplitudes, at a fixed theta.
+
+    The score is the QFI for a free POVM (None), else the classical Fisher
+    information of ``povm``.  The family's transfer map at theta is built
+    once here, so a call runs the validated pre channels, one
+    matrix-vector product and the SLD or Born kernel, never a new model.
+    """
+    d = family.dim
+    maps = family.transfer(theta)
+
+    def blocks(amplitudes):
+        rho = family.prepare_input(pure_state(amplitudes)).mat
+        return (maps @ rho.reshape(-1)).reshape(3, d, d)
+
+    if povm is None:
+        return lambda amplitudes: sld_eigen(*blocks(amplitudes)[:2])[0]
+    return lambda amplitudes: information_from_outcomes(
+        *outcome_blocks(povm, *blocks(amplitudes)))
 
 
 def _search(decode, n_params: int, score, starts, restarts: int, seed: int, maxiter: int):
@@ -178,26 +211,21 @@ def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
     is searched, and only when neither a fixed state nor the channel-free
     closed form settles it.
     """
-
-    def qfi(state):
-        return sld_solve(family.with_state(state), theta).qfi
-
-    def classical(state):
-        return classical_fisher(family.with_state(state), space.povm, theta).value
-
     if space.state is not None:
         state = space.state
     elif space.povm is None and not family.channels:
-        state = _extreme_superposition(family)
+        state = pure_state(_extreme_superposition(family))
     else:
-        _, state = _search(space.decode_state, space.n_state_params,
-                           qfi if space.povm is None else classical,
-                           [_extreme_superposition(family)], restarts, seed, maxiter)
+        _, amplitudes = _search(space.decode_amplitudes, space.n_state_params,
+                                state_objective(family, space.povm, theta),
+                                [_extreme_superposition(family)], restarts, seed, maxiter)
+        state = pure_state(amplitudes)
+    chosen = family.with_state(state)
     povm = space.povm
     if povm is None:
-        povm = sld_optimal_povm(sld_solve(family.with_state(state), theta))
+        povm = sld_optimal_povm(sld_solve(chosen, theta))
     # report the value computed through the public scoring path
-    best = classical_fisher(family.with_state(state), povm, theta).value
+    best = classical_fisher(chosen, povm, theta).value
     return OptimizationResult(best_value=best, best_state=state, best_povm=povm,
                               restarts_used=restarts, seed=seed, theta=float(theta))
 
@@ -217,7 +245,9 @@ def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
         state, povm = context
         return bayesian_information(family.with_state(state), povm, prior)
 
-    state = space.state if space.state is not None else _extreme_superposition(family)
+    state = space.state
+    if state is None:
+        state = pure_state(_extreme_superposition(family))
     povm = space.povm
     if povm is None:
         try:

@@ -188,6 +188,39 @@ def test_non_finite_number_in_a_document_exits_2(capsys, tmp_path, x_povm_file, 
         assert err.startswith("error:2:")
 
 
+def test_integer_too_large_for_a_float_exits_2(capsys, tmp_path, model_file):
+    huge = "1" + "0" * 400
+    model = tmp_path / "huge_model.json"
+    model.write_text(
+        '{"dim": 2, "kind": "unitary", '
+        f'"generator": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{huge}, 0]]], '
+        '"initial_state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}'
+    )
+    povm = tmp_path / "huge_povm.json"
+    povm.write_text(
+        '{"dim": 2, "effects": ['
+        f'[[[{huge}, 0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], '
+        '[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]}'
+    )
+    for argv in (["qfi", "--model", str(model)],
+                 ["fisher", "--model", model_file, "--povm", str(povm)]):
+        code, out, err = run_cli(capsys, argv + ["--theta", "0.3"])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:2:")
+
+
+@pytest.mark.parametrize("theta", ["-5.4e-05", "-1E-3", "-2.5e+00", "-0.5"])
+def test_negative_theta_in_exponent_form(capsys, model_file, x_povm_file, theta):
+    for argv in (["fisher", "--model", model_file, "--povm", x_povm_file],
+                 ["qfi", "--model", model_file],
+                 ["optimize", "--model", model_file, "--restarts", "1"],
+                 ["paper-example"]):
+        code, out, _ = run_cli(capsys, argv + ["--theta", theta])
+        assert code == 0
+        assert json.loads(out)["inputs"]["theta"] == float(theta)
+
+
 def test_non_integer_povm_labels_exit_2(capsys, tmp_path, model_file):
     doc = povm_to_document(projective_povm(np.eye(2)))
     doc["labels"] = ["a", "b"]
@@ -219,13 +252,14 @@ def test_bad_prior_spec_exits_2(capsys, model_file, x_povm_file):
 
 @pytest.mark.parametrize("argv", [
     ["optimize", "--model", "{model}", "--theta", "nan"],
+    ["qfi", "--model", "{model}", "--theta", "-inf"],
     ["optimize", "--model", "{model}", "--theta", "0.3", "--restarts", "-2"],
     ["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:1,0"],
     ["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1", "--grid", "2"],
     ["dpi", "--mode", "classical", "--trials", "-1"],
     ["dpi", "--mode", "quantum", "--trials", "1", "--kraus", "0"],
     ["dpi", "--mode", "classical", "--trials", "1", "--seed", "-1"],
-], ids=["theta-nan", "negative-restarts", "empty-prior-interval", "grid-2",
+], ids=["theta-nan", "theta-negative-inf", "negative-restarts", "empty-prior-interval", "grid-2",
         "negative-trials", "kraus-0", "negative-seed"])
 def test_bad_arguments_exit_2(capsys, model_file, x_povm_file, argv):
     argv = [a.format(model=model_file, povm=x_povm_file) for a in argv]

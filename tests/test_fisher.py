@@ -10,6 +10,7 @@ from fisherinfo.fisher import (
     bayesian_information,
     classical_fisher,
     information_from_outcomes,
+    sld_eigen,
     sld_optimal_povm,
     sld_solve,
 )
@@ -111,6 +112,9 @@ def test_sld_detects_derivative_off_support():
 
     with pytest.raises(DerivativeOffSupport):
         sld_solve(FrozenModel(), 0.0)
+    rho, drho, _ = FrozenModel().trajectory([0.0])
+    with pytest.raises(DerivativeOffSupport):
+        sld_eigen(rho[0], drho[0])
 
 
 def test_sld_measurement_achieves_the_quantum_value(base_model):

@@ -113,6 +113,27 @@ def test_channel_free_maximum_is_the_closed_form_without_a_search(monkeypatch):
         assert result.best_value == pytest.approx((passes * (w[-1] - w[0])) ** 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("fixed_povm", [False, True])
+def test_state_search_builds_no_model_per_candidate(monkeypatch, fixed_povm):
+    rng = np.random.default_rng(101)
+    family = UnitaryFamily(random_hermitian(rng, 2)).with_channel(random_channel(rng, 2, 2))
+    space = ContextSpace(2, povm=random_projective_povm(rng, 2) if fixed_povm else None)
+    built = []
+    init = UnitaryFamily.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UnitaryFamily, "__init__", counting_init)
+    counts = []
+    for restarts in (1, 8):
+        built.clear()
+        maximize_fisher(family, space, 0.4, restarts=restarts, seed=3)
+        counts.append(len(built))
+    assert counts[0] == counts[1]
+
+
 def test_fixed_state_with_a_free_measurement_attains_the_qfi():
     rng = np.random.default_rng(97)
     family = UnitaryFamily(random_hermitian(rng, 3)).with_channel(random_channel(rng, 3, 2))
