@@ -5,8 +5,9 @@ to stdout (the dpi command writes one JSON line per trial followed by a
 summary).  Outputs are deterministic for fixed inputs and seed, except the
 runtime_ms field.
 
-Exit codes: 0 success, 2 parse/schema error, 3 dimension mismatch,
-4 singular information computation, 5 data-processing violation found.
+Exit codes: 0 success, 2 parse/schema error or any other invalid input,
+3 dimension mismatch, 4 singular information computation or a non-finite
+result, 5 data-processing violation found.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from . import dpi as dpi_mod
 from . import fisher as fisher_mod
 from .bayes import bayes_risk, check_bcrb, parse_prior_spec
 from .documents import (
-    DocumentError,
     load_model_document,
     load_povm_document,
     povm_to_document,
@@ -31,6 +31,7 @@ from .documents import (
 from .errors import (
     DerivativeOffSupport,
     DimensionMismatch,
+    FisherinfoError,
     SingularOutcome,
 )
 from .fisher import bayesian_information, classical_fisher, sld_solve
@@ -43,9 +44,17 @@ EXIT_SINGULAR = 4
 EXIT_VIOLATION = 5
 
 
+def _dumps(report: dict, **kwargs) -> str:
+    """JSON text of a report; a NaN or infinite value is a singular computation."""
+    try:
+        return json.dumps(report, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise SingularOutcome(f"the result is not finite ({exc})") from None
+
+
 def _emit(report: dict, started: float) -> None:
     report["runtime_ms"] = (time.perf_counter() - started) * 1000.0
-    print(json.dumps(report, indent=2, allow_nan=False))
+    print(_dumps(report, indent=2))
 
 
 def cmd_fisher(args) -> int:
@@ -110,8 +119,7 @@ def cmd_optimize(args) -> int:
         label_bits.append("fixed state")
     if fixed_povm is not None:
         label_bits.append("fixed povm")
-    space = ContextSpace(model.dim, state=fixed_state, povm=fixed_povm,
-                         label=", ".join(label_bits) or "unrestricted")
+    space = ContextSpace(model.dim, state=fixed_state, povm=fixed_povm)
     result = maximize_fisher(model, space, args.theta,
                              restarts=args.restarts, seed=args.seed)
     _emit({
@@ -122,7 +130,7 @@ def cmd_optimize(args) -> int:
                    "fix_povm": args.fix_povm},
         "value": result.best_value,
         "context": {
-            "label": space.label,
+            "label": ", ".join(label_bits) or "unrestricted",
             "state": state_to_pairs(result.best_state),
             "povm": povm_to_document(result.best_povm),
         },
@@ -144,7 +152,7 @@ def cmd_dpi(args) -> int:
     for report in reports:
         if report.violated:
             violations += 1
-        print(json.dumps(report.to_dict(), allow_nan=False))
+        print(_dumps(report.to_dict()))
     summary = {
         "command": "dpi",
         "inputs": {"mode": args.mode, "trials": args.trials, "dim": args.dim,
@@ -280,15 +288,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(_attach_negative_values(argv))
     try:
         return args.run(args)
-    except DocumentError as exc:
-        print(f"error:{EXIT_PARSE}:{exc}", file=sys.stderr)
-        return EXIT_PARSE
     except DimensionMismatch as exc:
         print(f"error:{EXIT_DIMENSION}:{exc}", file=sys.stderr)
         return EXIT_DIMENSION
     except (SingularOutcome, DerivativeOffSupport) as exc:
         print(f"error:{EXIT_SINGULAR}:{exc}", file=sys.stderr)
         return EXIT_SINGULAR
+    except FisherinfoError as exc:  # a bad document, or input that fails after its checks
+        print(f"error:{EXIT_PARSE}:{exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

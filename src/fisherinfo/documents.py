@@ -87,6 +87,10 @@ def model_from_document(doc: dict, where: str = "model") -> UnitaryFamily:
     if not isinstance(passes, int) or passes < 1:
         raise DocumentError(f"{where}: 'passes' must be a positive integer")
     try:
+        float(passes) ** 2  # the second derivative scales with passes squared
+    except OverflowError:
+        raise DocumentError(f"{where}: 'passes' is too large") from None
+    try:
         generator = matrix_from_pairs(doc.get("generator"), dim, f"{where}.generator")
         amplitudes = vector_from_pairs(doc.get("initial_state"), dim, f"{where}.initial_state")
         channels = []

@@ -41,6 +41,7 @@ COLUMN_SUM_ATOL = 1e-12
 
 J_GRID = 31             # quadrature nodes for per-trial Bayesian checks
 J_RANGE = (0.2, 1.2)    # uniform prior window for per-trial Bayesian checks
+CLASSICAL_DIMS = (2, 3)  # model dimensions drawn by the classical suite
 
 # Nelder-Mead budget for the noisy model's state search; the bare model
 # takes the closed-form optimum and is never searched.  Runs that stop at
@@ -48,6 +49,7 @@ J_RANGE = (0.2, 1.2)    # uniform prior window for per-trial Bayesian checks
 # the QFI has a kink.  A truncated search can only under-report i_after,
 # which keeps the inequality check conservative.
 OPT_MAXITER = 100
+OPT_RESTARTS = 3
 
 
 class StochasticMap:
@@ -153,7 +155,7 @@ def _bayesian_pair(model, povm, tmap, nodes, weights):
     return averaged_information(weights, *before), averaged_information(weights, *after)
 
 
-def classical_dpi_suite(trials: int, seed: int, dims=(2, 3)) -> list[DpiTrialReport]:
+def classical_dpi_suite(trials: int, seed: int) -> list[DpiTrialReport]:
     """Randomized classical data-processing checks.
 
     Each trial draws a model, a projective measurement and a stochastic
@@ -171,7 +173,7 @@ def classical_dpi_suite(trials: int, seed: int, dims=(2, 3)) -> list[DpiTrialRep
     reports = []
     for trial in range(trials):
         rng = np.random.default_rng(int(seeds[trial]))
-        dim = int(rng.choice(dims))
+        dim = int(rng.choice(CLASSICAL_DIMS))
         model = UnitaryFamily(random_hermitian(rng, dim), random_pure_state(rng, dim))
         povm = random_projective_povm(rng, dim)
         tmap = StochasticMap(random_stochastic_map(rng, int(rng.integers(2, 5)), dim))
@@ -190,8 +192,8 @@ def classical_dpi_suite(trials: int, seed: int, dims=(2, 3)) -> list[DpiTrialRep
     return reports
 
 
-def quantum_dpi_suite(trials: int, seed: int, dim: int = 2, kraus_count: int = 2,
-                      restarts: int = 3) -> list[DpiTrialReport]:
+def quantum_dpi_suite(trials: int, seed: int, dim: int = 2,
+                      kraus_count: int = 2) -> list[DpiTrialReport]:
     """Randomized quantum data-processing checks.
 
     Each trial draws a unitary family and a random channel, maximizes the
@@ -212,9 +214,9 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2, kraus_count: int = 2
         theta = float(rng.uniform(*J_RANGE))
         opt_seed = int(rng.integers(2 ** 31))
 
-        before = maximize_fisher(family, space, theta, restarts=restarts, seed=opt_seed,
+        before = maximize_fisher(family, space, theta, restarts=OPT_RESTARTS, seed=opt_seed,
                                  maxiter=OPT_MAXITER)
-        after = maximize_fisher(noisy, space, theta, restarts=restarts, seed=opt_seed + 1,
+        after = maximize_fisher(noisy, space, theta, restarts=OPT_RESTARTS, seed=opt_seed + 1,
                                 maxiter=OPT_MAXITER)
 
         bare = family.with_state(after.best_state)

@@ -32,7 +32,6 @@ class FisherValue:
 
     value: float
     theta: float
-    context_description: str = ""
 
 
 @dataclass
@@ -44,9 +43,7 @@ class SldResult:
     support_rank: int
 
 
-def information_from_outcomes(p, dp, d2p=None, *,
-                              p_floor: float = P_FLOOR,
-                              d_floor: float = D_FLOOR) -> float:
+def information_from_outcomes(p, dp, d2p=None) -> float:
     """Score an outcome-probability vector and its derivative.
 
     ``d2p``, if given, holds d2p_x/dtheta2 and is only read for outcomes at
@@ -56,9 +53,9 @@ def information_from_outcomes(p, dp, d2p=None, *,
     for x in range(len(p)):
         px = float(p[x])
         dx = float(dp[x])
-        if px > p_floor:
+        if px > P_FLOOR:
             total += dx * dx / px
-        elif abs(dx) > d_floor:
+        elif abs(dx) > D_FLOOR:
             raise SingularOutcome(
                 f"outcome {x} has probability {px:.3e} but derivative {dx:.3e}"
             )
@@ -84,12 +81,11 @@ def outcome_blocks(povm: Povm, rho, drho, d2rho):
     return p, dp, d2p
 
 
-def classical_fisher(model: ParameterizedModel, povm: Povm, theta: float,
-                     description: str = "") -> FisherValue:
+def classical_fisher(model: ParameterizedModel, povm: Povm, theta: float) -> FisherValue:
     """Fisher information of the Born distribution at ``theta``."""
     p, dp, d2p = outcome_trajectory(model, povm, [theta])
     value = information_from_outcomes(p[0], dp[0], d2p[0])
-    return FisherValue(value=value, theta=float(theta), context_description=description)
+    return FisherValue(value=value, theta=float(theta))
 
 
 def averaged_information(weights, p, dp, d2p) -> float:

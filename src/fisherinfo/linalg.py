@@ -46,10 +46,10 @@ def hermiticity_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - adjoint(a)))) if a.size else 0.0
 
 
-def require_hermitian(a, name: str = "matrix", atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = as_complex_matrix(a, name)
     defect = hermiticity_defect(m)
-    if defect > atol:
+    if defect > HERMITIAN_ATOL:
         raise NotHermitian(f"{name} deviates from Hermiticity by {defect:.3e}")
     return m
 

@@ -96,17 +96,18 @@ class UnitaryFamily(ParameterizedModel):
             raise InvalidState("the model has no initial state; bind one with with_state")
         return self._evolve(self._input.mat, np.asarray(thetas, dtype=float).reshape(-1))
 
-    def transfer(self, theta: float) -> np.ndarray:
-        """The linear map from a prepared input to (rho, d rho, d2 rho) at theta.
+    def transfer(self, thetas) -> np.ndarray:
+        """The linear map from a prepared input to (rho, d rho, d2 rho) at each theta.
 
-        A (3 dim^2, dim^2) matrix: applied to the row-major flattening of an
-        input after the "pre" channels (``prepare_input``), it gives the three
-        blocks of ``trajectory([theta])`` flattened the same way, stacked.
+        A (3 n dim^2, dim^2) matrix for n theta values: applied to the
+        row-major flattening of an input after the "pre" channels
+        (``prepare_input``), it gives ``trajectory(thetas)`` flattened the
+        same way, so the product reshapes to (3, n, dim, dim).
         """
         d = self.dim
-        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-        blocks = np.stack(self._evolve(units, np.array([float(theta)])))
-        return blocks.reshape(3, d * d, d * d).transpose(0, 2, 1).reshape(3 * d * d, d * d)
+        units = np.eye(d * d, dtype=complex).reshape(d * d, 1, d, d)
+        blocks = np.stack(self._evolve(units, np.asarray(thetas, dtype=float).reshape(-1)))
+        return np.moveaxis(blocks, 1, -1).reshape(-1, d * d)
 
     def _evolve(self, inputs: np.ndarray, thetas: np.ndarray):
         """Analytic: d rho = -i k [G, rho], d2 rho = -k^2 [G, [G, rho]], then the post channels.
@@ -135,18 +136,17 @@ class KrausFamily(ParameterizedModel):
     makes this family the finite-difference reference for analytic models.
     """
 
-    def __init__(self, kraus_at, rho0: DensityMatrix, fd_step: float = FD_STEP):
+    def __init__(self, kraus_at, rho0: DensityMatrix):
         if not isinstance(rho0, DensityMatrix):
             raise InvalidState("rho0 must be a DensityMatrix")
         self.kraus_at = kraus_at
         self.rho0 = rho0
-        self.fd_step = float(fd_step)
 
     def _state(self, theta: float) -> np.ndarray:
         return apply_channel_matrix(self.kraus_at(theta), self.rho0.mat)
 
     def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h = self.fd_step
+        h = FD_STEP
         thetas = np.asarray(thetas, dtype=float).reshape(-1)
         rho = np.stack([self._state(t) for t in thetas])
         hi = np.stack([self._state(t + h) for t in thetas])

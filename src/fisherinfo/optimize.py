@@ -10,13 +10,14 @@ superposition of the generator's extreme eigenvectors, worth
 k^2 (lmax - lmin)^2 (Giovannetti, Lloyd & Maccone 2006).  Otherwise the
 2(dim-1) state parameters are searched with multi-start Nelder-Mead,
 scored by the QFI for a free POVM or by the classical Fisher information
-for a fixed one.  Theta is fixed during a search, so the dynamics and the
-post channels form one linear map from the prepared input to
-(rho, rho', rho''), built once per search (``UnitaryFamily.transfer``);
-each candidate state then costs its pre channels, one matrix-vector
-product and one SLD eigensolve or Born evaluation.  A prior average has
-no such closed form, so maximize_bayesian searches state and measurement
-parameters together, rebuilding the model for each candidate.
+for a fixed one.  A prior average has no such closed form, so
+maximize_bayesian searches state and measurement parameters together.
+The theta nodes (one, or the prior's grid) are fixed during a search, so
+the dynamics and the post channels form one linear map from the prepared
+input to (rho, rho', rho'') at every node (``UnitaryFamily.transfer``).
+Both searches build it once and score each candidate context with its
+pre channels, one matrix-vector product and the SLD or Born kernel
+(``context_objective``), never a rebuilt model.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ import numpy as np
 
 from .errors import DerivativeOffSupport, DimensionMismatch, SingularOutcome, ZeroEvidence
 from .fisher import (
+    averaged_information,
     bayesian_information,
     classical_fisher,
-    information_from_outcomes,
     outcome_blocks,
     sld_eigen,
     sld_optimal_povm,
@@ -56,10 +57,10 @@ class ContextSpace:
     Hermitian generator whose exponential supplies the basis.
     """
 
-    __slots__ = ("dim", "state", "povm", "label", "_triu")
+    __slots__ = ("dim", "state", "povm", "_triu")
 
     def __init__(self, dim: int, state: DensityMatrix | None = None,
-                 povm: Povm | None = None, label: str = "unrestricted"):
+                 povm: Povm | None = None):
         if dim < 2 or dim > MAX_OPT_DIM:
             raise DimensionMismatch(f"optimization supports dimensions 2..{MAX_OPT_DIM}, got {dim}")
         if state is not None and state.dim != dim:
@@ -69,7 +70,6 @@ class ContextSpace:
         self.dim = dim
         self.state = state
         self.povm = povm
-        self.label = label
         self._triu = np.triu_indices(dim, 1)
 
     @property
@@ -113,18 +113,13 @@ class ContextSpace:
         w, v = np.linalg.eigh(h)
         return (v * np.exp(-1j * w)) @ adjoint(v)
 
-    def decode_state(self, params: np.ndarray) -> DensityMatrix:
-        if self.state is not None:
-            return self.state
-        return pure_state(self.decode_amplitudes(params))
-
-    def decode_povm(self, params: np.ndarray) -> Povm:
-        if self.povm is not None:
-            return self.povm
-        return projective_povm(self.decode_basis(params))
-
     def decode(self, params: np.ndarray) -> tuple[DensityMatrix, Povm]:
-        return self.decode_state(params), self.decode_povm(params)
+        state, povm = self.state, self.povm
+        if state is None:
+            state = pure_state(self.decode_amplitudes(params))
+        if povm is None:
+            povm = projective_povm(self.decode_basis(params))
+        return state, povm
 
 
 @dataclass
@@ -132,9 +127,7 @@ class OptimizationResult:
     best_value: float
     best_state: DensityMatrix
     best_povm: Povm
-    restarts_used: int
-    seed: int
-    theta: float | None = None
+    theta: float | None  # None for a prior-averaged maximum
 
 
 def _extreme_superposition(family: UnitaryFamily) -> np.ndarray:
@@ -143,25 +136,23 @@ def _extreme_superposition(family: UnitaryFamily) -> np.ndarray:
     return (v[:, 0] + v[:, -1]) / np.sqrt(2.0)
 
 
-def state_objective(family: UnitaryFamily, povm: Povm | None, theta: float):
-    """Score of a pure input state, given by its amplitudes, at a fixed theta.
-
-    The score is the QFI for a free POVM (None), else the classical Fisher
-    information of ``povm``.  The family's transfer map at theta is built
-    once here, so a call runs the validated pre channels, one
-    matrix-vector product and the SLD or Born kernel, never a new model.
+def context_objective(family: UnitaryFamily, nodes, weights):
+    """Score of a (state, POVM) context: the QFI at the single node for a
+    free POVM (None), else the weighted classical Fisher information over
+    the nodes.  The transfer map at the nodes is built once, here.
     """
     d = family.dim
-    maps = family.transfer(theta)
+    maps = family.transfer(nodes)
 
-    def blocks(amplitudes):
-        rho = family.prepare_input(pure_state(amplitudes)).mat
-        return (maps @ rho.reshape(-1)).reshape(3, d, d)
+    def score(context):
+        state, povm = context
+        rho = family.prepare_input(state).mat
+        blocks = (maps @ rho.reshape(-1)).reshape(3, -1, d, d)
+        if povm is None:
+            return sld_eigen(blocks[0, 0], blocks[1, 0])[0]
+        return averaged_information(weights, *outcome_blocks(povm, *blocks))
 
-    if povm is None:
-        return lambda amplitudes: sld_eigen(*blocks(amplitudes)[:2])[0]
-    return lambda amplitudes: information_from_outcomes(
-        *outcome_blocks(povm, *blocks(amplitudes)))
+    return score
 
 
 def _search(decode, n_params: int, score, starts, restarts: int, seed: int, maxiter: int):
@@ -216,10 +207,11 @@ def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
     elif space.povm is None and not family.channels:
         state = pure_state(_extreme_superposition(family))
     else:
-        _, amplitudes = _search(space.decode_amplitudes, space.n_state_params,
-                                state_objective(family, space.povm, theta),
-                                [_extreme_superposition(family)], restarts, seed, maxiter)
-        state = pure_state(amplitudes)
+        start = pure_state(_extreme_superposition(family))
+        _, (state, _) = _search(
+            lambda params: (pure_state(space.decode_amplitudes(params)), space.povm),
+            space.n_state_params, context_objective(family, [theta], [1.0]),
+            [(start, space.povm)], restarts, seed, maxiter)
     chosen = family.with_state(state)
     povm = space.povm
     if povm is None:
@@ -227,7 +219,7 @@ def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
     # report the value computed through the public scoring path
     best = classical_fisher(chosen, povm, theta).value
     return OptimizationResult(best_value=best, best_state=state, best_povm=povm,
-                              restarts_used=restarts, seed=seed, theta=float(theta))
+                              theta=float(theta))
 
 
 def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
@@ -240,11 +232,6 @@ def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
     extreme-eigenvector superposition with its SLD measurement at the prior
     mean.
     """
-
-    def score(context):
-        state, povm = context
-        return bayesian_information(family.with_state(state), povm, prior)
-
     state = space.state
     if state is None:
         state = pure_state(_extreme_superposition(family))
@@ -255,14 +242,14 @@ def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
         except DerivativeOffSupport:
             pass
     starts = [] if povm is None else [(state, povm)]
-    _, (state, povm) = _search(space.decode, space.n_params, score, starts,
-                               restarts, seed, maxiter)
+    _, (state, povm) = _search(space.decode, space.n_params,
+                               context_objective(family, prior.nodes, prior.weights),
+                               starts, restarts, seed, maxiter)
     best = bayesian_information(family.with_state(state), povm, prior)
-    return OptimizationResult(best_value=best, best_state=state, best_povm=povm,
-                              restarts_used=restarts, seed=seed, theta=None)
+    return OptimizationResult(best_value=best, best_state=state, best_povm=povm, theta=None)
 
 
-def circumvention_report(theta: float, *, seed: int = 0, restarts: int = 8) -> dict:
+def circumvention_report(theta: float) -> dict:
     """The qubit z-rotation scenario in four variants, computed live.
 
     base:        unrestricted context maximum for one pass
@@ -276,15 +263,13 @@ def circumvention_report(theta: float, *, seed: int = 0, restarts: int = 8) -> d
     rotation = unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0))
 
     base_family = UnitaryFamily(PAULI_Z)
-    free = ContextSpace(2, label="unrestricted")
-    frozen = ContextSpace(2, state=plus, povm=z_basis, label="fixed |+> state, z-basis")
+    free = ContextSpace(2)
+    frozen = ContextSpace(2, state=plus, povm=z_basis)
 
-    base = maximize_fisher(base_family, free, theta, restarts=restarts, seed=seed)
-    multipass = maximize_fisher(UnitaryFamily(PAULI_Z, passes=2), free, theta,
-                                restarts=restarts, seed=seed)
-    restricted = maximize_fisher(base_family, frozen, theta, restarts=restarts, seed=seed)
-    rotated = maximize_fisher(base_family.with_channel(rotation, "post"), frozen, theta,
-                              restarts=restarts, seed=seed)
+    base = maximize_fisher(base_family, free, theta)
+    multipass = maximize_fisher(UnitaryFamily(PAULI_Z, passes=2), free, theta)
+    restricted = maximize_fisher(base_family, frozen, theta)
+    rotated = maximize_fisher(base_family.with_channel(rotation, "post"), frozen, theta)
     return {
         "base": base.best_value,
         "multipass": multipass.best_value,

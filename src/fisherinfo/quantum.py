@@ -177,9 +177,9 @@ def apply_channel_matrix(channel: KrausChannel, a: np.ndarray) -> np.ndarray:
     return sum(k @ m @ adjoint(k) for k in channel.kraus)
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix, *, validate: bool = True) -> DensityMatrix:
+def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a channel to a state, returning a validated state."""
-    return DensityMatrix(apply_channel_matrix(channel, rho.mat), validate=validate)
+    return DensityMatrix(apply_channel_matrix(channel, rho.mat))
 
 
 def dual_channel(channel: KrausChannel) -> DualChannel:

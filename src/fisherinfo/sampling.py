@@ -12,14 +12,16 @@ from .errors import DimensionMismatch
 from .linalg import MAX_DIM, adjoint
 from .quantum import DensityMatrix, KrausChannel, Povm, projective_povm, pure_state
 
+FULL_RANK_FLOOR = 0.05  # eigenvalue floor of random_full_rank_state
+
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = _ginibre(rng, dim, dim)
-    return scale * (g + adjoint(g)) / 2.0
+    return (g + adjoint(g)) / 2.0
 
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
@@ -27,12 +29,12 @@ def random_pure_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     return pure_state(psi / np.linalg.norm(psi))
 
 
-def random_full_rank_state(rng: np.random.Generator, dim: int, floor: float = 0.05) -> DensityMatrix:
-    """Random mixed state with every eigenvalue at least ``floor``-ish."""
+def random_full_rank_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    """Random mixed state with every eigenvalue at least FULL_RANK_FLOOR-ish."""
     g = _ginibre(rng, dim, dim)
     rho = g @ adjoint(g)
     rho = rho / np.trace(rho).real
-    rho = (1.0 - floor * dim) * rho + floor * np.eye(dim)
+    rho = (1.0 - FULL_RANK_FLOOR * dim) * rho + FULL_RANK_FLOOR * np.eye(dim)
     return DensityMatrix(rho)
 
 

@@ -273,6 +273,49 @@ def test_bad_arguments_exit_2(capsys, model_file, x_povm_file, argv):
     assert "error" in captured.err
 
 
+def _write_model(path, generator, passes=1):
+    dim = len(generator)
+    amplitudes = [[dim ** -0.5, 0.0]] * dim
+    # json writes Python integers exactly, however large
+    path.write_text(json.dumps({"dim": dim, "kind": "unitary", "passes": passes,
+                                "generator": pairs_from_matrix(generator),
+                                "initial_state": amplitudes}))
+    return str(path)
+
+
+def _write_loose_povm(path):
+    # each of 8 basis projectors gains 0.99e-10 J / 8: the entrywise effect sum
+    # passes the POVM check, but the Born sum on the uniform state is 1 + 7.9e-10
+    dim = 8
+    extra = np.full((dim, dim), 0.99e-10 / dim)
+    path.write_text(json.dumps({"dim": dim, "effects": [
+        pairs_from_matrix(np.diag(np.eye(dim)[k]) + extra) for k in range(dim)]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command, generator, passes, code", [
+    ("fisher", np.diag(np.arange(8.0)), 1, 2),
+    ("bayes", np.diag(np.arange(8.0)), 1, 2),
+    ("fisher", 1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]), 1, 4),
+    ("fisher", PAULI_Z, 10 ** 154, 4),
+    ("qfi", PAULI_Z, 10 ** 160, 2),
+    ("qfi", PAULI_Z, 10 ** 400, 2),
+], ids=["fisher-born-sum", "bayes-born-sum", "fisher-inf-generator", "fisher-inf-passes",
+        "qfi-passes-1e160", "qfi-passes-1e400"])
+def test_runtime_failures_exit_with_one_error_line(capsys, tmp_path, x_povm_file,
+                                                    command, generator, passes, code):
+    # the dim-8 models are read with the loose POVM, the qubit ones with the x basis
+    povm = _write_loose_povm(tmp_path / "povm.json") if len(generator) == 8 else x_povm_file
+    argv = [command, "--model", _write_model(tmp_path / "model.json", generator, passes)]
+    if command != "qfi":
+        argv += ["--povm", povm]
+    argv += ["--prior", "uniform:0,1", "--grid", "21"] if command == "bayes" else ["--theta", "0.3"]
+    exit_code, out, err = run_cli(capsys, argv)
+    assert exit_code == code
+    assert out == ""
+    assert err.startswith(f"error:{code}:") and err.count("\n") == 1
+
+
 def test_dimension_mismatch_exits_3(capsys, model_file, tmp_path):
     path = tmp_path / "big_povm.json"
     path.write_text(json.dumps(povm_to_document(projective_povm(np.eye(3)))))

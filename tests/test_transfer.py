@@ -1,11 +1,12 @@
-"""The fixed-theta transfer map and the state-search objective built on it."""
+"""The transfer maps over theta nodes and the context objective built on them."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fisherinfo.fisher import classical_fisher, sld_solve
+from fisherinfo.bayes import gaussian_prior
+from fisherinfo.fisher import bayesian_information, classical_fisher, sld_solve
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.optimize import state_objective
+from fisherinfo.optimize import context_objective
 from fisherinfo.quantum import pure_state
 from fisherinfo.sampling import random_channel, random_hermitian, random_projective_povm
 
@@ -15,28 +16,55 @@ def random_amplitudes(rng, dim):
     return psi / np.linalg.norm(psi)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), passes=st.integers(1, 3),
-       placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3))
-def test_transfer_map_reproduces_the_rebuilt_model(seed, dim, passes, placements):
-    rng = np.random.default_rng(seed)
+def random_family(rng, dim, passes, placements):
     family = UnitaryFamily(random_hermitian(rng, dim), passes=passes)
     for placement in placements:
         family = family.with_channel(random_channel(rng, dim, int(rng.integers(1, 4))), placement)
-    theta = float(rng.uniform(-1.5, 1.5))
-    amplitudes = random_amplitudes(rng, dim)
-    rebuilt = family.with_state(pure_state(amplitudes))
+    return family
 
-    maps = family.transfer(theta)
-    assert maps.shape == (3 * dim * dim, dim * dim)
-    prepared = family.prepare_input(pure_state(amplitudes)).mat.reshape(-1)
-    blocks = (maps @ prepared).reshape(3, dim, dim)
-    for block, row in zip(blocks, rebuilt.trajectory([theta])):
-        assert np.max(np.abs(block - row[0])) < 1e-12
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), passes=st.integers(1, 3),
+       placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3),
+       n_nodes=st.integers(1, 5))
+def test_transfer_map_reproduces_the_rebuilt_model(seed, dim, passes, placements, n_nodes):
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, dim, passes, placements)
+    thetas = rng.uniform(-1.5, 1.5, size=n_nodes)
+    state = pure_state(random_amplitudes(rng, dim))
+    rebuilt = family.with_state(state)
+
+    maps = family.transfer(thetas)
+    assert maps.shape == (3 * n_nodes * dim * dim, dim * dim)
+    prepared = family.prepare_input(state).mat.reshape(-1)
+    blocks = (maps @ prepared).reshape(3, n_nodes, dim, dim)
+    for block, rows in zip(blocks, rebuilt.trajectory(thetas)):
+        assert np.max(np.abs(block - rows)) < 1e-12
+
+    theta = float(thetas[0])
+    score = context_objective(family, [theta], [1.0])
     qfi = sld_solve(rebuilt, theta).qfi
-    assert abs(state_objective(family, None, theta)(amplitudes) - qfi) <= 1e-12 * qfi
+    assert abs(score((state, None)) - qfi) <= 1e-12 * qfi
 
     povm = random_projective_povm(rng, dim)
     value = classical_fisher(rebuilt, povm, theta).value
-    assert abs(state_objective(family, povm, theta)(amplitudes) - value) <= 1e-12 * value
+    assert abs(score((state, povm)) - value) <= 1e-12 * value
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), passes=st.integers(1, 3),
+       placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3),
+       grid=st.integers(3, 41))
+def test_context_objective_over_a_prior_is_the_bayesian_information(seed, dim, passes,
+                                                                    placements, grid):
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, dim, passes, placements)
+    lo = float(rng.uniform(-1.5, 1.0))
+    prior = gaussian_prior(float(rng.uniform(-1.5, 1.5)), float(rng.uniform(0.1, 2.0)),
+                           lo, lo + float(rng.uniform(0.1, 1.5)), grid)
+    state = pure_state(random_amplitudes(rng, dim))
+    povm = random_projective_povm(rng, dim)
+
+    value = bayesian_information(family.with_state(state), povm, prior)
+    score = context_objective(family, prior.nodes, prior.weights)((state, povm))
+    assert abs(score - value) <= 1e-12 * value
