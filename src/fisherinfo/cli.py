@@ -18,6 +18,8 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import bayes as bayes_mod
 from . import dpi as dpi_mod
 from . import fisher as fisher_mod
@@ -287,7 +289,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_attach_negative_values(argv))
     try:
-        return args.run(args)
+        # numpy's overflow and invalid-value warnings stay off stderr: a
+        # non-finite result is reported once, by the report's finiteness check
+        with np.errstate(all="ignore"):
+            return args.run(args)
     except DimensionMismatch as exc:
         print(f"error:{EXIT_DIMENSION}:{exc}", file=sys.stderr)
         return EXIT_DIMENSION

@@ -73,7 +73,7 @@ def _read_json(path: str) -> dict:
 
 def _dim_of(doc: dict, path: str) -> int:
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:  # JSON true and false are Python ints
         raise DocumentError(f"{path}: 'dim' must be a positive integer")
     return dim
 
@@ -84,7 +84,7 @@ def model_from_document(doc: dict, where: str = "model") -> UnitaryFamily:
     if doc.get("kind") != "unitary":
         raise DocumentError(f"{where}: unsupported kind {doc.get('kind')!r}")
     passes = doc.get("passes", 1)
-    if not isinstance(passes, int) or passes < 1:
+    if type(passes) is not int or passes < 1:
         raise DocumentError(f"{where}: 'passes' must be a positive integer")
     try:
         float(passes) ** 2  # the second derivative scales with passes squared

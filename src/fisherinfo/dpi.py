@@ -22,7 +22,7 @@ from .fisher import (
     sld_solve,
 )
 from .models import ParameterizedModel, UnitaryFamily
-from .optimize import ContextSpace, maximize_fisher
+from .optimize import ContextSpace, _maximize_fisher_many
 from .quantum import Povm, dual_channel
 from .sampling import (
     random_channel,
@@ -43,13 +43,15 @@ J_GRID = 31             # quadrature nodes for per-trial Bayesian checks
 J_RANGE = (0.2, 1.2)    # uniform prior window for per-trial Bayesian checks
 CLASSICAL_DIMS = (2, 3)  # model dimensions drawn by the classical suite
 
-# Nelder-Mead budget for the noisy model's state search; the bare model
-# takes the closed-form optimum and is never searched.  Runs that stop at
-# this budget end near states whose channel output is close to pure, where
-# the QFI has a kink.  A truncated search can only under-report i_after,
-# which keeps the inequality check conservative.
+# Nelder-Mead budget for the noisy model's state search: as in scipy, a run
+# makes at most OPT_MAXITER - 1 iterations.  The bare model takes the
+# closed-form optimum and is never searched.  Runs that stop at this budget
+# end near states whose channel output is close to pure, where the QFI has
+# a kink.  A truncated search can only under-report i_after, which keeps
+# the inequality check conservative.
 OPT_MAXITER = 100
 OPT_RESTARTS = 3
+SEARCH_TRIALS = 256     # quantum trials drawn and searched together
 
 
 class StochasticMap:
@@ -206,44 +208,54 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2,
     seeds = trial_seeds(seed, trials)
     space = ContextSpace(dim)
     reports = []
-    for trial in range(trials):
-        rng = np.random.default_rng(int(seeds[trial]))
-        family = UnitaryFamily(random_hermitian(rng, dim))
-        channel = random_channel(rng, dim, kraus_count)
-        noisy = family.with_channel(channel, "post")
-        theta = float(rng.uniform(*J_RANGE))
-        opt_seed = int(rng.integers(2 ** 31))
-
-        before = maximize_fisher(family, space, theta, restarts=OPT_RESTARTS, seed=opt_seed,
-                                 maxiter=OPT_MAXITER)
-        after = maximize_fisher(noisy, space, theta, restarts=OPT_RESTARTS, seed=opt_seed + 1,
-                                maxiter=OPT_MAXITER)
-
-        bare = family.with_state(after.best_state)
-        sld_before = sld_solve(bare, theta).qfi
-        sld_after = sld_solve(noisy.with_state(after.best_state), theta).qfi
-
-        rho = bare.state_at(theta).mat
-        dual = dual_channel(channel)
-        pushed = sum(k @ rho @ np.conj(k.T) for k in channel.kraus)
-        dual_defect = max(
-            abs(np.trace(pushed @ e).real - np.trace(rho @ dual.apply(e)).real)
-            for e in after.best_povm.effects
-        )
-
-        violated = bool(
-            after.best_value > before.best_value + QUANTUM_TOL
-            or sld_after > sld_before + SLD_TOL
-            or dual_defect > DUAL_TOL
-        )
-        reports.append(DpiTrialReport(
-            trial=trial, seed=int(seeds[trial]), kind="quantum",
-            i_before=before.best_value, i_after=after.best_value,
-            gap=before.best_value - after.best_value, violated=violated,
-            extra={"sld_before": sld_before, "sld_after": sld_after,
-                   "dual_defect": float(dual_defect), "theta": theta},
-        ))
+    for first in range(0, trials, SEARCH_TRIALS):
+        block = range(first, min(first + SEARCH_TRIALS, trials))
+        draws = []
+        for trial in block:
+            rng = np.random.default_rng(int(seeds[trial]))
+            family = UnitaryFamily(random_hermitian(rng, dim))
+            channel = random_channel(rng, dim, kraus_count)
+            noisy = family.with_channel(channel, "post")
+            theta = float(rng.uniform(*J_RANGE))
+            opt_seed = int(rng.integers(2 ** 31))
+            draws.append((family, channel, noisy, theta, opt_seed))
+        # the bare families take the closed form; the noisy ones are
+        # searched, the restarts of every trial in the block together
+        problems = ([(family, theta, opt_seed) for family, _, _, theta, opt_seed in draws]
+                    + [(noisy, theta, opt_seed + 1) for _, _, noisy, theta, opt_seed in draws])
+        results = _maximize_fisher_many(space, problems, OPT_RESTARTS, OPT_MAXITER)
+        for trial, draw, before, after in zip(block, draws, results, results[len(draws):]):
+            reports.append(_quantum_report(trial, int(seeds[trial]), draw, before, after))
     return reports
+
+
+def _quantum_report(trial: int, seed: int, draw, before, after) -> DpiTrialReport:
+    """The checks of one quantum trial at its searched optima."""
+    family, channel, noisy, theta, _ = draw
+    bare = family.with_state(after.best_state)
+    sld_before = sld_solve(bare, theta).qfi
+    sld_after = sld_solve(noisy.with_state(after.best_state), theta).qfi
+
+    rho = bare.state_at(theta).mat
+    dual = dual_channel(channel)
+    pushed = sum(k @ rho @ np.conj(k.T) for k in channel.kraus)
+    dual_defect = max(
+        abs(np.trace(pushed @ e).real - np.trace(rho @ dual.apply(e)).real)
+        for e in after.best_povm.effects
+    )
+
+    violated = bool(
+        after.best_value > before.best_value + QUANTUM_TOL
+        or sld_after > sld_before + SLD_TOL
+        or dual_defect > DUAL_TOL
+    )
+    return DpiTrialReport(
+        trial=trial, seed=seed, kind="quantum",
+        i_before=before.best_value, i_after=after.best_value,
+        gap=before.best_value - after.best_value, violated=violated,
+        extra={"sld_before": sld_before, "sld_after": sld_after,
+               "dual_defect": float(dual_defect), "theta": theta},
+    )
 
 
 __all__ = [

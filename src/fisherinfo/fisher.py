@@ -43,25 +43,40 @@ class SldResult:
     support_rank: int
 
 
-def information_from_outcomes(p, dp, d2p=None) -> float:
-    """Score an outcome-probability vector and its derivative.
+def outcome_scores(p, dp, d2p=None) -> tuple[np.ndarray, np.ndarray]:
+    """Scores of outcome rows (..., outcomes) and the mask of singular outcomes.
 
     ``d2p``, if given, holds d2p_x/dtheta2 and is only read for outcomes at
-    a removable singularity.  Without it such outcomes contribute zero.
+    a removable singularity.  Without it such outcomes contribute zero.  The
+    terms are added in outcome order, as a loop over the outcomes adds them.
     """
-    total = 0.0
-    for x in range(len(p)):
-        px = float(p[x])
-        dx = float(dp[x])
-        if px > P_FLOOR:
-            total += dx * dx / px
-        elif abs(dx) > D_FLOOR:
-            raise SingularOutcome(
-                f"outcome {x} has probability {px:.3e} but derivative {dx:.3e}"
-            )
-        elif d2p is not None:
-            total += max(0.0, 2.0 * float(d2p[x]))
-    return total
+    p = np.asarray(p, dtype=float)
+    dp = np.asarray(dp, dtype=float)
+    live = p > P_FLOOR
+    limit = 0.0
+    if d2p is not None:
+        curvature = 2.0 * np.asarray(d2p, dtype=float)
+        limit = np.where(curvature > 0.0, curvature, 0.0)
+    terms = np.where(live, dp * dp / np.where(live, p, 1.0), limit)
+    total = np.zeros(terms.shape[:-1])
+    for x in range(terms.shape[-1]):
+        total = total + terms[..., x]
+    return total, ~live & (np.abs(dp) > D_FLOOR)
+
+
+def information_from_outcomes(p, dp, d2p=None):
+    """Score outcome probabilities and their derivative, one row or a stack
+    (..., outcomes), with ``d2p`` as for ``outcome_scores``; a float for one
+    row.  The first singular outcome, in row-major order, raises
+    SingularOutcome."""
+    total, singular = outcome_scores(p, dp, d2p)
+    if singular.any():
+        first = np.unravel_index(np.argmax(singular), singular.shape)
+        raise SingularOutcome(
+            f"outcome {first[-1]} has probability {float(np.asarray(p)[first]):.3e} "
+            f"but derivative {float(np.asarray(dp)[first]):.3e}"
+        )
+    return total if total.ndim else float(total)
 
 
 def outcome_trajectory(model: ParameterizedModel, povm: Povm, thetas):
@@ -74,8 +89,11 @@ def outcome_trajectory(model: ParameterizedModel, povm: Povm, thetas):
     return outcome_blocks(povm, *model.trajectory(thetas))
 
 
-def outcome_blocks(povm: Povm, rho, drho, d2rho):
-    """(p, dp, d2p) of a state and its derivatives, one matrix or a stack each."""
+def outcome_blocks(povm, rho, drho, d2rho):
+    """(p, dp, d2p) of states and their derivatives at n nodes, each (..., n, d, d).
+
+    ``povm`` is a Povm, or one effect stack per row (m, x, d, d).
+    """
     p = born_probabilities(rho, povm)
     dp, d2p = outcome_traces(np.stack((drho, d2rho)), povm)
     return p, dp, d2p
@@ -84,13 +102,12 @@ def outcome_blocks(povm: Povm, rho, drho, d2rho):
 def classical_fisher(model: ParameterizedModel, povm: Povm, theta: float) -> FisherValue:
     """Fisher information of the Born distribution at ``theta``."""
     p, dp, d2p = outcome_trajectory(model, povm, [theta])
-    value = information_from_outcomes(p[0], dp[0], d2p[0])
-    return FisherValue(value=value, theta=float(theta))
+    return FisherValue(value=information_from_outcomes(p[0], dp[0], d2p[0]), theta=float(theta))
 
 
 def averaged_information(weights, p, dp, d2p) -> float:
     """Weighted sum of the scores of stacked outcome rows, one row per node."""
-    return float(np.dot(weights, [information_from_outcomes(*row) for row in zip(p, dp, d2p)]))
+    return float(np.dot(weights, information_from_outcomes(p, dp, d2p)))
 
 
 def bayesian_information(model: ParameterizedModel, povm: Povm, prior) -> float:
@@ -101,35 +118,38 @@ def bayesian_information(model: ParameterizedModel, povm: Povm, prior) -> float:
 def sld_solve(model: ParameterizedModel, theta: float) -> SldResult:
     """Solve rho' = (rho L + L rho) / 2 for the SLD L, and the QFI."""
     rho, drho, _ = model.trajectory([theta])
-    qfi, v, l_eig, on_support = sld_eigen(rho[0], drho[0])
+    qfi, v, l_eig, on_support, off_weight = sld_eigen(rho[0], drho[0])
+    if off_weight:
+        raise DerivativeOffSupport(
+            f"derivative has weight {float(off_weight):.3e} outside the state support"
+        )
     sld = v @ l_eig @ adjoint(v)
     sld = (sld + adjoint(sld)) / 2.0
     support_rank = int(np.count_nonzero(on_support.diagonal()))
-    return SldResult(sld=sld, qfi=qfi, support_rank=support_rank)
+    return SldResult(sld=sld, qfi=float(qfi), support_rank=support_rank)
 
 
 def sld_eigen(rho: np.ndarray, drho: np.ndarray):
-    """The SLD of (rho, rho') in the eigenbasis of rho, and the QFI.
+    """The SLD of (rho, rho') in the eigenbasis of rho, and the QFI, for one
+    pair of matrices or a stack (..., d, d).
 
     L_ij = 2 rho'_ij / (l_i + l_j) wherever the eigenvalue pair-sum is
     above EPS_SLD.  Derivative weight above DELTA_SLD on the remaining block
     means no SLD exists.  Returns (qfi, eigenvectors, L in the eigenbasis,
-    the on-support mask of eigenvalue pairs).
+    the on-support mask of eigenvalue pairs, the off-support weight): the
+    weight is 0 where an SLD exists, else the largest off-support entry,
+    and there the qfi reads 0.
     """
     w, v = np.linalg.eigh((rho + adjoint(rho)) / 2.0)
     d_eig = adjoint(v) @ drho @ v
 
-    pair_sums = w[:, None] + w[None, :]
+    pair_sums = w[..., :, None] + w[..., None, :]
     on_support = pair_sums > EPS_SLD
-    off_weight = np.abs(np.where(on_support, 0.0, d_eig))
-    worst = float(off_weight.max()) if off_weight.size else 0.0
-    if worst > DELTA_SLD:
-        raise DerivativeOffSupport(
-            f"derivative has weight {worst:.3e} outside the state support"
-        )
+    worst = np.abs(np.where(on_support, 0.0, d_eig)).max(axis=(-2, -1))
+    off_weight = np.where(worst > DELTA_SLD, worst, 0.0)
     l_eig = np.where(on_support, 2.0 * d_eig / np.where(on_support, pair_sums, 1.0), 0.0)
-    qfi = float(np.sum(w[:, None] * np.abs(l_eig) ** 2).real)
-    return qfi, v, l_eig, on_support
+    qfi = (w[..., :, None] * np.abs(l_eig) ** 2).sum(axis=(-2, -1))
+    return np.where(off_weight > 0.0, 0.0, qfi), v, l_eig, on_support, off_weight
 
 
 def sld_optimal_povm(result: SldResult) -> Povm:

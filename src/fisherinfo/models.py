@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidState
 from .linalg import adjoint, eig_hermitian, require_hermitian
-from .quantum import DensityMatrix, KrausChannel, apply_channel_matrix
+from .quantum import DensityMatrix, KrausChannel, apply_channel_matrix, checked_states
 
 FD_STEP = 1e-5  # central-difference step for families without analytic rules
 
@@ -72,10 +72,16 @@ class UnitaryFamily(ParameterizedModel):
             raise InvalidState("rho0 must be a DensityMatrix")
         if rho0.dim != self.dim:
             raise DimensionMismatch("generator and initial state dimensions differ")
+        mat = self.prepare_inputs(rho0.mat)
+        return rho0 if mat is rho0.mat else DensityMatrix(mat, validate=False)
+
+    def prepare_inputs(self, states: np.ndarray) -> np.ndarray:
+        """Input matrices, one or a stack (..., d, d), after the "pre"
+        channels in list order, each output validated (``checked_states``)."""
         for channel, placement in self.channels:
             if placement == "pre":
-                rho0 = DensityMatrix(apply_channel_matrix(channel, rho0.mat))
-        return rho0
+                states = checked_states(apply_channel_matrix(channel, states))
+        return states
 
     def with_state(self, rho0: DensityMatrix) -> "UnitaryFamily":
         return UnitaryFamily(self.generator, rho0, self.passes, self.channels,

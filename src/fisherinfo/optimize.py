@@ -12,40 +12,189 @@ k^2 (lmax - lmin)^2 (Giovannetti, Lloyd & Maccone 2006).  Otherwise the
 scored by the QFI for a free POVM or by the classical Fisher information
 for a fixed one.  A prior average has no such closed form, so
 maximize_bayesian searches state and measurement parameters together.
-The theta nodes (one, or the prior's grid) are fixed during a search, so
-the dynamics and the post channels form one linear map from the prepared
-input to (rho, rho', rho'') at every node (``UnitaryFamily.transfer``).
-Both searches build it once and score each candidate context with its
-pre channels, one matrix-vector product and the SLD or Born kernel
-(``context_objective``), never a rebuilt model.
+
+The search is the package's own (``nelder_mead``): scipy's Nelder-Mead,
+step for step, run on many simplices at once, every restart of every
+problem in lockstep.  Each iteration scores all their candidate points in
+one stacked call.  The theta nodes (one, or the prior's grid) are fixed
+during a search, so the dynamics and the post channels form one linear
+map from the prepared input to (rho, rho', rho'') at every node
+(``UnitaryFamily.transfer``).  ``context_objective`` builds it once per
+problem and scores a stack of contexts with the pre channels, one
+matrix-vector product per row and the stacked SLD or Born kernel, never a
+rebuilt model.  Each row scores as it would alone, up to rounding.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeOffSupport, DimensionMismatch, SingularOutcome, ZeroEvidence
+from .errors import DerivativeOffSupport, DimensionMismatch, SingularOutcome
 from .fisher import (
-    averaged_information,
     bayesian_information,
     classical_fisher,
     outcome_blocks,
+    outcome_scores,
     sld_eigen,
     sld_optimal_povm,
     sld_solve,
 )
 from .linalg import PAULI_X, PAULI_Z, adjoint, unitary_exp
 from .models import UnitaryFamily
-from .quantum import DensityMatrix, Povm, projective_povm, pure_state, unitary_channel
+from .quantum import (
+    DensityMatrix,
+    Povm,
+    basis_projectors,
+    projective_povm,
+    pure_projectors,
+    pure_state,
+    unitary_channel,
+)
 
 MAX_OPT_DIM = 8          # larger searches are out of scope
 VALUE_SPREAD_TOL = 1e-10  # simplex value spread at termination
 MAX_ITER = 2000
 DEFAULT_RESTARTS = 32
+SCORE_BYTES = 1 << 24     # per-row arrays one scoring step holds at once
+
+# Nelder-Mead as scipy sets it up: the initial simplex steps a nonzero
+# coordinate by NONZDELT of itself and a zero one to ZDELT; reflection,
+# expansion, contraction and shrink coefficients
+NONZDELT = 0.05
+ZDELT = 0.00025
+RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
+# the reflection, expansion, outside and inside contraction of a simplex
+# are TRIAL_A * xbar - TRIAL_B * worst, the products scipy forms
+TRIAL_A = np.array([1 + RHO, 1 + RHO * CHI, 1 + PSI * RHO, 1 - PSI])[:, None, None]
+TRIAL_B = np.array([RHO, RHO * CHI, PSI * RHO, -PSI])[:, None, None]
+
+
+def nelder_mead(objective, x0s, maxiter: int):
+    """Minimize from each row of ``x0s``, all simplices in lockstep.
+
+    Each start follows scipy's ``minimize(method="Nelder-Mead")`` step for
+    step, with its default simplex and coefficients, ``xatol=inf``,
+    ``fatol=VALUE_SPREAD_TOL`` and ``maxiter`` with no ``maxfev``: it stops
+    once its simplex's value spread is at most VALUE_SPREAD_TOL, or after
+    ``maxiter - 1`` iterations.  ``objective(x, rows)`` returns the values
+    at the points ``x`` (m, n); ``rows[i]`` is the start whose simplex point
+    i belongs to.  Each iteration scores the reflection, the expansion and
+    both contractions of every live simplex in one call, then takes each
+    simplex's branch as scipy's if-chain does; without an evaluation budget
+    the points a branch does not use change nothing.  A shrink takes one
+    more call.
+
+    A call that raises is made again point by point, and in an iteration
+    only for the points scipy evaluates (``_scipy_trials``).  A start whose
+    point raises stops there; once all have stopped, the first such start's
+    error is raised, as scipy's runs one after another would raise it.
+
+    Returns (x, nit): each start's best vertex and its iteration count.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    k, n = x0s.shape
+    errors = {}  # start -> the error its run raised
+
+    def evaluate(x, rows):
+        try:
+            return objective(x, rows)
+        except Exception:
+            return _one_by_one(objective, x, rows, errors)
+
+    sim = np.repeat(x0s[:, None, :], n + 1, axis=1)
+    for j in range(n):
+        step = sim[:, j + 1, j]
+        sim[:, j + 1, j] = np.where(step != 0, (1 + NONZDELT) * step, ZDELT)
+    live = np.arange(k)
+    fsim = evaluate(sim.reshape(-1, n), np.repeat(live, n + 1)).reshape(k, n + 1)
+    # scipy sorts twice before its first iteration
+    sim, fsim = _sorted(*_sorted(sim, fsim))
+    x = np.empty_like(x0s)
+    nit = np.empty(k, dtype=int)
+    iterations = 1
+    while True:
+        failed = _stopped(live, errors)
+        if iterations >= maxiter:
+            done = np.ones(len(live), dtype=bool)
+        else:
+            done = failed | (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= VALUE_SPREAD_TOL)
+        if done.any():
+            ended = done & ~failed
+            x[live[ended]] = sim[ended, 0]
+            nit[live[ended]] = iterations
+            live, sim, fsim = live[~done], sim[~done], fsim[~done]
+            if not len(live):
+                if errors:
+                    raise errors[min(errors)]
+                return x, nit
+
+        xbar = np.add.reduce(sim[:, :-1], 1) / n
+        points = TRIAL_A * xbar - TRIAL_B * sim[:, -1]
+        try:
+            values = objective(points.reshape(-1, n), np.concatenate((live,) * 4)).reshape(4, -1)
+        except Exception:
+            values = _scipy_trials(objective, points, live, fsim, errors)
+        fr, fe, fc, fcc = values
+        worst = fsim[:, -1]
+        contracted = np.where(fr < worst, np.where(fc <= fr, 2, -1), np.where(fcc < worst, 3, -1))
+        choice = np.where(fr < fsim[:, 0], np.where(fe < fr, 1, 0),
+                          np.where(fr < fsim[:, -2], 0, contracted))
+        rows = np.flatnonzero(choice >= 0)
+        sim[rows, -1] = points[choice[rows], rows]
+        fsim[rows, -1] = values[choice[rows], rows]
+        shrink = (choice < 0) & ~_stopped(live, errors)
+        if shrink.any():
+            kept = sim[shrink, :1]
+            sim[shrink, 1:] = kept + SIGMA * (sim[shrink, 1:] - kept)
+            fsim[shrink, 1:] = evaluate(sim[shrink, 1:].reshape(-1, n),
+                                        np.repeat(live[shrink], n)).reshape(-1, n)
+        iterations += 1
+        sim, fsim = _sorted(sim, fsim)
+
+
+def _stopped(live, errors):
+    """Which live starts have raised."""
+    return np.isin(live, list(errors)) if errors else np.zeros(len(live), dtype=bool)
+
+
+def _one_by_one(objective, x, rows, errors):
+    """The values at the points ``x``, each scored alone.  A start whose
+    point raises keeps that first error in ``errors`` and reads NaN from
+    then on."""
+    values = np.full(len(rows), np.nan)
+    for i, row in enumerate(rows):
+        if row not in errors:
+            try:
+                values[i] = objective(x[i:i + 1], rows[i:i + 1])[0]
+            except Exception as exc:
+                errors[row] = exc
+    return values
+
+
+def _scipy_trials(objective, points, live, fsim, errors):
+    """The four trial values of each live simplex, scored one point at a
+    time as scipy scores them: every reflection, then only the expansion or
+    the contraction its branch takes.  The others read NaN; no branch
+    reads them."""
+    values = np.full(points.shape[:2], np.nan)
+    values[0] = fr = _one_by_one(objective, points[0], live, errors)
+    running = ~_stopped(live, errors)
+    expand = running & (fr < fsim[:, 0])
+    contract = running & ~(fr < fsim[:, 0]) & ~(fr < fsim[:, -2])
+    outside = contract & (fr < fsim[:, -1])
+    for j, rows in ((1, expand), (2, outside), (3, contract & ~outside)):
+        if rows.any():
+            values[j, rows] = _one_by_one(objective, points[j, rows], live[rows], errors)
+    return values
+
+
+def _sorted(sim, fsim):
+    """Each simplex's vertices in ascending order of value."""
+    order = np.argsort(fsim, axis=1)
+    at = np.arange(len(fsim))[:, None]
+    return sim[at, order], fsim[at, order]
 
 
 class ContextSpace:
@@ -85,33 +234,38 @@ class ContextSpace:
         return self.n_state_params + self.n_povm_params
 
     def decode_amplitudes(self, params: np.ndarray) -> np.ndarray:
-        """Hyperspherical angles and relative phases to a unit vector."""
+        """Hyperspherical angles and relative phases to unit vectors, for one
+        parameter vector or a stack (..., n_params)."""
         d = self.dim
+        params = np.asarray(params, dtype=float)
+        amps = np.zeros(params.shape[:-1] + (d,), dtype=complex)
         if d == 2:
-            t, phi = float(params[0]), float(params[1])
-            return np.array([math.cos(t), math.sin(t) * cmath.exp(1j * phi)])
-        angles = params[:d - 1]
-        phases = params[d - 1:2 * (d - 1)]
-        amps = np.zeros(d, dtype=complex)
+            amps[..., 0] = np.cos(params[..., 0])
+            amps[..., 1] = np.sin(params[..., 0]) * np.exp(1j * params[..., 1])
+            return amps
+        angles = params[..., :d - 1]
+        phases = params[..., d - 1:2 * (d - 1)]
         sine_product = 1.0
         for k in range(d - 1):
-            amps[k] = sine_product * np.cos(angles[k])
-            sine_product *= np.sin(angles[k])
-        amps[d - 1] = sine_product
-        amps[1:] *= np.exp(1j * phases)
-        return amps / np.linalg.norm(amps)
+            amps[..., k] = sine_product * np.cos(angles[..., k])
+            sine_product = sine_product * np.sin(angles[..., k])
+        amps[..., d - 1] = sine_product
+        amps[..., 1:] *= np.exp(1j * phases)
+        # one vector takes the whole-vector norm, a stack the norm of each row
+        return amps / np.linalg.norm(amps, axis=None if amps.ndim == 1 else -1, keepdims=True)
 
     def decode_basis(self, params: np.ndarray) -> np.ndarray:
-        """Measurement-basis unitary from the POVM block of the parameters."""
+        """Measurement-basis unitaries from the POVM block of the parameters,
+        for one parameter vector or a stack (..., n_params)."""
         d = self.dim
-        vec = params[self.n_state_params:]
-        h = np.zeros((d, d), dtype=complex)
-        h[np.diag_indices(d)] = vec[:d]
+        vec = np.asarray(params, dtype=float)[..., self.n_state_params:]
+        h = np.zeros(vec.shape[:-1] + (d, d), dtype=complex)
+        h[..., np.arange(d), np.arange(d)] = vec[..., :d]
         m = d * (d - 1) // 2
-        h[self._triu] = vec[d:d + m] + 1j * vec[d + m:]
+        h[..., self._triu[0], self._triu[1]] = vec[..., d:d + m] + 1j * vec[..., d + m:]
         h = h + adjoint(np.triu(h, 1))
         w, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * w)) @ adjoint(v)
+        return (v * np.exp(-1j * w)[..., None, :]) @ adjoint(v)
 
     def decode(self, params: np.ndarray) -> tuple[DensityMatrix, Povm]:
         state, povm = self.state, self.povm
@@ -120,6 +274,18 @@ class ContextSpace:
         if povm is None:
             povm = projective_povm(self.decode_basis(params))
         return state, povm
+
+    def decode_stack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray | Povm]:
+        """Stacked parameters (m, n_params) as ``context_objective`` takes
+        contexts: input states (m, d, d) and the fixed POVM or the decoded
+        effects (m, d, d, d)."""
+        if self.state is None:
+            states = pure_projectors(self.decode_amplitudes(params))
+        else:
+            states = np.broadcast_to(self.state.mat, (len(params), self.dim, self.dim))
+        if self.povm is not None:
+            return states, self.povm
+        return states, basis_projectors(self.decode_basis(params))
 
 
 @dataclass
@@ -136,60 +302,104 @@ def _extreme_superposition(family: UnitaryFamily) -> np.ndarray:
     return (v[:, 0] + v[:, -1]) / np.sqrt(2.0)
 
 
-def context_objective(family: UnitaryFamily, nodes, weights):
-    """Score of a (state, POVM) context: the QFI at the single node for a
-    free POVM (None), else the weighted classical Fisher information over
-    the nodes.  The transfer map at the nodes is built once, here.
-    """
-    d = family.dim
-    maps = family.transfer(nodes)
+def context_objective(families, nodes, weights):
+    """Scores of stacked contexts, each row against its own problem.
 
-    def score(context):
-        state, povm = context
-        rho = family.prepare_input(state).mat
-        blocks = (maps @ rho.reshape(-1)).reshape(3, -1, d, d)
+    Problem k is ``families[k]`` at the theta values ``nodes[k]``; every
+    problem has as many nodes, averaged with the same ``weights``.  The
+    transfer maps at the nodes are built once, here.
+    ``score(problems, states, povm)`` takes each row's problem index, its
+    input state before the pre channels (m, d, d), and its measurement:
+    None for the SLD measurement at a single node, else a Povm for every
+    row or effects per row (m, x, d, d).  It returns each row's QFI or
+    weighted classical Fisher information, and whether that is defined: a
+    row off the SLD support or with a singular outcome scores 0 and is not.
+    Rows are scored SCORE_BYTES at a time, so memory does not grow with m.
+    """
+    d = families[0].dim
+    maps = np.stack([family.transfer(at) for family, at in zip(families, nodes)])
+    n_nodes = maps.shape[1] // (3 * d * d)
+    weights = np.asarray(weights, dtype=float)
+    prepared = [(k, family) for k, family in enumerate(families)
+                if any(placement == "pre" for _, placement in family.channels)]
+    # a row holds its (rho, rho', rho'') blocks, and the Born kernel a copy
+    # of the derivatives
+    chunk = max(1, SCORE_BYTES // (2 * maps.itemsize * maps.shape[1]))
+
+    def score_rows(problems, states, povm):
+        if prepared:
+            states = np.array(states, dtype=complex)
+            for k, family in prepared:
+                rows = problems == k
+                states[rows] = family.prepare_inputs(states[rows])
+        m = len(problems)
+        # one gemv per row, bitwise the product of the row's map with its
+        # input; each map serves its own rows, uncopied
+        columns = np.reshape(states, (m, -1, 1))
+        if len(maps) == 1:
+            flat = maps[0] @ columns
+        else:
+            flat = np.empty((m, maps.shape[1], 1), dtype=complex)
+            order = np.argsort(problems, kind="stable")
+            ks, firsts = np.unique(problems[order], return_index=True)
+            for k, rows in zip(ks, np.split(order, firsts[1:])):
+                flat[rows] = maps[k] @ columns[rows]
+        blocks = flat.reshape(m, 3, n_nodes, d, d)
         if povm is None:
-            return sld_eigen(blocks[0, 0], blocks[1, 0])[0]
-        return averaged_information(weights, *outcome_blocks(povm, *blocks))
+            qfi, *_, off_weight = sld_eigen(blocks[:, 0, 0], blocks[:, 1, 0])
+            return qfi, off_weight == 0.0
+        info, singular = outcome_scores(*outcome_blocks(povm, *np.moveaxis(blocks, 1, 0)))
+        return info @ weights, ~singular.any(axis=(-2, -1))
+
+    def score(problems, states, povm):
+        if len(problems) <= chunk:
+            return score_rows(problems, states, povm)
+        parts = [score_rows(problems[at:at + chunk], states[at:at + chunk],
+                            povm[at:at + chunk] if isinstance(povm, np.ndarray) else povm)
+                 for at in range(0, len(problems), chunk)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     return score
 
 
-def _search(decode, n_params: int, score, starts, restarts: int, seed: int, maxiter: int):
-    """Best (value, context) among the start contexts and the restarts' ends.
+def _search(score, decode, n_params: int, start, restarts: int, seeds, maxiter: int):
+    """Each problem's best context among its start and its restarts' ends.
 
-    Each restart runs Nelder-Mead on -score(decode(params)) from a uniform
-    point in [-pi, pi]^n_params.  A context whose score raises
-    SingularOutcome, ZeroEvidence or DerivativeOffSupport scores 0 inside a
-    run and is never a candidate.
+    Problem k's restarts run Nelder-Mead on -score from uniform points in
+    [-pi, pi]^n_params drawn from ``default_rng(seeds[k])``; the restarts
+    of every problem advance together (``nelder_mead``).  ``decode`` turns
+    stacked parameters into contexts for ``score``, and ``start`` holds one
+    start context per problem in the same form, or is None.  A context
+    whose score is undefined scores 0 inside a run and is never chosen; of
+    equal scores the earliest wins, the start first.  Returns each
+    problem's winning parameters, or None where its start won.
     """
+    problems = np.arange(len(seeds))
+    best = [None] * len(seeds)  # (value, parameters)
+    if start is not None:
+        values, ok = score(problems, *start)
+        for k in problems[ok]:
+            best[k] = (values[k], None)
+    if n_params > 0 and restarts > 0:
+        x0s = []
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            x0s += [rng.uniform(-np.pi, np.pi, size=n_params) for _ in range(restarts)]
+        owner = np.repeat(problems, restarts)
 
-    def evaluate(context):
-        try:
-            return score(context)
-        except (SingularOutcome, ZeroEvidence, DerivativeOffSupport):
-            return None
+        def objective(x, rows):
+            values, ok = score(owner[rows], *decode(x))
+            return np.where(ok, -values, 0.0)
 
-    candidates = [(evaluate(context), context) for context in starts]
-    if n_params > 0:
-        from scipy.optimize import minimize
-
-        def objective(params):
-            value = evaluate(decode(params))
-            return 0.0 if value is None else -value
-
-        # terminate on the simplex's value spread alone
-        options = {"maxiter": maxiter, "fatol": VALUE_SPREAD_TOL, "xatol": np.inf}
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            x0 = rng.uniform(-np.pi, np.pi, size=n_params)
-            context = decode(minimize(objective, x0, method="Nelder-Mead", options=options).x)
-            candidates.append((evaluate(context), context))
-
-    candidates = [c for c in candidates if c[0] is not None]
-    if not candidates:
+        ends, _ = nelder_mead(objective, np.array(x0s), maxiter)
+        values, ok = score(owner, *decode(ends))
+        for row in np.nonzero(ok)[0]:
+            k = owner[row]
+            if best[k] is None or values[row] > best[k][0]:
+                best[k] = (values[row], ends[row])
+    if any(b is None for b in best):
         raise SingularOutcome("no evaluable context in the search space")
-    return max(candidates, key=lambda c: c[0])
+    return [params for _, params in best]
 
 
 def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
@@ -202,24 +412,38 @@ def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
     is searched, and only when neither a fixed state nor the channel-free
     closed form settles it.
     """
-    if space.state is not None:
-        state = space.state
-    elif space.povm is None and not family.channels:
-        state = pure_state(_extreme_superposition(family))
-    else:
-        start = pure_state(_extreme_superposition(family))
-        _, (state, _) = _search(
-            lambda params: (pure_state(space.decode_amplitudes(params)), space.povm),
-            space.n_state_params, context_objective(family, [theta], [1.0]),
-            [(start, space.povm)], restarts, seed, maxiter)
-    chosen = family.with_state(state)
-    povm = space.povm
-    if povm is None:
-        povm = sld_optimal_povm(sld_solve(chosen, theta))
-    # report the value computed through the public scoring path
-    best = classical_fisher(chosen, povm, theta).value
-    return OptimizationResult(best_value=best, best_state=state, best_povm=povm,
-                              theta=float(theta))
+    return _maximize_fisher_many(space, [(family, theta, seed)], restarts, maxiter)[0]
+
+
+def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
+                          maxiter: int) -> list[OptimizationResult]:
+    """``maximize_fisher`` for each (family, theta, seed) problem; the
+    problems that need a search are searched together."""
+    states = [space.state if space.state is not None
+              else pure_state(_extreme_superposition(family)) for family, _, _ in problems]
+    searched = [k for k, (family, _, _) in enumerate(problems)
+                if space.state is None and (space.povm is not None or family.channels)]
+    if searched:
+        score = context_objective([problems[k][0] for k in searched],
+                                  [[problems[k][1]] for k in searched], [1.0])
+        winners = _search(
+            score, lambda x: (pure_projectors(space.decode_amplitudes(x)), space.povm),
+            space.n_state_params, (np.stack([states[k].mat for k in searched]), space.povm),
+            restarts, [problems[k][2] for k in searched], maxiter)
+        for k, params in zip(searched, winners):
+            if params is not None:
+                states[k] = pure_state(space.decode_amplitudes(params))
+    results = []
+    for (family, theta, _), state in zip(problems, states):
+        chosen = family.with_state(state)
+        povm = space.povm
+        if povm is None:
+            povm = sld_optimal_povm(sld_solve(chosen, theta))
+        # report the value computed through the public scoring path
+        best = classical_fisher(chosen, povm, theta).value
+        results.append(OptimizationResult(best_value=best, best_state=state, best_povm=povm,
+                                          theta=float(theta)))
+    return results
 
 
 def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
@@ -241,10 +465,11 @@ def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
             povm = sld_optimal_povm(sld_solve(family.with_state(state), prior.mean()))
         except DerivativeOffSupport:
             pass
-    starts = [] if povm is None else [(state, povm)]
-    _, (state, povm) = _search(space.decode, space.n_params,
-                               context_objective(family, prior.nodes, prior.weights),
-                               starts, restarts, seed, maxiter)
+    start = None if povm is None else (state.mat[None], povm)
+    [params] = _search(context_objective([family], [prior.nodes], prior.weights),
+                       space.decode_stack, space.n_params, start, restarts, [seed], maxiter)
+    if params is not None:
+        state, povm = space.decode(params)
     best = bayesian_information(family.with_state(state), povm, prior)
     return OptimizationResult(best_value=best, best_state=state, best_povm=povm, theta=None)
 

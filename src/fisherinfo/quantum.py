@@ -43,23 +43,7 @@ class DensityMatrix:
 
     def __init__(self, mat, *, validate: bool = True):
         m = as_complex_matrix(mat, "density matrix")
-        if validate:
-            defect = hermiticity_defect(m)
-            if defect > STATE_HERMITIAN_ATOL:
-                raise InvalidState(f"density matrix is non-Hermitian by {defect:.3e}")
-            m = (m + adjoint(m)) / 2.0
-            tr = np.trace(m).real
-            if abs(tr - 1.0) > STATE_TRACE_ATOL:
-                raise InvalidState(f"density matrix trace {tr!r} is not 1")
-            w = np.linalg.eigvalsh(m)
-            if w[0] < STATE_EIG_FLOOR:
-                raise InvalidState(f"density matrix has eigenvalue {w[0]:.3e} < {STATE_EIG_FLOOR}")
-            if w[0] < 0.0:
-                w_full, v = np.linalg.eigh(m)
-                w_full = np.clip(w_full, 0.0, None)
-                m = (v * w_full) @ adjoint(v)
-                m = m / np.trace(m).real
-        self.mat = m
+        self.mat = checked_states(m) if validate else m
 
     @property
     def dim(self) -> int:
@@ -67,6 +51,36 @@ class DensityMatrix:
 
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh((self.mat + adjoint(self.mat)) / 2.0)
+
+
+def checked_states(mats) -> np.ndarray:
+    """Validate a density matrix or a stack of them (..., d, d).
+
+    Each must be Hermitian, of unit trace and without eigenvalues below
+    STATE_EIG_FLOOR, else InvalidState names the first offender.  Returns
+    the Hermitian parts, with tiny negative eigenvalues clamped to zero and
+    the trace restored.
+    """
+    m = np.asarray(mats, dtype=complex)
+    defect = np.max(np.abs(m - adjoint(m)), axis=(-2, -1))
+    if np.any(defect > STATE_HERMITIAN_ATOL):
+        worst = float(defect[defect > STATE_HERMITIAN_ATOL][0])
+        raise InvalidState(f"density matrix is non-Hermitian by {worst:.3e}")
+    m = (m + adjoint(m)) / 2.0
+    tr = np.trace(m, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > STATE_TRACE_ATOL
+    if np.any(bad):
+        raise InvalidState(f"density matrix trace {float(tr[bad][0])!r} is not 1")
+    low = np.linalg.eigvalsh(m)[..., 0]
+    if np.any(low < STATE_EIG_FLOOR):
+        raise InvalidState(f"density matrix has eigenvalue "
+                           f"{float(low[low < STATE_EIG_FLOOR][0]):.3e} < {STATE_EIG_FLOOR}")
+    if np.any(low < 0.0):
+        w, v = np.linalg.eigh(m)
+        clamped = (v * np.clip(w, 0.0, None)[..., None, :]) @ adjoint(v)
+        clamped = clamped / np.trace(clamped, axis1=-2, axis2=-1).real[..., None, None]
+        m = np.where((low < 0.0)[..., None, None], clamped, m)
+    return m
 
 
 class Povm:
@@ -197,20 +211,32 @@ def dual_povm(dual: DualChannel, povm: Povm) -> Povm:
     return Povm([dual.apply(e) for e in povm.effects], povm.labels)
 
 
-def outcome_traces(a: np.ndarray, povm: Povm) -> np.ndarray:
-    """tr(A E_x) for a matrix or a stack (..., d, d); the outcome index goes last."""
-    return np.einsum("...ij,xji->...x", a, povm.stack).real
+def _effect_stack(povm, dim: int) -> np.ndarray:
+    effects = povm.stack if isinstance(povm, Povm) else np.asarray(povm)
+    if effects.shape[-1] != dim:
+        raise DimensionMismatch("state and POVM dimensions differ")
+    return effects
 
 
-def born_probabilities(rho: DensityMatrix | np.ndarray, povm: Povm) -> np.ndarray:
+def outcome_traces(a: np.ndarray, povm) -> np.ndarray:
+    """tr(A E_x) for a matrix or a stack (..., d, d); the outcome index goes last.
+
+    ``povm`` is a Povm, one effect stack (x, d, d) for every matrix, or one
+    effect stack per row, (m, x, d, d) against ``a`` shaped (..., m, n, d, d).
+    """
+    effects = _effect_stack(povm, a.shape[-1])
+    if effects.ndim == 3:
+        return np.einsum("...ij,xji->...x", a, effects).real
+    return np.einsum("...nij,...xji->...nx", a, effects).real
+
+
+def born_probabilities(rho: DensityMatrix | np.ndarray, povm) -> np.ndarray:
     """Outcome probabilities tr(rho E_x), clamped against tiny negatives.
 
-    ``rho`` is a DensityMatrix or a stack of state matrices (..., d, d);
-    every row of the result must sum to 1.
+    ``rho`` is a DensityMatrix or a stack of state matrices (..., d, d),
+    ``povm`` as for ``outcome_traces``; every row of the result must sum to 1.
     """
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    if mat.shape[-1] != povm.dim:
-        raise DimensionMismatch("state and POVM dimensions differ")
     p = outcome_traces(mat, povm)
     if np.min(p) < BORN_CLAMP:
         raise InvalidPovm(f"probability {np.min(p):.3e} below clamp floor")
@@ -222,13 +248,25 @@ def born_probabilities(rho: DensityMatrix | np.ndarray, povm: Povm) -> np.ndarra
     return p
 
 
+def projectors(vectors) -> np.ndarray:
+    """|v><v| for each vector of a stack (..., d)."""
+    return vectors[..., :, None] * np.conj(vectors)[..., None, :]
+
+
+def pure_projectors(amplitudes) -> np.ndarray:
+    """|psi><psi| for each amplitude vector of a stack (..., d); each must be normalized."""
+    psi = np.asarray(amplitudes, dtype=complex)
+    norms = np.linalg.norm(psi, axis=-1)
+    bad = np.abs(norms - 1.0) > NORMALIZATION_ATOL
+    if bad.any():
+        raise NotNormalized(f"state vector has norm {float(norms[bad][0])!r}")
+    return projectors(psi)
+
+
 def pure_state(amplitudes) -> DensityMatrix:
     """|psi><psi| from a normalized amplitude vector."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > NORMALIZATION_ATOL:
-        raise NotNormalized(f"state vector has norm {norm!r}")
-    return DensityMatrix(np.outer(psi, np.conj(psi)), validate=False)
+    return DensityMatrix(pure_projectors(psi), validate=False)
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -243,11 +281,20 @@ def require_unitary(u, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def basis_projectors(bases) -> np.ndarray:
+    """Rank-one projectors onto the columns of a unitary or of each unitary
+    in a stack (..., d, d); the outcome index is third from last."""
+    u = np.asarray(bases, dtype=complex)
+    defect = np.max(np.abs(adjoint(u) @ u - identity(u.shape[-1])), axis=(-2, -1))
+    if np.any(defect > UNITARY_ATOL):
+        raise NotUnitary(f"measurement basis deviates from unitarity by {float(np.max(defect)):.3e}")
+    return projectors(np.swapaxes(u, -1, -2))
+
+
 def projective_povm(basis) -> Povm:
     """Rank-one projectors onto the columns of a unitary basis matrix."""
-    u = require_unitary(basis, "measurement basis")
-    effects = [np.outer(u[:, k], np.conj(u[:, k])) for k in range(u.shape[0])]
-    return Povm(effects, validate=False)
+    return Povm(list(basis_projectors(as_complex_matrix(basis, "measurement basis"))),
+                validate=False)
 
 
 def unitary_channel(u) -> KrausChannel:

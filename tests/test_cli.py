@@ -234,12 +234,57 @@ def test_non_integer_povm_labels_exit_2(capsys, tmp_path, model_file):
     assert err.startswith("error:2:")
 
 
-def test_importing_the_cli_leaves_scipy_optimize_unloaded():
-    probe = "import sys, fisherinfo.cli; print('scipy.optimize' in sys.modules)"
+def run_python(code: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                            text=True, env=env, check=True)
-    assert result.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+
+
+def test_importing_the_cli_leaves_scipy_optimize_unloaded(model_file):
+    # the searches are the package's own: neither importing the CLI nor
+    # running a quantum DPI trial or an optimize command loads scipy
+    probe = (
+        "import contextlib, io, sys, fisherinfo.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    fisherinfo.cli.main(['dpi', '--mode', 'quantum', '--trials', '1'])\n"
+        f"    fisherinfo.cli.main(['optimize', '--model', {model_file!r}, '--theta', '0.3',\n"
+        "                         '--restarts', '2'])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    result = run_python(probe)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", "[]"]
+
+
+@pytest.mark.parametrize("generator, code", [
+    (PAULI_Z, 0),
+    (1e200 * np.array([[1.0, 1.0], [1.0, -1.0]]), 4),
+], ids=["finite", "overflowing-generator"])
+def test_stderr_holds_only_the_error_line(tmp_path, x_povm_file, generator, code):
+    # numpy's overflow warnings stay off stderr; a failure prints one error line
+    model = _write_model(tmp_path / "model.json", generator)
+    result = run_python(
+        "import sys, fisherinfo.cli\n"
+        f"sys.exit(fisherinfo.cli.main(['fisher', '--model', {model!r}, '--povm', "
+        f"{x_povm_file!r}, '--theta', '0.3']))\n")
+    assert result.returncode == code
+    if code:
+        assert result.stdout == ""
+        assert result.stderr.startswith(f"error:{code}:") and result.stderr.count("\n") == 1
+    else:
+        assert result.stderr == ""
+
+
+@pytest.mark.parametrize("passes", [True, False])
+def test_boolean_pass_count_exits_2(capsys, tmp_path, passes):
+    doc = {"dim": 2, "kind": "unitary", "generator": pairs_from_matrix(PAULI_Z),
+           "initial_state": [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]], "passes": passes}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["qfi", "--model", str(path), "--theta", "0.3"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:2:")
 
 
 def test_bad_prior_spec_exits_2(capsys, model_file, x_povm_file):

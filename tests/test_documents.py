@@ -99,10 +99,13 @@ def test_fisher_and_qfi_apply_pre_channels_in_list_order(capsys, tmp_path, order
 @pytest.mark.parametrize("corruption", [
     {"dim": 0},
     {"dim": "2"},
+    {"dim": True},
     {"kind": "kraus"},
     {"kind": None},
     {"passes": 0},
     {"passes": 1.5},
+    {"passes": True},
+    {"passes": False},
     {"generator": None},
     {"generator": [[[1.0, 0.0]]]},
     {"generator": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]]},

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fisherinfo.errors import (
     DerivativeOffSupport,
@@ -7,6 +8,9 @@ from fisherinfo.errors import (
     SingularOutcome,
 )
 from fisherinfo.fisher import (
+    D_FLOOR,
+    P_FLOOR,
+    averaged_information,
     bayesian_information,
     classical_fisher,
     information_from_outcomes,
@@ -51,6 +55,59 @@ def test_outcome_scoring_without_curvature_drops_flat_outcomes():
     # both floors satisfied and no second derivative: contributes zero
     assert information_from_outcomes([1.0, 0.0], [0.0, 0.0]) == 0.0
     assert information_from_outcomes([1.0, 0.0], [0.0, 0.0], [-3.0, 2.0]) == 4.0
+
+
+def scalar_information(p, dp, d2p=None):
+    """The outcome score as a loop over one row's outcomes."""
+    total = 0.0
+    for x in range(len(p)):
+        px, dx = float(p[x]), float(dp[x])
+        if px > P_FLOOR:
+            total += dx * dx / px
+        elif abs(dx) > D_FLOOR:
+            raise SingularOutcome(f"outcome {x} has probability {px:.3e} but derivative {dx:.3e}")
+        elif d2p is not None:
+            total += max(0.0, 2.0 * float(d2p[x]))
+    return total
+
+
+# probabilities and derivatives on both sides of the floors, zeros included
+PROBABILITY = st.one_of(st.just(0.0), st.floats(0.0, 2 * P_FLOOR), st.floats(1e-9, 1.0))
+DERIVATIVE = st.one_of(st.just(0.0), st.floats(-D_FLOOR, D_FLOOR), st.floats(-3.0, 3.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), rows=st.integers(1, 4), outcomes=st.integers(1, 8),
+       with_curvature=st.booleans())
+def test_stacked_outcome_scores_equal_the_outcome_loop(data, rows, outcomes, with_curvature):
+    def block(elements):
+        return np.array(data.draw(st.lists(st.lists(elements, min_size=outcomes, max_size=outcomes),
+                                           min_size=rows, max_size=rows)))
+
+    p, dp = block(PROBABILITY), block(DERIVATIVE)
+    d2p = block(st.floats(-5.0, 5.0)) if with_curvature else None
+    try:
+        expected = [scalar_information(p[r], dp[r], None if d2p is None else d2p[r])
+                    for r in range(rows)]
+    except SingularOutcome as exc:
+        with pytest.raises(SingularOutcome) as raised:
+            information_from_outcomes(p, dp, d2p)
+        assert str(raised.value) == str(exc)
+    else:
+        assert information_from_outcomes(p, dp, d2p).tobytes() == np.array(expected).tobytes()
+        single = information_from_outcomes(p[0], dp[0], None if d2p is None else d2p[0])
+        assert type(single) is float and single == expected[0]
+
+
+@pytest.mark.parametrize("outcomes", [2, 3, 8])
+def test_prior_average_weights_the_outcome_loop(outcomes):
+    rng = np.random.default_rng(41 + outcomes)
+    for _ in range(4):
+        p = rng.dirichlet(np.ones(outcomes), size=201)
+        dp = rng.uniform(-1.0, 1.0, size=(201, outcomes))
+        weights = rng.dirichlet(np.ones(201))
+        expected = float(np.dot(weights, [scalar_information(*row) for row in zip(p, dp, dp)]))
+        assert averaged_information(weights, p, dp, dp) == expected
 
 
 def test_outcome_scoring_raises_on_divergent_outcome():
@@ -112,9 +169,10 @@ def test_sld_detects_derivative_off_support():
 
     with pytest.raises(DerivativeOffSupport):
         sld_solve(FrozenModel(), 0.0)
+    # the kernel itself reports the off-support weight and scores the pair 0
     rho, drho, _ = FrozenModel().trajectory([0.0])
-    with pytest.raises(DerivativeOffSupport):
-        sld_eigen(rho[0], drho[0])
+    qfi, *_, off_weight = sld_eigen(rho[0], drho[0])
+    assert (qfi, off_weight) == (0.0, 1.0)
 
 
 def test_sld_measurement_achieves_the_quantum_value(base_model):

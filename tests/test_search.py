@@ -1,0 +1,278 @@
+"""The lockstep Nelder-Mead search and the batched context searches built on it."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from fisherinfo import dpi
+from fisherinfo.errors import FisherinfoError
+from fisherinfo.models import UnitaryFamily
+from fisherinfo.optimize import (
+    SCORE_BYTES,
+    VALUE_SPREAD_TOL,
+    ContextSpace,
+    _maximize_fisher_many,
+    context_objective,
+    maximize_fisher,
+    nelder_mead,
+)
+from fisherinfo.quantum import Povm, projective_povm, pure_projectors
+from fisherinfo.sampling import (
+    random_channel,
+    random_hermitian,
+    random_projective_povm,
+    random_pure_state,
+)
+
+
+def smooth(seed, n):
+    """A seeded tilted bowl with ripples, scored term by term for each row."""
+    rng = np.random.default_rng(seed)
+    scale, center, ripple = rng.uniform(0.5, 2.0, n), rng.uniform(-1, 1, n), rng.uniform(0, 0.5)
+
+    def f(x):
+        total = np.zeros(len(x))
+        for j in range(n):
+            total = total + scale[j] * (x[:, j] - center[j]) ** 2 + ripple * np.cos(3.0 * x[:, j])
+        return total
+
+    return f
+
+
+def plateau(seed, n):
+    """A bowl cut into flat steps that ends in a 0 plateau: where a simplex
+    straddles a step, no contraction is better and it shrinks."""
+    center = np.random.default_rng(seed).uniform(-0.5, 0.5, n)
+
+    def f(x):
+        r2 = np.zeros(len(x))
+        for j in range(n):
+            r2 = r2 + (x[:, j] - center[j]) ** 2
+        return np.minimum(0.0, np.floor(32.0 * (r2 - 2.0)) / 32.0)
+
+    return f
+
+
+def lockstep(f, x0s, maxiter):
+    return nelder_mead(lambda x, rows: f(x), x0s, maxiter)
+
+
+@pytest.mark.parametrize("family", [smooth, plateau])
+def test_nelder_mead_retraces_scipy(family):
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    shrinks = 0
+    for n in (1, 2, 4, 6):
+        rng = np.random.default_rng(n)
+        for seed in range(4):
+            f = family(seed, n)
+            x0s = rng.uniform(-1.5, 1.5, size=(6, n))
+            x0s[0, 0] = 0.0  # a zero coordinate takes scipy's other initial step
+            for maxiter in (3, 40, 400):
+                x, nit = lockstep(f, x0s, maxiter)
+                for k, x0 in enumerate(x0s):
+                    calls, ends = [], []
+                    ref = minimize(lambda v: calls.append(v) or f(v[None])[0], x0,
+                                   method="Nelder-Mead",
+                                   callback=lambda v: ends.append(len(calls)),
+                                   options={"maxiter": maxiter, "fatol": VALUE_SPREAD_TOL,
+                                            "xatol": np.inf})
+                    assert x[k].tobytes() == ref.x.tobytes()
+                    assert nit[k] == ref.nit
+                    # an iteration evaluates once or twice, or 2 + n times to shrink
+                    shrinks += int(np.sum(np.diff([n + 1] + ends) > 2))
+    if family is plateau:
+        assert shrinks > 0
+
+
+def test_nelder_mead_stops_at_maxiter_or_on_the_value_spread():
+    f = smooth(0, 3)
+    x0s = np.random.default_rng(0).uniform(-1, 1, size=(5, 3))
+    x, nit = lockstep(f, x0s, 1)
+    assert np.array_equal(nit, np.ones(5, dtype=int))
+    x, nit = lockstep(f, x0s, 10_000)
+    assert np.all(nit < 10_000)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), starts=st.integers(1, 7),
+       maxiter=st.integers(1, 120))
+def test_a_lockstep_batch_of_starts_runs_each_start_as_alone(seed, n, starts, maxiter):
+    f = plateau(seed, n) if seed % 2 else smooth(seed, n)
+    x0s = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(starts, n))
+    x, nit = lockstep(f, x0s, maxiter)
+    for k in range(starts):
+        alone_x, alone_nit = lockstep(f, x0s[k:k + 1], maxiter)
+        assert x[k].tobytes() == alone_x[0].tobytes()
+        assert nit[k] == alone_nit[0]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 3),
+       n_problems=st.integers(1, 4), fixed_povm=st.booleans(),
+       placements=st.lists(st.sampled_from(["pre", "post"]), min_size=1, max_size=2))
+def test_a_lockstep_batch_of_problems_solves_each_as_alone(seed, dim, n_problems, fixed_povm,
+                                                          placements):
+    rng = np.random.default_rng(seed)
+    space = ContextSpace(dim, povm=random_projective_povm(rng, dim) if fixed_povm else None)
+    problems = []
+    for _ in range(n_problems):
+        family = UnitaryFamily(random_hermitian(rng, dim))
+        for placement in placements:
+            family = family.with_channel(random_channel(rng, dim, int(rng.integers(1, 3))),
+                                         placement)
+        problems.append((family, float(rng.uniform(-1.0, 1.0)), int(rng.integers(1000))))
+    together = _maximize_fisher_many(space, problems, 2, 60)
+    for (family, theta, opt_seed), result in zip(problems, together):
+        alone = maximize_fisher(family, space, theta, restarts=2, seed=opt_seed, maxiter=60)
+        assert result.best_value == alone.best_value
+        assert result.best_state.mat.tobytes() == alone.best_state.mat.tobytes()
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), n_nodes=st.integers(1, 3),
+       measurement=st.sampled_from(["sld", "fixed", "per-row"]),
+       placements=st.lists(st.sampled_from(["pre", "post"]), max_size=2))
+def test_each_row_of_a_stacked_score_matches_its_score_alone(seed, dim, n_nodes, measurement,
+                                                           placements):
+    rng = np.random.default_rng(seed)
+    families = []
+    for _ in range(3):
+        family = UnitaryFamily(random_hermitian(rng, dim))
+        for placement in placements:
+            family = family.with_channel(random_channel(rng, dim, 2), placement)
+        families.append(family)
+    nodes = [rng.uniform(-1.0, 1.0, size=1 if measurement == "sld" else n_nodes)
+             for _ in families]
+    score = context_objective(families, nodes, np.full(len(nodes[0]), 1.0 / len(nodes[0])))
+    space = ContextSpace(dim)
+    params = rng.uniform(-np.pi, np.pi, size=(12, space.n_params))
+    states, effects = space.decode_stack(params)
+    povm = {"sld": None, "fixed": random_projective_povm(rng, dim), "per-row": effects}[measurement]
+    problems = rng.integers(len(families), size=12)
+    values, ok = score(problems, states, povm)
+    for i in range(12):
+        alone = povm[i:i + 1] if measurement == "per-row" else povm
+        value, defined = score(problems[i:i + 1], states[i:i + 1], alone)
+        assert ok[i] == defined[0]
+        assert abs(values[i] - value[0]) <= 1e-12 * max(1.0, abs(value[0]))
+
+
+def retrace_scipy(objective, x0s, maxiter):
+    """Check a lockstep batch against scipy's run of each start alone: it
+    ends where they end, or raises what the first start to raise raises.
+    Returns how often a stacked call raised in a batch that still ended,
+    and whether the batch raised."""
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    expected = []
+    for x0 in x0s:
+        try:
+            ref = minimize(lambda v: objective(v[None], None)[0], x0, method="Nelder-Mead",
+                           options={"maxiter": maxiter, "fatol": VALUE_SPREAD_TOL,
+                                    "xatol": np.inf})
+            expected.append((ref.x.tobytes(), ref.nit))
+        except (ValueError, FisherinfoError) as exc:
+            expected.append(exc)
+    stacked_raises = 0
+
+    def counted(x, rows):
+        nonlocal stacked_raises
+        try:
+            return objective(x, rows)
+        except Exception:
+            stacked_raises += len(x) > 1
+            raise
+
+    first = next((e for e in expected if isinstance(e, Exception)), None)
+    if first is not None:
+        with pytest.raises(type(first)) as raised:
+            nelder_mead(counted, x0s, maxiter)
+        assert str(raised.value) == str(first)
+        return 0, True
+    x, nit = nelder_mead(counted, x0s, maxiter)
+    assert [(xk.tobytes(), nk) for xk, nk in zip(x, nit)] == expected
+    return stacked_raises, False
+
+
+def walled(f, wall):
+    """f, raising at any point whose first coordinate is past ``wall``."""
+
+    def g(x, rows=None):
+        past = x[:, 0] > wall
+        if past.any():
+            raise ValueError(f"point {x[past][0].tolist()!r} is past the wall")
+        return f(x)
+
+    return g
+
+
+def test_only_points_scipy_evaluates_can_end_the_search():
+    minimize = pytest.importorskip("scipy.optimize").minimize
+    spared = raised = 0
+    for seed in range(12):
+        n = 1 + seed % 3
+        f = smooth(seed, n)
+        x0s = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(3, n))
+        visited = []
+        for x0 in x0s:
+            minimize(lambda v: visited.append(v[0]) or f(v[None])[0], x0, method="Nelder-Mead",
+                     options={"maxiter": 200, "fatol": VALUE_SPREAD_TOL, "xatol": np.inf})
+        # a wall just past every point scipy visits, and one it runs into
+        for wall in (max(visited), float(np.median(visited))):
+            more, hit = retrace_scipy(walled(f, wall), x0s, 200)
+            spared, raised = spared + more, raised + hit
+    assert spared > 0 and raised > 0
+
+
+def test_a_marginal_fixed_povm_raises_only_where_scipy_does():
+    # effects that sum to I + 6e-11 J (J all ones) pass validation, but the
+    # Born sum misses 1 by up to 1.2e-10, more than its tolerance, on a cap
+    # of states
+    rng = np.random.default_rng(0)
+    basis = np.linalg.eigh(random_hermitian(rng, 2))[1]
+    povm = Povm([e + 3e-11 * np.ones((2, 2)) for e in projective_povm(basis).effects])
+    space = ContextSpace(2, povm=povm)
+    score = context_objective([UnitaryFamily(random_hermitian(rng, 2))], [[0.3]], [1.0])
+
+    def objective(x, rows):
+        values, ok = score(np.zeros(len(x), dtype=int),
+                           pure_projectors(space.decode_amplitudes(x)), povm)
+        return np.where(ok, -values, 0.0)
+
+    spared = raised = 0
+    for seed in range(8):
+        x0s = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(2, 2))
+        more, hit = retrace_scipy(objective, x0s, 200)
+        spared, raised = spared + more, raised + hit
+    assert spared > 0 and raised > 0
+
+
+@pytest.mark.parametrize("n_problems, n_nodes", [(1, 201), (2, 21)])
+def test_scoring_holds_a_bounded_number_of_rows_at_dim_8(n_problems, n_nodes):
+    rng = np.random.default_rng(8)
+    families = [UnitaryFamily(random_hermitian(rng, 8)).with_channel(random_channel(rng, 8, 2))
+                for _ in range(n_problems)]
+    score = context_objective(families, [rng.uniform(-1.0, 1.0, n_nodes) for _ in families],
+                              np.full(n_nodes, 1.0 / n_nodes))
+    # all rows at once would hold 30 MB of blocks, and a map copy per row
+    # 1.9 GB (one problem) or 260 MB (two)
+    rows = 48 if n_problems == 1 else 64
+    states = np.stack([random_pure_state(rng, 8).mat for _ in range(rows)])
+    problems = rng.integers(n_problems, size=rows)
+    povm = random_projective_povm(rng, 8)
+    tracemalloc.start()
+    try:
+        values, ok = score(problems, states, povm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all() and peak < SCORE_BYTES + (8 << 20)
+    first, _ = score(problems[:1], states[:1], povm)
+    assert abs(values[0] - first[0]) <= 1e-12 * first[0]
+
+
+def test_the_quantum_suite_searches_in_blocks_without_changing_a_trial(monkeypatch):
+    whole = [r.to_dict() for r in dpi.quantum_dpi_suite(5, seed=3)]
+    monkeypatch.setattr(dpi, "SEARCH_TRIALS", 2)
+    assert [r.to_dict() for r in dpi.quantum_dpi_suite(5, seed=3)] == whole

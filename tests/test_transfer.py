@@ -16,6 +16,13 @@ def random_amplitudes(rng, dim):
     return psi / np.linalg.norm(psi)
 
 
+def score_one(family, nodes, weights, state, povm):
+    """The context objective on a one-problem, one-row stack."""
+    values, ok = context_objective([family], [nodes], weights)(np.array([0]), state.mat[None], povm)
+    assert ok.tolist() == [True]
+    return float(values[0])
+
+
 def random_family(rng, dim, passes, placements):
     family = UnitaryFamily(random_hermitian(rng, dim), passes=passes)
     for placement in placements:
@@ -42,13 +49,12 @@ def test_transfer_map_reproduces_the_rebuilt_model(seed, dim, passes, placements
         assert np.max(np.abs(block - rows)) < 1e-12
 
     theta = float(thetas[0])
-    score = context_objective(family, [theta], [1.0])
     qfi = sld_solve(rebuilt, theta).qfi
-    assert abs(score((state, None)) - qfi) <= 1e-12 * qfi
+    assert abs(score_one(family, [theta], [1.0], state, None) - qfi) <= 1e-12 * qfi
 
     povm = random_projective_povm(rng, dim)
     value = classical_fisher(rebuilt, povm, theta).value
-    assert abs(score((state, povm)) - value) <= 1e-12 * value
+    assert abs(score_one(family, [theta], [1.0], state, povm) - value) <= 1e-12 * value
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)
@@ -66,5 +72,5 @@ def test_context_objective_over_a_prior_is_the_bayesian_information(seed, dim, p
     povm = random_projective_povm(rng, dim)
 
     value = bayesian_information(family.with_state(state), povm, prior)
-    score = context_objective(family, prior.nodes, prior.weights)((state, povm))
+    score = score_one(family, prior.nodes, prior.weights, state, povm)
     assert abs(score - value) <= 1e-12 * value
