@@ -5,12 +5,18 @@ nested lists of pairs.  A model document declares a unitary family
 (generator, initial state, pass count) and optionally a list of fixed
 channels to compose: "pre" channels act on the initial state and "post"
 channels after the dynamics, each kind in list order.
+
+Each matrix field (the generator, the initial state, a channel's Kraus
+list, a POVM's effect list) is read as one numpy array.  A field numpy
+cannot read whole goes to the per-entry walk (``matrix_from_pairs``,
+``vector_from_pairs``), which names the first bad entry.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 
 import numpy as np
 
@@ -24,9 +30,12 @@ def _complex_from_pair(v, where: str) -> complex:
             or not all(isinstance(x, (int, float)) for x in v)):
         raise DocumentError(f"{where}: expected an [re, im] pair, got {v!r}")
     try:
-        return complex(float(v[0]), float(v[1]))
+        re, im = float(v[0]), float(v[1])
     except OverflowError:
         raise DocumentError(f"{where}: an integer entry is too large for a float") from None
+    if not (math.isfinite(re) and math.isfinite(im)):
+        raise DocumentError(f"{where}: non-finite number in {v!r}")
+    return complex(re, im)
 
 
 def matrix_from_pairs(rows, dim: int, where: str) -> np.ndarray:
@@ -47,21 +56,66 @@ def vector_from_pairs(entries, dim: int, where: str) -> np.ndarray:
     return np.array([_complex_from_pair(v, f"{where}[{k}]") for k, v in enumerate(entries)])
 
 
+def walk_pairs(value, shape: tuple, where: str) -> np.ndarray:
+    """Read ``value`` entry by entry: the reference that names the first bad entry."""
+    if len(shape) == 1:
+        return vector_from_pairs(value, shape[0], where)
+    if len(shape) == 2:
+        return matrix_from_pairs(value, shape[0], where)
+    return np.array([matrix_from_pairs(m, shape[1], f"{where}[{k}]")
+                     for k, m in enumerate(value)])
+
+
+def _lists_above_pairs(value, depth: int) -> bool:
+    """Whether ``value`` and its elements down to ``depth`` levels are lists."""
+    level = [value]
+    for k in range(depth):
+        if not all(isinstance(x, list) for x in level):
+            return False
+        if k + 1 < depth:
+            level = list(chain.from_iterable(level))
+    return True
+
+
+def array_from_pairs(value, shape: tuple):
+    """``value`` as one complex array of ``shape``, or None for the walk to decide.
+
+    numpy must read the nested lists as finite real numbers of shape
+    ``shape + (2,)``.  The result is then bitwise the walk's
+    ``complex(float(re), float(im))`` for each pair.
+    """
+    if not _lists_above_pairs(value, len(shape)):
+        return None
+    try:
+        a = np.array(value)
+    except ValueError:  # ragged or deeper than numpy's 64 dimensions
+        return None
+    if a.dtype.kind not in "biuf" or a.shape != shape + (2,):
+        return None
+    a = np.ascontiguousarray(a, dtype=float)
+    if not np.isfinite(a).all():
+        return None
+    return a.view(complex)[..., 0]
+
+
+def read_pairs(value, shape: tuple, where: str) -> np.ndarray:
+    """Read a vector (d,), matrix (d, d) or matrix list (n, d, d) of pairs."""
+    a = array_from_pairs(value, shape)
+    return walk_pairs(value, shape, where) if a is None else a
+
+
 def pairs_from_matrix(a: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(a, dtype=complex)]
 
 
-def _finite_number(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite number {text}")
-    return value
+def _reject_constant(text: str):
+    raise ValueError(f"non-finite number {text}")
 
 
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
@@ -91,17 +145,20 @@ def model_from_document(doc: dict, where: str = "model") -> UnitaryFamily:
     except OverflowError:
         raise DocumentError(f"{where}: 'passes' is too large") from None
     try:
-        generator = matrix_from_pairs(doc.get("generator"), dim, f"{where}.generator")
-        amplitudes = vector_from_pairs(doc.get("initial_state"), dim, f"{where}.initial_state")
+        generator = read_pairs(doc.get("generator"), (dim, dim), f"{where}.generator")
+        amplitudes = read_pairs(doc.get("initial_state"), (dim,), f"{where}.initial_state")
+        compose = doc.get("compose", [])
+        if not isinstance(compose, list):
+            raise DocumentError(f"{where}: 'compose' must be a list")
         channels = []
-        for k, entry in enumerate(doc.get("compose", [])):
+        for k, entry in enumerate(compose):
             if not isinstance(entry, dict):
                 raise DocumentError(f"{where}.compose[{k}] must be an object")
             kraus_rows = entry.get("kraus")
             if not isinstance(kraus_rows, list) or not kraus_rows:
                 raise DocumentError(f"{where}.compose[{k}]: 'kraus' must be a nonempty list")
-            kraus = [matrix_from_pairs(m, dim, f"{where}.compose[{k}].kraus[{j}]")
-                     for j, m in enumerate(kraus_rows)]
+            kraus = read_pairs(kraus_rows, (len(kraus_rows), dim, dim),
+                               f"{where}.compose[{k}].kraus")
             channels.append((KrausChannel(kraus), entry.get("placement", "post")))
         return UnitaryFamily(generator, pure_state(amplitudes), passes, tuple(channels))
     except DocumentError:
@@ -115,8 +172,7 @@ def povm_from_document(doc: dict, where: str = "povm") -> Povm:
     effects_rows = doc.get("effects")
     if not isinstance(effects_rows, list) or not effects_rows:
         raise DocumentError(f"{where}: 'effects' must be a nonempty list")
-    effects = [matrix_from_pairs(m, dim, f"{where}.effects[{k}]")
-               for k, m in enumerate(effects_rows)]
+    effects = read_pairs(effects_rows, (len(effects_rows), dim, dim), f"{where}.effects")
     labels = doc.get("labels")
     if labels is not None and not (isinstance(labels, list)
                                    and all(type(x) is int for x in labels)):

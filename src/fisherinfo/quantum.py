@@ -17,7 +17,7 @@ from .errors import (
     NotNormalized,
     NotUnitary,
 )
-from .linalg import adjoint, as_complex_matrix, hermiticity_defect, identity
+from .linalg import adjoint, as_complex_matrix, identity
 
 STATE_HERMITIAN_ATOL = 1e-12
 STATE_TRACE_ATOL = 1e-10
@@ -106,21 +106,23 @@ class Povm:
             labels = tuple(int(x) for x in labels)
             if len(labels) != len(effects) or len(set(labels)) != len(labels):
                 raise InvalidPovm("labels must be distinct and match the effect count")
+        stack = np.stack(effects)
         if validate:
-            for k, e in enumerate(effects):
-                defect = hermiticity_defect(e)
-                if defect > POVM_ATOL:
-                    raise InvalidPovm(f"effect {k} is non-Hermitian by {defect:.3e}")
-                w = np.linalg.eigvalsh((e + adjoint(e)) / 2.0)
-                if w[0] < -POVM_ATOL:
-                    raise InvalidPovm(f"effect {k} has negative eigenvalue {w[0]:.3e}")
+            defects = np.max(np.abs(stack - adjoint(stack)), axis=(-2, -1))
+            lows = np.linalg.eigvalsh((stack + adjoint(stack)) / 2.0)[:, 0]
+            bad = np.flatnonzero((defects > POVM_ATOL) | (lows < -POVM_ATOL))
+            if bad.size:
+                k = int(bad[0])
+                if defects[k] > POVM_ATOL:
+                    raise InvalidPovm(f"effect {k} is non-Hermitian by {defects[k]:.3e}")
+                raise InvalidPovm(f"effect {k} has negative eigenvalue {lows[k]:.3e}")
             total = sum(effects)
             defect = float(np.max(np.abs(total - identity(dim))))
             if defect > POVM_ATOL:
                 raise InvalidPovm(f"effects sum deviates from identity by {defect:.3e}")
         self.effects = effects
         self.labels = labels
-        self.stack = np.stack(effects)
+        self.stack = stack
 
     @property
     def dim(self) -> int:

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from fisherinfo.linalg import PAULI_X, PAULI_Y, PAULI_Z
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import projective_povm, pure_state
+
+# Property tests run without a per-example deadline (numpy's first calls are
+# slow) and draw the same examples on every run, so a failure reproduces.
+settings.register_profile("fisherinfo", deadline=None, derandomize=True)
+settings.load_profile("fisherinfo")
 
 _acceptance_lines = []
 

@@ -173,16 +173,58 @@ def test_malformed_document_exits_2(capsys, tmp_path, x_povm_file):
     assert err.startswith("error:2:")
 
 
-@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
-def test_non_finite_number_in_a_document_exits_2(capsys, tmp_path, x_povm_file, constant):
-    path = tmp_path / "nan_model.json"
-    path.write_text(
-        '{"dim": 2, "kind": "unitary", '
-        f'"generator": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{constant}, 0.0]]], '
-        '"initial_state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}'
-    )
-    for argv in (["fisher", "--povm", x_povm_file], ["qfi"]):
-        code, out, err = run_cli(capsys, argv + ["--model", str(path), "--theta", "0.3"])
+_PAIRS_1 = "[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]"
+_POSITIONS = {
+    # (model document or None, POVM document or None) with {c} where the
+    # number goes; each reads as a valid document with 0.0 in place of {c}
+    "generator": ('{{"dim": 2, "kind": "unitary", '
+                  '"generator": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [{c}, 0.0]]], '
+                  '"initial_state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}}',
+                  None),
+    "initial_state": ('{{"dim": 2, "kind": "unitary", '
+                      f'"generator": [{_PAIRS_1}], '
+                      '"initial_state": [[0.7071067811865476, 0.0], [0.7071067811865476, {c}]]}}',
+                      None),
+    "kraus": ('{{"dim": 2, "kind": "unitary", '
+              f'"generator": [{_PAIRS_1}], '
+              '"initial_state": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]], '
+              '"compose": [{{"kraus": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, {c}]]]], '
+              '"placement": "pre"}}]}}',
+              None),
+    "effect": (None,
+               '{{"dim": 2, "effects": [[[[0.5, 0.0], [0.5, 0.0]], [[0.5, 0.0], [0.5, 0.0]]], '
+               '[[[0.5, 0.0], [-0.5, {c}]], [[-0.5, 0.0], [0.5, 0.0]]]]}}'),
+}
+
+
+@pytest.mark.parametrize("constant, position", [
+    pytest.param("NaN", "generator", id="NaN"),
+    pytest.param("Infinity", "generator", id="Infinity"),
+    pytest.param("-Infinity", "generator", id="-Infinity"),
+    pytest.param("1e999", "generator", id="1e999"),
+    pytest.param("1e999", "initial_state", id="1e999-initial_state"),
+    pytest.param("1e999", "kraus", id="1e999-kraus"),
+    pytest.param("-1e999", "effect", id="-1e999-effect"),
+    pytest.param("1e999", "effect", id="1e999-effect"),
+])
+def test_non_finite_number_in_a_document_exits_2(capsys, tmp_path, model_file, x_povm_file,
+                                                  constant, position):
+    model_text, povm_text = _POSITIONS[position]
+
+    def runs(number):
+        if model_text is None:
+            povm = tmp_path / "povm.json"
+            povm.write_text(povm_text.format(c=number))
+            return [["fisher", "--model", model_file, "--povm", str(povm)]]
+        model = tmp_path / "model.json"
+        model.write_text(model_text.format(c=number))
+        return [["fisher", "--povm", x_povm_file, "--model", str(model)],
+                ["qfi", "--model", str(model)]]
+
+    for argv in runs("0.0"):
+        assert run_cli(capsys, argv + ["--theta", "0.3"])[0] == 0
+    for argv in runs(constant):
+        code, out, err = run_cli(capsys, argv + ["--theta", "0.3"])
         assert code == 2
         assert out == ""
         assert err.startswith("error:2:")

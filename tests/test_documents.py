@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fisherinfo import documents
 from fisherinfo.documents import (
+    array_from_pairs,
     load_model_document,
     load_povm_document,
     matrix_from_pairs,
@@ -11,14 +14,17 @@ from fisherinfo.documents import (
     pairs_from_matrix,
     povm_from_document,
     povm_to_document,
+    read_pairs,
     state_to_pairs,
+    walk_pairs,
 )
 from fisherinfo.cli import main
 from fisherinfo.errors import DocumentError
 from fisherinfo.fisher import classical_fisher, sld_solve
 from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.quantum import KrausChannel, apply_channel, projective_povm, pure_state
+from fisherinfo.quantum import KrausChannel, Povm, apply_channel, projective_povm, pure_state
+from fisherinfo.sampling import random_channel, random_hermitian, random_unitary
 
 
 def model_doc(**overrides):
@@ -117,6 +123,9 @@ def test_fisher_and_qfi_apply_pre_channels_in_list_order(capsys, tmp_path, order
     {"compose": [{"kraus": []}]},
     {"compose": [{"kraus": [pairs_from_matrix(np.eye(2))], "placement": "sideways"}]},
     {"compose": [{"kraus": [pairs_from_matrix(0.5 * np.eye(2))]}]},
+    {"compose": 5},
+    {"compose": None},
+    {"compose": {}},
 ])
 def test_model_document_rejects_corruptions(corruption):
     with pytest.raises(DocumentError):
@@ -184,3 +193,106 @@ def test_document_loading_failure_modes(tmp_path):
     toplevel.write_text("[1, 2, 3]")
     with pytest.raises(DocumentError):
         load_povm_document(str(toplevel))
+
+
+INT64 = (-2 ** 63, 2 ** 63 - 1)
+NUMBER_KINDS = {
+    "floats": st.floats(allow_nan=False, allow_infinity=False),  # -0.0 included
+    "ints": st.integers(-2 ** 70, 2 ** 70),  # beyond 2**53 and beyond int64
+    "bools": st.booleans(),
+}
+
+
+@st.composite
+def pair_fields(draw):
+    """A valid field: its shape (d,), (d, d) or (n, d, d) and its nested lists."""
+    d = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from([(d,), (d, d), (draw(st.integers(1, 3)), d, d)]))
+    kinds = draw(st.lists(st.sampled_from(sorted(NUMBER_KINDS)), min_size=1, max_size=3,
+                          unique=True))
+    numbers = st.one_of(*(NUMBER_KINDS[k] for k in kinds))
+
+    def build(rest):
+        if not rest:
+            return [draw(numbers), draw(numbers)]
+        return [build(rest[1:]) for _ in range(rest[0])]
+
+    return shape, build(shape)
+
+
+def _numbers(value):
+    if isinstance(value, list):
+        for x in value:
+            yield from _numbers(x)
+    else:
+        yield value
+
+
+@settings(max_examples=300)
+@given(pair_fields())
+def test_array_path_equals_the_walk_bitwise(field):
+    shape, value = field
+    walked = walk_pairs(value, shape, "field")
+    read = read_pairs(value, shape, "field")
+    assert read.dtype == walked.dtype == np.complex128
+    assert read.shape == walked.shape == shape
+    assert read.tobytes() == walked.tobytes()
+    if all(type(x) is not int or INT64[0] <= x <= INT64[1] for x in _numbers(value)):
+        assert array_from_pairs(value, shape) is not None
+
+
+PAIR_CORRUPTIONS = ["x", None, {}, 1.0, [1.0], [1.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]],
+                    [float("inf"), 0.0], [0.0, float("-inf")], [10 ** 400, 0],
+                    ["1", 0.0], [None, 0.0], [{}, 1.0]]
+
+
+@settings(max_examples=300)
+@given(pair_fields(), st.data())
+def test_corrupted_field_raises_the_walks_error(field, data):
+    shape, value = field
+    path = [data.draw(st.integers(0, shape[0] - 1))]
+    for size in shape[1:]:
+        if data.draw(st.booleans()):
+            break
+        path.append(data.draw(st.integers(0, size - 1)))
+    parent = value
+    for k in path[:-1]:
+        parent = parent[k]
+    old = parent[path[-1]]
+    if len(path) == len(shape):
+        bad = data.draw(st.sampled_from(PAIR_CORRUPTIONS))
+    else:  # a level above the pairs: ragged, too shallow, not a list
+        bad = data.draw(st.sampled_from([old[:-1], old + old[:1], old[0], tuple(old), "x", None,
+                                         {}, float("inf")]))
+    parent[path[-1]] = bad
+    with pytest.raises(DocumentError) as walked:
+        walk_pairs(value, shape, "field")
+    with pytest.raises(DocumentError) as read:
+        read_pairs(value, shape, "field")
+    assert str(read.value) == str(walked.value)
+
+
+def test_loading_valid_documents_converts_no_pair_on_its_own(monkeypatch, tmp_path):
+    calls = []
+    per_pair = documents._complex_from_pair
+    monkeypatch.setattr(documents, "_complex_from_pair",
+                        lambda v, where: calls.append(where) or per_pair(v, where))
+    rng = np.random.default_rng(7)
+    amplitudes = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+    model = {
+        "dim": 8,
+        "kind": "unitary",
+        "generator": pairs_from_matrix(random_hermitian(rng, 8)),
+        "initial_state": pairs_from_matrix([amplitudes / np.linalg.norm(amplitudes)])[0],
+        "compose": [{"kraus": [pairs_from_matrix(k) for k in random_channel(rng, 8, 2).kraus],
+                     "placement": "pre"}],
+    }
+    halves = [e / 2.0 for _ in range(2) for e in projective_povm(random_unitary(rng, 8)).effects]
+    model_path, povm_path = tmp_path / "model.json", tmp_path / "povm.json"
+    model_path.write_text(json.dumps(model))
+    povm_path.write_text(json.dumps(povm_to_document(Povm(halves))))
+    assert load_model_document(str(model_path)).dim == 8
+    assert len(load_povm_document(str(povm_path))) == 16
+    assert calls == []
+    matrix_from_pairs(pairs_from_matrix(np.eye(2)), 2, "m")  # the walk still counts
+    assert len(calls) == 4

@@ -76,7 +76,7 @@ PROBABILITY = st.one_of(st.just(0.0), st.floats(0.0, 2 * P_FLOOR), st.floats(1e-
 DERIVATIVE = st.one_of(st.just(0.0), st.floats(-D_FLOOR, D_FLOOR), st.floats(-3.0, 3.0))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(data=st.data(), rows=st.integers(1, 4), outcomes=st.integers(1, 8),
        with_curvature=st.booleans())
 def test_stacked_outcome_scores_equal_the_outcome_loop(data, rows, outcomes, with_curvature):

@@ -181,7 +181,7 @@ def test_trajectory_needs_an_initial_state():
         UnitaryFamily(PAULI_Z).trajectory([0.1])
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4),
        placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3))
 def test_trajectory_invariants_with_random_channels(seed, dim, placements):

@@ -67,11 +67,29 @@ def test_maximally_mixed_is_uniform():
 def test_povm_rejects_incomplete_effects():
     with pytest.raises(InvalidPovm):
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])])
+    with pytest.raises(InvalidPovm, match=r"^effects sum deviates from identity by 2\.500e-01$"):
+        Povm([np.diag([0.5, 0.0]), np.diag([0.5, 0.0]), np.diag([0.0, 0.75])])
 
 
 def test_povm_rejects_negative_effect():
     with pytest.raises(InvalidPovm):
         Povm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+    with pytest.raises(InvalidPovm, match=r"^effect 2 has negative eigenvalue -2\.500e-01$"):
+        Povm([np.diag([0.5, 0.0]), np.diag([0.5, 0.5]), np.diag([0.0, -0.25]),
+              np.diag([0.0, 0.75])])
+
+
+def test_povm_names_the_first_failing_effect_hermiticity_first():
+    skew = np.array([[0.0, 1e-3], [0.0, 0.0]])
+    # effect 1 is non-Hermitian, effect 2 negative: effect 1 is named
+    with pytest.raises(InvalidPovm, match=r"^effect 1 is non-Hermitian by 1\.000e-03$"):
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]) + skew, np.diag([0.0, -0.5])])
+    # effect 1 is negative, effect 2 non-Hermitian: effect 1 is named
+    with pytest.raises(InvalidPovm, match=r"^effect 1 has negative eigenvalue -5\.000e-01$"):
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, -0.5]), np.diag([0.0, 1.5]) + skew])
+    # effect 2 is both: Hermiticity is named first
+    with pytest.raises(InvalidPovm, match=r"^effect 2 is non-Hermitian by 1\.000e-03$"):
+        Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.5]), np.diag([0.0, -0.5]) + skew])
 
 
 def test_povm_rejects_duplicate_labels():

@@ -95,7 +95,7 @@ def test_nelder_mead_stops_at_maxiter_or_on_the_value_spread():
     assert np.all(nit < 10_000)
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 5), starts=st.integers(1, 7),
        maxiter=st.integers(1, 120))
 def test_a_lockstep_batch_of_starts_runs_each_start_as_alone(seed, n, starts, maxiter):
@@ -108,7 +108,7 @@ def test_a_lockstep_batch_of_starts_runs_each_start_as_alone(seed, n, starts, ma
         assert nit[k] == alone_nit[0]
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+@settings(max_examples=15)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 3),
        n_problems=st.integers(1, 4), fixed_povm=st.booleans(),
        placements=st.lists(st.sampled_from(["pre", "post"]), min_size=1, max_size=2))
@@ -130,7 +130,7 @@ def test_a_lockstep_batch_of_problems_solves_each_as_alone(seed, dim, n_problems
         assert result.best_state.mat.tobytes() == alone.best_state.mat.tobytes()
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
+@settings(max_examples=20)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), n_nodes=st.integers(1, 3),
        measurement=st.sampled_from(["sld", "fixed", "per-row"]),
        placements=st.lists(st.sampled_from(["pre", "post"]), max_size=2))

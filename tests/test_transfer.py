@@ -30,7 +30,7 @@ def random_family(rng, dim, passes, placements):
     return family
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), passes=st.integers(1, 3),
        placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3),
        n_nodes=st.integers(1, 5))
@@ -57,7 +57,7 @@ def test_transfer_map_reproduces_the_rebuilt_model(seed, dim, passes, placements
     assert abs(score_one(family, [theta], [1.0], state, povm) - value) <= 1e-12 * value
 
 
-@settings(max_examples=30, deadline=None, derandomize=True)
+@settings(max_examples=30)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), passes=st.integers(1, 3),
        placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3),
        grid=st.integers(3, 41))
