@@ -22,8 +22,6 @@ from .dpi import (
     StochasticMap,
     classical_dpi_suite,
     postprocess_likelihood,
-    postprocessed_fisher,
-    pushforward_likelihood,
     quantum_dpi_suite,
 )
 from .errors import (
@@ -49,7 +47,7 @@ from .fisher import (
     sld_solve,
 )
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, eig_hermitian, unitary_exp
-from .models import KrausFamily, ParameterizedModel, UnitaryFamily
+from .models import ParameterizedModel, UnitaryFamily
 from .optimize import (
     ContextSpace,
     OptimizationResult,
@@ -59,14 +57,12 @@ from .optimize import (
 )
 from .quantum import (
     DensityMatrix,
-    DualChannel,
     KrausChannel,
     Povm,
     apply_channel,
+    apply_dual_matrix,
     born_probabilities,
     depolarizing_channel,
-    dual_channel,
-    dual_povm,
     maximally_mixed,
     projective_povm,
     pure_state,

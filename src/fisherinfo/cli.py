@@ -23,7 +23,7 @@ import numpy as np
 from . import bayes as bayes_mod
 from . import dpi as dpi_mod
 from . import fisher as fisher_mod
-from .bayes import bayes_risk, check_bcrb, parse_prior_spec
+from .bayes import check_bcrb, parse_prior_spec
 from .documents import (
     load_model_document,
     load_povm_document,

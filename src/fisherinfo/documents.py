@@ -26,8 +26,9 @@ from .quantum import DensityMatrix, KrausChannel, Povm, pure_state
 
 
 def _complex_from_pair(v, where: str) -> complex:
+    # JSON true and false are Python ints, but not numbers to the schema
     if (not isinstance(v, (list, tuple)) or len(v) != 2
-            or not all(isinstance(x, (int, float)) for x in v)):
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
         raise DocumentError(f"{where}: expected an [re, im] pair, got {v!r}")
     try:
         re, im = float(v[0]), float(v[1])
@@ -66,31 +67,35 @@ def walk_pairs(value, shape: tuple, where: str) -> np.ndarray:
                      for k, m in enumerate(value)])
 
 
-def _lists_above_pairs(value, depth: int) -> bool:
-    """Whether ``value`` and its elements down to ``depth`` levels are lists."""
+def _pair_level(value, depth: int):
+    """The elements ``depth`` levels below ``value``, or None where ``value``
+    or an element above them is not a list."""
     level = [value]
-    for k in range(depth):
+    for _ in range(depth):
         if not all(isinstance(x, list) for x in level):
-            return False
-        if k + 1 < depth:
-            level = list(chain.from_iterable(level))
-    return True
+            return None
+        level = list(chain.from_iterable(level))
+    return level
 
 
 def array_from_pairs(value, shape: tuple):
     """``value`` as one complex array of ``shape``, or None for the walk to decide.
 
     numpy must read the nested lists as finite real numbers of shape
-    ``shape + (2,)``.  The result is then bitwise the walk's
-    ``complex(float(re), float(im))`` for each pair.
+    ``shape + (2,)``, none of them a JSON boolean.  The result is then
+    bitwise the walk's ``complex(float(re), float(im))`` for each pair.
     """
-    if not _lists_above_pairs(value, len(shape)):
+    pairs = _pair_level(value, len(shape))
+    if pairs is None:
         return None
     try:
         a = np.array(value)
     except ValueError:  # ragged or deeper than numpy's 64 dimensions
         return None
-    if a.dtype.kind not in "biuf" or a.shape != shape + (2,):
+    if a.dtype.kind not in "iuf" or a.shape != shape + (2,):
+        return None
+    # numpy reads true and false next to a float as 1.0 and 0.0
+    if bool in set(map(type, chain.from_iterable(pairs))):
         return None
     a = np.ascontiguousarray(a, dtype=float)
     if not np.isfinite(a).all():
@@ -120,6 +125,8 @@ def _read_json(path: str) -> dict:
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError(f"{path} is nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise DocumentError(f"{path}: top level must be an object")
     return doc

@@ -15,15 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fisher import (
-    averaged_information,
-    information_from_outcomes,
-    outcome_trajectory,
-    sld_solve,
-)
+from .fisher import averaged_information, outcome_trajectory, sld_solve
 from .models import ParameterizedModel, UnitaryFamily
 from .optimize import ContextSpace, _maximize_fisher_many
-from .quantum import Povm, dual_channel
+from .quantum import Povm, apply_channel_matrix, apply_dual_matrix
 from .sampling import (
     random_channel,
     random_hermitian,
@@ -84,14 +79,6 @@ class StochasticMap:
 
 
 @dataclass
-class PushedDistribution:
-    """Post-processed outcome probabilities and their theta-derivative."""
-
-    probabilities: np.ndarray
-    derivatives: np.ndarray
-
-
-@dataclass
 class DpiTrialReport:
     trial: int
     seed: int
@@ -124,23 +111,6 @@ def _push(tmap: StochasticMap, povm: Povm, blocks) -> tuple:
             f"map expects {tmap.in_count} outcomes, POVM has {len(povm)}"
         )
     return tuple(tmap.push(block) for block in blocks)
-
-
-def pushforward_likelihood(model: ParameterizedModel, povm: Povm,
-                           tmap: StochasticMap, theta: float) -> PushedDistribution:
-    """Push the Born distribution and its derivative through a stochastic map.
-
-    The derivative is pushed linearly: d(T p) = T dp.
-    """
-    p, dp, _ = _push(tmap, povm, outcome_trajectory(model, povm, [theta]))
-    return PushedDistribution(probabilities=p[0], derivatives=dp[0])
-
-
-def postprocessed_fisher(model: ParameterizedModel, povm: Povm,
-                         tmap: StochasticMap, theta: float) -> float:
-    """Fisher information of the post-processed outcome distribution."""
-    p, dp, d2p = _push(tmap, povm, outcome_trajectory(model, povm, [theta]))
-    return information_from_outcomes(p[0], dp[0], d2p[0])
 
 
 def postprocess_likelihood(model: ParameterizedModel, povm: Povm,
@@ -237,11 +207,11 @@ def _quantum_report(trial: int, seed: int, draw, before, after) -> DpiTrialRepor
     sld_after = sld_solve(noisy.with_state(after.best_state), theta).qfi
 
     rho = bare.state_at(theta).mat
-    dual = dual_channel(channel)
-    pushed = sum(k @ rho @ np.conj(k.T) for k in channel.kraus)
+    pushed = apply_channel_matrix(channel, rho)
+    pulled = apply_dual_matrix(channel, after.best_povm.stack)
     dual_defect = max(
-        abs(np.trace(pushed @ e).real - np.trace(rho @ dual.apply(e)).real)
-        for e in after.best_povm.effects
+        abs(np.trace(pushed @ e).real - np.trace(rho @ f).real)
+        for e, f in zip(after.best_povm.effects, pulled)
     )
 
     violated = bool(
@@ -260,7 +230,6 @@ def _quantum_report(trial: int, seed: int, draw, before, after) -> DpiTrialRepor
 
 __all__ = [
     "CLASSICAL_TOL", "QUANTUM_TOL", "SLD_TOL", "DUAL_TOL",
-    "StochasticMap", "PushedDistribution", "DpiTrialReport",
-    "pushforward_likelihood", "postprocess_likelihood", "postprocessed_fisher",
+    "StochasticMap", "DpiTrialReport", "postprocess_likelihood",
     "classical_dpi_suite", "quantum_dpi_suite", "random_channel",
 ]

@@ -14,8 +14,6 @@ from .errors import DimensionMismatch, InvalidState
 from .linalg import adjoint, eig_hermitian, require_hermitian
 from .quantum import DensityMatrix, KrausChannel, apply_channel_matrix, checked_states
 
-FD_STEP = 1e-5  # central-difference step for families without analytic rules
-
 
 class ParameterizedModel:
     """Base class; concrete families implement ``trajectory``."""
@@ -133,32 +131,3 @@ class UnitaryFamily(ParameterizedModel):
                 rho, drho, d2rho = apply_channel_matrix(channel, np.stack((rho, drho, d2rho)))
         return rho, drho, d2rho
 
-
-class KrausFamily(ParameterizedModel):
-    """rho(theta) = E_theta(rho0) for a theta-dependent Kraus channel.
-
-    ``kraus_at`` maps theta to a KrausChannel.  No analytic derivative is
-    assumed; central finite differences of the state serve instead, which
-    makes this family the finite-difference reference for analytic models.
-    """
-
-    def __init__(self, kraus_at, rho0: DensityMatrix):
-        if not isinstance(rho0, DensityMatrix):
-            raise InvalidState("rho0 must be a DensityMatrix")
-        self.kraus_at = kraus_at
-        self.rho0 = rho0
-
-    def _state(self, theta: float) -> np.ndarray:
-        return apply_channel_matrix(self.kraus_at(theta), self.rho0.mat)
-
-    def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        h = FD_STEP
-        thetas = np.asarray(thetas, dtype=float).reshape(-1)
-        rho = np.stack([self._state(t) for t in thetas])
-        hi = np.stack([self._state(t + h) for t in thetas])
-        lo = np.stack([self._state(t - h) for t in thetas])
-        d = (hi - lo) / (2.0 * h)
-        # symmetrize away the last bits of roundoff
-        drho = (d + adjoint(d)) / 2.0
-        d2rho = (hi - 2.0 * rho + lo) / (h * h)
-        return rho, drho, (d2rho + adjoint(d2rho)) / 2.0

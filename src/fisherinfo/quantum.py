@@ -156,30 +156,6 @@ class KrausChannel:
         return self.kraus[0].shape[0]
 
 
-class DualChannel:
-    """The Heisenberg-picture dual of a Kraus channel.
-
-    Shares the channel's Kraus operators but acts as
-    A -> sum_j K_j^dag A K_j.  Unital rather than trace-preserving, so it
-    is a distinct type from KrausChannel.
-    """
-
-    __slots__ = ("kraus",)
-
-    def __init__(self, kraus):
-        self.kraus = tuple(kraus)
-
-    @property
-    def dim(self) -> int:
-        return self.kraus[0].shape[0]
-
-    def apply(self, a) -> np.ndarray:
-        m = as_complex_matrix(a, "operator")
-        if m.shape[0] != self.dim:
-            raise DimensionMismatch("operator dimension does not match the channel")
-        return sum(adjoint(k) @ m @ k for k in self.kraus)
-
-
 def apply_channel_matrix(channel: KrausChannel, a: np.ndarray) -> np.ndarray:
     """Linear action sum_j K_j A K_j^dag on a matrix or a stack (..., d, d).
 
@@ -187,30 +163,32 @@ def apply_channel_matrix(channel: KrausChannel, a: np.ndarray) -> np.ndarray:
     same linear map in both cases.  The operators are applied one at a time
     so a stack never grows by the Kraus count.
     """
+    m = _channel_operand(channel, a)
+    return sum(k @ m @ adjoint(k) for k in channel.kraus)
+
+
+def apply_dual_matrix(channel: KrausChannel, a: np.ndarray) -> np.ndarray:
+    """The Heisenberg dual sum_j K_j^dag A K_j on a matrix or a stack (..., d, d).
+
+    tr(E(rho) X) = tr(rho E^dag(X)), and E^dag is unital because the
+    channel's Kraus operators are complete; a POVM pulled back through it,
+    ``Povm(apply_dual_matrix(channel, povm.stack), povm.labels)``, is again
+    a POVM.
+    """
+    m = _channel_operand(channel, a)
+    return sum(adjoint(k) @ m @ k for k in channel.kraus)
+
+
+def _channel_operand(channel: KrausChannel, a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.shape[-2:] != (channel.dim, channel.dim):
         raise DimensionMismatch("operator dimension does not match the channel")
-    return sum(k @ m @ adjoint(k) for k in channel.kraus)
+    return m
 
 
 def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     """Apply a channel to a state, returning a validated state."""
     return DensityMatrix(apply_channel_matrix(channel, rho.mat))
-
-
-def dual_channel(channel: KrausChannel) -> DualChannel:
-    """Heisenberg dual satisfying tr(E(rho) X) = tr(rho E^dag(X))."""
-    dual = DualChannel(channel.kraus)
-    defect = float(np.max(np.abs(dual.apply(identity(channel.dim)) - identity(channel.dim))))
-    if defect > CHANNEL_ATOL:
-        # cannot happen for a valid KrausChannel; guards hand-built inputs
-        raise InvalidChannel(f"dual is not unital, defect {defect:.3e}")
-    return dual
-
-
-def dual_povm(dual: DualChannel, povm: Povm) -> Povm:
-    """Pull a POVM back through the dual map; the result is again a POVM."""
-    return Povm([dual.apply(e) for e in povm.effects], povm.labels)
 
 
 def _effect_stack(povm, dim: int) -> np.ndarray:

@@ -29,12 +29,12 @@ from fisherinfo.fisher import (
 )
 from fisherinfo.errors import SingularOutcome
 from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
-from fisherinfo.models import KrausFamily, UnitaryFamily
+from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import (
     KrausChannel,
     apply_channel_matrix,
+    apply_dual_matrix,
     depolarizing_channel,
-    dual_channel,
     unitary_channel,
 )
 from fisherinfo.sampling import (
@@ -44,6 +44,8 @@ from fisherinfo.sampling import (
     random_projective_povm,
     random_pure_state,
 )
+
+from finite_difference import KrausFamily, fd_state_derivative
 
 THETAS = (0.0, 0.4, 1.2)
 
@@ -110,7 +112,7 @@ def test_criterion_05_dual_channel_identity(acceptance_log):
         rho = random_full_rank_state(rng, dim).mat
         effect = random_projective_povm(rng, dim).effects[int(rng.integers(dim))]
         lhs = np.trace(apply_channel_matrix(channel, rho) @ effect).real
-        rhs = np.trace(rho @ dual_channel(channel).apply(effect)).real
+        rhs = np.trace(rho @ apply_dual_matrix(channel, effect)).real
         worst = max(worst, abs(lhs - rhs))
     ok = worst < 1e-12
     assert acceptance_log(
@@ -226,12 +228,6 @@ def test_criterion_08_bayesian_layer(acceptance_log, base_model, z_basis_povm):
         f"BCRB held on {holds}/{len(configs)} configs, min margin = "
         f"{min_margin:.3f}, min J = {min_j:.1f}",
     )
-
-
-def fd_state_derivative(model, theta: float, h: float = 1e-5) -> np.ndarray:
-    hi = model.state_at(theta + h).mat
-    lo = model.state_at(theta - h).mat
-    return (hi - lo) / (2.0 * h)
 
 
 def test_criterion_09_derivative_hygiene(acceptance_log, base_model, multipass_model, plus_state):

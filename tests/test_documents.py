@@ -193,13 +193,27 @@ def test_document_loading_failure_modes(tmp_path):
     toplevel.write_text("[1, 2, 3]")
     with pytest.raises(DocumentError):
         load_povm_document(str(toplevel))
+    # nesting deeper than the JSON parser's recursion limit
+    deep = "[" * 100_000 + "]" * 100_000
+    deep_model = tmp_path / "deep_model.json"
+    deep_model.write_text(json.dumps(model_doc(generator=None)).replace("null", deep))
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        load_model_document(str(deep_model))
+    deep_povm = tmp_path / "deep_povm.json"
+    deep_povm.write_text('{"dim": 2, "effects": ' + deep + "}")
+    with pytest.raises(DocumentError, match="nested too deeply"):
+        load_povm_document(str(deep_povm))
+    # a JSON boolean is not a number, even where numpy would read it as one
+    flagged = tmp_path / "bool.json"
+    flagged.write_text(json.dumps(model_doc()).replace("[1.0, 0.0]", "[true, 0.0]", 1))
+    with pytest.raises(DocumentError, match=r"generator\[0\]\[0\].*\[True, 0.0\]"):
+        load_model_document(str(flagged))
 
 
 INT64 = (-2 ** 63, 2 ** 63 - 1)
 NUMBER_KINDS = {
     "floats": st.floats(allow_nan=False, allow_infinity=False),  # -0.0 included
     "ints": st.integers(-2 ** 70, 2 ** 70),  # beyond 2**53 and beyond int64
-    "bools": st.booleans(),
 }
 
 
@@ -243,7 +257,8 @@ def test_array_path_equals_the_walk_bitwise(field):
 
 PAIR_CORRUPTIONS = ["x", None, {}, 1.0, [1.0], [1.0, 0.0, 0.0], [[1.0, 0.0], [0.0, 0.0]],
                     [float("inf"), 0.0], [0.0, float("-inf")], [10 ** 400, 0],
-                    ["1", 0.0], [None, 0.0], [{}, 1.0]]
+                    ["1", 0.0], [None, 0.0], [{}, 1.0], [True, 0.0], [0.0, False],
+                    [False, True]]
 
 
 @settings(max_examples=300)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fisherinfo.errors import DimensionMismatch, InvalidState, NotHermitian
 from fisherinfo.fisher import classical_fisher, sld_solve
 from fisherinfo.linalg import PAULI_X, PAULI_Z, adjoint
-from fisherinfo.models import KrausFamily, UnitaryFamily
+from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import (
     KrausChannel,
     apply_channel,
@@ -21,11 +21,7 @@ from fisherinfo.sampling import (
     random_projective_povm,
 )
 
-
-def fd_derivative(model, theta, h=1e-5):
-    hi = model.state_at(theta + h).mat
-    lo = model.state_at(theta - h).mat
-    return (hi - lo) / (2.0 * h)
+from finite_difference import KrausFamily, fd_state_derivative
 
 
 def test_base_state_closed_form(base_model):
@@ -49,7 +45,7 @@ def test_derivative_is_hermitian_and_traceless(base_model):
 def test_derivative_matches_finite_difference_builtin(base_model, multipass_model):
     for model in (base_model, multipass_model):
         for theta in (0.0, 0.3, 1.1):
-            err = np.max(np.abs(model.derivative_at(theta) - fd_derivative(model, theta)))
+            err = np.max(np.abs(model.derivative_at(theta) - fd_state_derivative(model, theta)))
             assert err < 1e-6
 
 
@@ -108,7 +104,7 @@ def test_compose_post_applies_channel_to_derivative(base_model):
     u = channel.kraus[0]
     expect = u @ base_model.derivative_at(theta) @ adjoint(u)
     assert np.max(np.abs(wrapped.derivative_at(theta) - expect)) < 1e-12
-    err = np.max(np.abs(wrapped.derivative_at(theta) - fd_derivative(wrapped, theta)))
+    err = np.max(np.abs(wrapped.derivative_at(theta) - fd_state_derivative(wrapped, theta)))
     assert err < 1e-6
 
 
@@ -148,7 +144,7 @@ def test_random_families_match_finite_differences():
             int(rng.integers(1, 4)),
         )
         theta = float(rng.uniform(-1.0, 1.0))
-        err = np.max(np.abs(model.derivative_at(theta) - fd_derivative(model, theta)))
+        err = np.max(np.abs(model.derivative_at(theta) - fd_state_derivative(model, theta)))
         assert err < 1e-6
         assert abs(np.trace(model.derivative_at(theta))) < 1e-10
 

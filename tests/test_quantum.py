@@ -15,10 +15,9 @@ from fisherinfo.quantum import (
     KrausChannel,
     Povm,
     apply_channel,
+    apply_dual_matrix,
     born_probabilities,
     depolarizing_channel,
-    dual_channel,
-    dual_povm,
     maximally_mixed,
     projective_povm,
     pure_state,
@@ -147,8 +146,8 @@ def test_channels_preserve_valid_states():
 def test_dual_channel_is_unital():
     rng = np.random.default_rng(8)
     for _ in range(50):
-        dual = dual_channel(random_channel(rng, 3, 2))
-        assert np.max(np.abs(dual.apply(np.eye(3)) - np.eye(3))) < 1e-10
+        dual = apply_dual_matrix(random_channel(rng, 3, 2), np.eye(3))
+        assert np.max(np.abs(dual - np.eye(3))) < 1e-10
 
 
 def test_dual_channel_pairing_identity():
@@ -159,10 +158,9 @@ def test_dual_channel_pairing_identity():
         rho = random_full_rank_state(rng, dim)
         povm = random_projective_povm(rng, dim)
         pushed = apply_channel(channel, rho)
-        dual = dual_channel(channel)
         for e in povm.effects:
             lhs = np.trace(pushed.mat @ e).real
-            rhs = np.trace(rho.mat @ dual.apply(e)).real
+            rhs = np.trace(rho.mat @ apply_dual_matrix(channel, e)).real
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -170,7 +168,7 @@ def test_dual_povm_is_a_valid_povm():
     rng = np.random.default_rng(10)
     channel = random_channel(rng, 2, 3)
     povm = random_projective_povm(rng, 2)
-    back = dual_povm(dual_channel(channel), povm)
+    back = Povm(apply_dual_matrix(channel, povm.stack), povm.labels)
     assert isinstance(back, Povm)
     assert back.labels == povm.labels
 
