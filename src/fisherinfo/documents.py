@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from itertools import chain
 
 import numpy as np
@@ -25,17 +26,23 @@ from .models import UnitaryFamily
 from .quantum import DensityMatrix, KrausChannel, Povm, pure_state
 
 
+def _shown(v) -> str:
+    """``v``'s repr for a one-line error, cut to at most 60 characters."""
+    text = reprlib.repr(v)  # bounded depth and length, unlike repr
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _complex_from_pair(v, where: str) -> complex:
     # JSON true and false are Python ints, but not numbers to the schema
     if (not isinstance(v, (list, tuple)) or len(v) != 2
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-        raise DocumentError(f"{where}: expected an [re, im] pair, got {v!r}")
+        raise DocumentError(f"{where}: expected an [re, im] pair, got {_shown(v)}")
     try:
         re, im = float(v[0]), float(v[1])
     except OverflowError:
         raise DocumentError(f"{where}: an integer entry is too large for a float") from None
     if not (math.isfinite(re) and math.isfinite(im)):
-        raise DocumentError(f"{where}: non-finite number in {v!r}")
+        raise DocumentError(f"{where}: non-finite number in {_shown(v)}")
     return complex(re, im)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DerivativeOffSupport, SingularOutcome
 from .linalg import adjoint
-from .models import ParameterizedModel
+from .models import ParameterizedModel, UnitaryFamily
 from .quantum import Povm, born_probabilities, outcome_traces, projective_povm
 
 P_FLOOR = 1e-12       # probabilities at or below this count as zero
@@ -83,9 +83,13 @@ def outcome_trajectory(model: ParameterizedModel, povm: Povm, thetas):
     """Born probabilities p and their first two theta-derivatives.
 
     Returns (p, dp, d2p), each shaped (len(thetas), len(povm)).  Derivatives
-    come from the model's trajectory; they are never re-differenced from
-    probabilities.
+    are analytic; they are never re-differenced from probabilities.  A
+    UnitaryFamily with fewer effects than nodes pulls the effects back
+    (``pulled_back_outcomes``); otherwise the states are pushed forward
+    (``trajectory``) and traced against the effects.
     """
+    if isinstance(model, UnitaryFamily) and len(povm) < len(thetas):
+        return model.pulled_back_outcomes(povm, thetas)
     return outcome_blocks(povm, *model.trajectory(thetas))
 
 

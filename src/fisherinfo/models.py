@@ -1,9 +1,10 @@
 """Parameterized families of quantum states theta -> rho(theta).
 
 Each model exposes one kernel, ``trajectory``: the state and its first two
-theta-derivatives, stacked over a vector of theta values.  Information
-functionals always consume the model's own derivatives; they never
-re-difference.
+theta-derivatives, stacked over a vector of theta values.  ``UnitaryFamily``
+also gives Born probabilities and their derivatives on a theta grid with the
+effects pulled back (``pulled_back_outcomes``).  Information functionals
+always consume the model's own derivatives; they never re-difference.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidState
 from .linalg import adjoint, eig_hermitian, require_hermitian
-from .quantum import DensityMatrix, KrausChannel, apply_channel_matrix, checked_states
+from .quantum import (DensityMatrix, KrausChannel, _effect_stack, apply_channel_matrix,
+                      apply_dual_matrix, checked_probabilities, checked_states)
 
 
 class ParameterizedModel:
@@ -96,9 +98,35 @@ class UnitaryFamily(ParameterizedModel):
         return (v * phases[..., None, :]) @ adjoint(v)
 
     def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._evolve(self._prepared(), np.asarray(thetas, dtype=float).reshape(-1))
+
+    def _prepared(self) -> np.ndarray:
         if self._input is None:
             raise InvalidState("the model has no initial state; bind one with with_state")
-        return self._evolve(self._input.mat, np.asarray(thetas, dtype=float).reshape(-1))
+        return self._input.mat
+
+    def pulled_back_outcomes(self, povm, thetas):
+        """(p, dp, d2p), each (len(thetas), outcomes), in the Heisenberg picture.
+
+        The effects F_x are pulled back once through the "post" channels'
+        duals, last channel first.  In the generator's eigenbasis
+        rho(theta)_ab = exp(-i theta D_ab) rho_ab with D_ab = passes (w_a - w_b),
+        so every node is one row of phases times the coefficients rho_ab F_x,ba.
+        ``trajectory`` traced against the effects gives the same up to rounding.
+        """
+        rho = self._prepared()
+        effects = _effect_stack(povm, self.dim)
+        for channel, placement in reversed(self.channels):
+            if placement == "post":
+                effects = apply_dual_matrix(channel, effects)
+        w, v = self._gen_eig
+        vh = adjoint(v)
+        coeffs = (vh @ rho @ v) * np.swapaxes(vh @ effects @ v, -1, -2)
+        diffs = (self.passes * (w[:, None] - w[None, :])).reshape(-1)
+        phases = np.exp(-1j * np.asarray(thetas, dtype=float).reshape(-1, 1) * diffs)
+        rows = np.concatenate((phases, -1j * diffs * phases, -(diffs * diffs) * phases))
+        p, dp, d2p = (rows @ coeffs.reshape(len(effects), -1).T).real.reshape(3, len(phases), -1)
+        return checked_probabilities(p), dp, d2p
 
     def transfer(self, thetas) -> np.ndarray:
         """The linear map from a prepared input to (rho, d rho, d2 rho) at each theta.

@@ -217,7 +217,12 @@ def born_probabilities(rho: DensityMatrix | np.ndarray, povm) -> np.ndarray:
     ``povm`` as for ``outcome_traces``; every row of the result must sum to 1.
     """
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    p = outcome_traces(mat, povm)
+    return checked_probabilities(outcome_traces(mat, povm))
+
+
+def checked_probabilities(p: np.ndarray) -> np.ndarray:
+    """Born probability rows (..., outcomes) clamped at 0; a probability below
+    BORN_CLAMP or a row sum off 1 by more than BORN_SUM_ATOL raises InvalidPovm."""
     if np.min(p) < BORN_CLAMP:
         raise InvalidPovm(f"probability {np.min(p):.3e} below clamp floor")
     p = np.clip(p, 0.0, None)

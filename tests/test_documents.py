@@ -182,7 +182,7 @@ def test_document_loading_from_files(tmp_path):
     assert load_povm_document(str(povm_path)).dim == 2
 
 
-def test_document_loading_failure_modes(tmp_path):
+def test_document_loading_failure_modes(tmp_path, capsys):
     with pytest.raises(DocumentError):
         load_model_document(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
@@ -208,6 +208,25 @@ def test_document_loading_failure_modes(tmp_path):
     flagged.write_text(json.dumps(model_doc()).replace("[1.0, 0.0]", "[true, 0.0]", 1))
     with pytest.raises(DocumentError, match=r"generator\[0\]\[0\].*\[True, 0.0\]"):
         load_model_document(str(flagged))
+    # a bad entry is shown cut short: one stderr line of at most 200 bytes plus the path
+    zeros = [[[0.0, 0.0]] * 64] * 64
+    big_model = tmp_path / "big_model.json"
+    big_model.write_text(json.dumps(model_doc()).replace("[1.0, 0.0]", json.dumps(zeros), 1))
+    nested = tmp_path / "nested_model.json"
+    nested.write_text(json.dumps(model_doc()).replace("[1.0, 0.0]", "[" * 900 + "]" * 900, 1))
+    big_povm = tmp_path / "big_povm.json"
+    big_povm.write_text(json.dumps(povm_to_document(projective_povm(np.eye(2))))
+                        .replace("[1.0, 0.0]", json.dumps(zeros), 1))
+    good_model = tmp_path / "good_model.json"
+    good_model.write_text(json.dumps(model_doc()))
+    for argv, path in [(["qfi", "--model", str(big_model)], big_model),
+                       (["qfi", "--model", str(nested)], nested),
+                       (["fisher", "--model", str(good_model), "--povm", str(big_povm)], big_povm)]:
+        capsys.readouterr()
+        assert main(argv + ["--theta", "0.3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(path) in err and "[0][0]" in err
+        assert len(err.encode()) <= 200 + len(str(path).encode())
 
 
 INT64 = (-2 ** 63, 2 ** 63 - 1)
