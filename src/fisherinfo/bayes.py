@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DocumentError, ZeroEvidence
+from .errors import DocumentError, ZeroEvidence, _cut, _shown
 from .fisher import averaged_information, outcome_trajectory
 from .models import ParameterizedModel
 from .quantum import Povm
@@ -121,8 +121,9 @@ def parse_prior_spec(spec: str, n: int = DEFAULT_GRID) -> PriorGrid:
         if kind == "gauss" and len(args) == 4:
             return gaussian_prior(args[0], args[1], args[2], args[3], n)
     except ValueError as exc:
-        raise DocumentError(f"bad prior spec {spec!r}: {exc}") from None
-    raise DocumentError(f"bad prior spec {spec!r}; expected uniform:a,b or gauss:mu,sigma,a,b")
+        raise DocumentError(f"bad prior spec {_shown(spec)}: {_cut(str(exc))}") from None
+    raise DocumentError(f"bad prior spec {_shown(spec)}; "
+                        "expected uniform:a,b or gauss:mu,sigma,a,b")
 
 
 def likelihood_table(model: ParameterizedModel, povm: Povm, nodes) -> np.ndarray:

@@ -37,13 +37,17 @@ from .errors import (
     SingularOutcome,
 )
 from .fisher import bayesian_information, classical_fisher, sld_solve
-from .optimize import VALUE_SPREAD_TOL, ContextSpace, circumvention_report, maximize_fisher
+from .optimize import (DEFAULT_RESTARTS, VALUE_SPREAD_TOL, ContextSpace, circumvention_report,
+                       maximize_fisher)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_SINGULAR = 4
 EXIT_VIOLATION = 5
+
+# the classical score's floors, as the reports' tolerances echo them
+_FLOORS = {"p_floor": fisher_mod.P_FLOOR, "d_floor": fisher_mod.D_FLOOR}
 
 
 def _dumps(report: dict, **kwargs) -> str:
@@ -54,47 +58,37 @@ def _dumps(report: dict, **kwargs) -> str:
         raise SingularOutcome(f"the result is not finite ({exc})") from None
 
 
-def _emit(report: dict, started: float) -> None:
-    report["runtime_ms"] = (time.perf_counter() - started) * 1000.0
-    print(_dumps(report, indent=2))
-
-
-def cmd_fisher(args) -> int:
-    started = time.perf_counter()
+def cmd_fisher(args):
     model = load_model_document(args.model)
     povm = load_povm_document(args.povm)
     value = classical_fisher(model, povm, args.theta).value
-    _emit({
+    return {
         "command": "fisher",
         "inputs": {"model": args.model, "povm": args.povm, "theta": args.theta},
         "value": value,
         "seed": None,
-        "tolerances": {"p_floor": fisher_mod.P_FLOOR, "d_floor": fisher_mod.D_FLOOR},
-    }, started)
-    return EXIT_OK
+        "tolerances": dict(_FLOORS),
+    }, EXIT_OK
 
 
-def cmd_qfi(args) -> int:
-    started = time.perf_counter()
+def cmd_qfi(args):
     result = sld_solve(load_model_document(args.model), args.theta)
-    _emit({
+    return {
         "command": "qfi",
         "inputs": {"model": args.model, "theta": args.theta},
         "value": result.qfi,
         "support_rank": result.support_rank,
         "seed": None,
         "tolerances": {"eps_sld": fisher_mod.EPS_SLD, "delta_sld": fisher_mod.DELTA_SLD},
-    }, started)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_bayes(args) -> int:
-    started = time.perf_counter()
+def cmd_bayes(args):
     model = load_model_document(args.model)
     povm = load_povm_document(args.povm)
     prior = parse_prior_spec(args.prior, args.grid)
     report = check_bcrb(prior, model, povm)
-    _emit({
+    return {
         "command": "bayes",
         "inputs": {"model": args.model, "povm": args.povm,
                    "prior": args.prior, "grid": args.grid},
@@ -107,12 +101,10 @@ def cmd_bayes(args) -> int:
         "seed": None,
         "tolerances": {"weight_sum": bayes_mod.WEIGHT_SUM_ATOL,
                        "bcrb_slack": bayes_mod.BCRB_SLACK},
-    }, started)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_optimize(args) -> int:
-    started = time.perf_counter()
+def cmd_optimize(args):
     model = load_model_document(args.model)
     fixed_state = model.rho0 if args.fix_state else None
     fixed_povm = load_povm_document(args.fix_povm) if args.fix_povm else None
@@ -124,7 +116,7 @@ def cmd_optimize(args) -> int:
     space = ContextSpace(model.dim, state=fixed_state, povm=fixed_povm)
     result = maximize_fisher(model, space, args.theta,
                              restarts=args.restarts, seed=args.seed)
-    _emit({
+    return {
         "command": "optimize",
         "inputs": {"model": args.model, "theta": args.theta,
                    "restarts": args.restarts, "seed": args.seed,
@@ -137,24 +129,17 @@ def cmd_optimize(args) -> int:
             "povm": povm_to_document(result.best_povm),
         },
         "seed": args.seed,
-        "tolerances": {"value_spread": VALUE_SPREAD_TOL,
-                       "p_floor": fisher_mod.P_FLOOR, "d_floor": fisher_mod.D_FLOOR},
-    }, started)
-    return EXIT_OK
+        "tolerances": {"value_spread": VALUE_SPREAD_TOL, **_FLOORS},
+    }, EXIT_OK
 
 
-def cmd_dpi(args) -> int:
-    started = time.perf_counter()
+def cmd_dpi(args):
     if args.mode == "classical":
         reports = dpi_mod.classical_dpi_suite(args.trials, args.seed)
     else:
         reports = dpi_mod.quantum_dpi_suite(args.trials, args.seed,
                                             dim=args.dim, kraus_count=args.kraus)
-    violations = 0
-    for report in reports:
-        if report.violated:
-            violations += 1
-        print(_dumps(report.to_dict()))
+    violations = sum(report.violated for report in reports)
     summary = {
         "command": "dpi",
         "inputs": {"mode": args.mode, "trials": args.trials, "dim": args.dim,
@@ -165,14 +150,13 @@ def cmd_dpi(args) -> int:
         "tolerances": {"classical": dpi_mod.CLASSICAL_TOL, "quantum": dpi_mod.QUANTUM_TOL,
                        "sld": dpi_mod.SLD_TOL, "dual": dpi_mod.DUAL_TOL},
     }
-    _emit(summary, started)
-    return EXIT_VIOLATION if violations else EXIT_OK
+    return (*(report.to_dict() for report in reports), summary,
+            EXIT_VIOLATION if violations else EXIT_OK)
 
 
-def cmd_paper_example(args) -> int:
-    started = time.perf_counter()
+def cmd_paper_example(args):
     values = circumvention_report(args.theta)
-    _emit({
+    return {
         "command": "paper-example",
         "inputs": {"theta": args.theta},
         "values": values,
@@ -187,10 +171,8 @@ def cmd_paper_example(args) -> int:
                                         "without raising the unrestricted maximum",
         },
         "seed": 0,
-        "tolerances": {"p_floor": fisher_mod.P_FLOOR, "d_floor": fisher_mod.D_FLOOR,
-                       "value_spread": VALUE_SPREAD_TOL},
-    }, started)
-    return EXIT_OK
+        "tolerances": {**_FLOORS, "value_spread": VALUE_SPREAD_TOL},
+    }, EXIT_OK
 
 
 def _finite_float(text: str) -> float:
@@ -239,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="maximize Fisher information over contexts")
     p.add_argument("--model", required=True)
     p.add_argument("--theta", type=_finite_float, required=True)
-    p.add_argument("--restarts", type=_int_at_least(0), default=32)
+    p.add_argument("--restarts", type=_int_at_least(0), default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--fix-state", action="store_true",
                    help="freeze the state to the model document's initial state")
@@ -288,11 +270,18 @@ def _attach_negative_values(argv: list) -> list:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_attach_negative_values(argv))
+    started = time.perf_counter()
     try:
         # numpy's overflow and invalid-value warnings stay off stderr: a
         # non-finite result is reported once, by the report's finiteness check
         with np.errstate(all="ignore"):
-            return args.run(args)
+            # dpi returns its trial lines before its report and exit code
+            *lines, report, code = args.run(args)
+            for line in lines:
+                print(_dumps(line))
+            report["runtime_ms"] = (time.perf_counter() - started) * 1000.0
+            print(_dumps(report, indent=2))
+            return code
     except DimensionMismatch as exc:
         print(f"error:{EXIT_DIMENSION}:{exc}", file=sys.stderr)
         return EXIT_DIMENSION

@@ -16,20 +16,13 @@ from __future__ import annotations
 
 import json
 import math
-import reprlib
 from itertools import chain
 
 import numpy as np
 
-from .errors import DocumentError, FisherinfoError
+from .errors import DocumentError, FisherinfoError, _shown
 from .models import UnitaryFamily
 from .quantum import DensityMatrix, KrausChannel, Povm, pure_state
-
-
-def _shown(v) -> str:
-    """``v``'s repr for a one-line error, cut to at most 60 characters."""
-    text = reprlib.repr(v)  # bounded depth and length, unlike repr
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _complex_from_pair(v, where: str) -> complex:
@@ -150,7 +143,7 @@ def model_from_document(doc: dict, where: str = "model") -> UnitaryFamily:
     """Build the model with its declared initial state and channels."""
     dim = _dim_of(doc, where)
     if doc.get("kind") != "unitary":
-        raise DocumentError(f"{where}: unsupported kind {doc.get('kind')!r}")
+        raise DocumentError(f"{where}: unsupported kind {_shown(doc.get('kind'))}")
     passes = doc.get("passes", 1)
     if type(passes) is not int or passes < 1:
         raise DocumentError(f"{where}: 'passes' must be a positive integer")

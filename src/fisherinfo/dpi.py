@@ -208,7 +208,7 @@ def _quantum_report(trial: int, seed: int, draw, before, after) -> DpiTrialRepor
 
     rho = bare.state_at(theta).mat
     pushed = apply_channel_matrix(channel, rho)
-    pulled = apply_dual_matrix(channel, after.best_povm.stack)
+    pulled = apply_dual_matrix(channel, after.best_povm.effects)
     dual_defect = max(
         abs(np.trace(pushed @ e).real - np.trace(rho @ f).real)
         for e, f in zip(after.best_povm.effects, pulled)

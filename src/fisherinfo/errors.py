@@ -1,4 +1,17 @@
-"""Exception types raised across the toolkit."""
+"""Exception types raised across the toolkit, and how their messages show a bad value."""
+
+import reprlib
+
+
+def _cut(text: str) -> str:
+    """``text`` cut to at most 60 characters for a one-line error."""
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _shown(v) -> str:
+    """``v``'s repr for a one-line error, bounded in depth and length, unlike
+    repr, and cut to at most 60 characters."""
+    return _cut(reprlib.repr(v))
 
 
 class FisherinfoError(Exception):

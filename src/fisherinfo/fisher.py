@@ -43,20 +43,18 @@ class SldResult:
     support_rank: int
 
 
-def outcome_scores(p, dp, d2p=None) -> tuple[np.ndarray, np.ndarray]:
+def outcome_scores(p, dp, d2p) -> tuple[np.ndarray, np.ndarray]:
     """Scores of outcome rows (..., outcomes) and the mask of singular outcomes.
 
-    ``d2p``, if given, holds d2p_x/dtheta2 and is only read for outcomes at
-    a removable singularity.  Without it such outcomes contribute zero.  The
+    ``d2p`` holds d2p_x/dtheta2 and is only read for outcomes at a
+    removable singularity, which score the limit 2 max(d2p_x, 0).  The
     terms are added in outcome order, as a loop over the outcomes adds them.
     """
     p = np.asarray(p, dtype=float)
     dp = np.asarray(dp, dtype=float)
     live = p > P_FLOOR
-    limit = 0.0
-    if d2p is not None:
-        curvature = 2.0 * np.asarray(d2p, dtype=float)
-        limit = np.where(curvature > 0.0, curvature, 0.0)
+    curvature = 2.0 * np.asarray(d2p, dtype=float)
+    limit = np.where(curvature > 0.0, curvature, 0.0)
     terms = np.where(live, dp * dp / np.where(live, p, 1.0), limit)
     total = np.zeros(terms.shape[:-1])
     for x in range(terms.shape[-1]):
@@ -64,9 +62,9 @@ def outcome_scores(p, dp, d2p=None) -> tuple[np.ndarray, np.ndarray]:
     return total, ~live & (np.abs(dp) > D_FLOOR)
 
 
-def information_from_outcomes(p, dp, d2p=None):
-    """Score outcome probabilities and their derivative, one row or a stack
-    (..., outcomes), with ``d2p`` as for ``outcome_scores``; a float for one
+def information_from_outcomes(p, dp, d2p):
+    """Score outcome probabilities and their first two derivatives, one row
+    or a stack (..., outcomes), as ``outcome_scores`` does; a float for one
     row.  The first singular outcome, in row-major order, raises
     SingularOutcome."""
     total, singular = outcome_scores(p, dp, d2p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState
+from .errors import DimensionMismatch, InvalidState, _shown
 from .linalg import adjoint, eig_hermitian, require_hermitian
 from .quantum import (DensityMatrix, KrausChannel, _effect_stack, apply_channel_matrix,
                       apply_dual_matrix, checked_probabilities, checked_states)
@@ -53,27 +53,24 @@ class UnitaryFamily(ParameterizedModel):
             raise ValueError(f"passes must be a positive integer, got {passes!r}")
         for channel, placement in channels:
             if placement not in ("pre", "post"):
-                raise ValueError(f"placement must be 'pre' or 'post', got {placement!r}")
+                raise ValueError(f"placement must be 'pre' or 'post', got {_shown(placement)}")
             if channel.dim != dim:
                 raise DimensionMismatch("channel and model dimensions differ")
         self.passes = int(passes)
         self.channels = tuple(channels)
         self._gen_eig = _gen_eig if _gen_eig is not None else eig_hermitian(self.generator)
         self.rho0 = rho0
-        self._input = None if rho0 is None else self.prepare_input(rho0)
+        self._input = None  # rho0 after the "pre" channels
+        if rho0 is not None:
+            if not isinstance(rho0, DensityMatrix):
+                raise InvalidState("rho0 must be a DensityMatrix")
+            if rho0.dim != dim:
+                raise DimensionMismatch("generator and initial state dimensions differ")
+            self._input = self.prepare_inputs(rho0.mat)
 
     @property
     def dim(self) -> int:
         return self.generator.shape[0]
-
-    def prepare_input(self, rho0: DensityMatrix) -> DensityMatrix:
-        """rho0 after the "pre" channels in list order, each output validated."""
-        if not isinstance(rho0, DensityMatrix):
-            raise InvalidState("rho0 must be a DensityMatrix")
-        if rho0.dim != self.dim:
-            raise DimensionMismatch("generator and initial state dimensions differ")
-        mat = self.prepare_inputs(rho0.mat)
-        return rho0 if mat is rho0.mat else DensityMatrix(mat, validate=False)
 
     def prepare_inputs(self, states: np.ndarray) -> np.ndarray:
         """Input matrices, one or a stack (..., d, d), after the "pre"
@@ -103,7 +100,7 @@ class UnitaryFamily(ParameterizedModel):
     def _prepared(self) -> np.ndarray:
         if self._input is None:
             raise InvalidState("the model has no initial state; bind one with with_state")
-        return self._input.mat
+        return self._input
 
     def pulled_back_outcomes(self, povm, thetas):
         """(p, dp, d2p), each (len(thetas), outcomes), in the Heisenberg picture.
@@ -133,7 +130,7 @@ class UnitaryFamily(ParameterizedModel):
 
         A (3 n dim^2, dim^2) matrix for n theta values: applied to the
         row-major flattening of an input after the "pre" channels
-        (``prepare_input``), it gives ``trajectory(thetas)`` flattened the
+        (``prepare_inputs``), it gives ``trajectory(thetas)`` flattened the
         same way, so the product reshapes to (3, n, dim, dim).
         """
         d = self.dim

@@ -137,10 +137,9 @@ def nelder_mead(objective, x0s, maxiter: int):
         except Exception:
             values = _scipy_trials(objective, points, live, fsim, errors)
         fr, fe, fc, fcc = values
-        worst = fsim[:, -1]
-        contracted = np.where(fr < worst, np.where(fc <= fr, 2, -1), np.where(fcc < worst, 3, -1))
-        choice = np.where(fr < fsim[:, 0], np.where(fe < fr, 1, 0),
-                          np.where(fr < fsim[:, -2], 0, contracted))
+        # the trial point that replaces the worst vertex, or -1 to shrink
+        choice = _branch(fr, fsim, np.where(fe < fr, 1, 0), 0, np.where(fc <= fr, 2, -1),
+                         np.where(fcc < fsim[:, -1], 3, -1))
         rows = np.flatnonzero(choice >= 0)
         sim[rows, -1] = points[choice[rows], rows]
         fsim[rows, -1] = values[choice[rows], rows]
@@ -180,14 +179,20 @@ def _scipy_trials(objective, points, live, fsim, errors):
     reads them."""
     values = np.full(points.shape[:2], np.nan)
     values[0] = fr = _one_by_one(objective, points[0], live, errors)
-    running = ~_stopped(live, errors)
-    expand = running & (fr < fsim[:, 0])
-    contract = running & ~(fr < fsim[:, 0]) & ~(fr < fsim[:, -2])
-    outside = contract & (fr < fsim[:, -1])
-    for j, rows in ((1, expand), (2, outside), (3, contract & ~outside)):
+    branch = _branch(fr, fsim, 1, 0, 2, 3)
+    for j in (1, 2, 3):
+        rows = branch == j
         if rows.any():
             values[j, rows] = _one_by_one(objective, points[j, rows], live[rows], errors)
     return values
+
+
+def _branch(fr, fsim, expand, reflect, outside, inside):
+    """scipy's if-chain on each simplex's reflection value ``fr`` and sorted
+    values ``fsim``: ``expand`` where fr is below the best value, ``reflect``
+    below the second worst, ``outside`` (contraction) below the worst, else ``inside``."""
+    return np.where(fr < fsim[:, 0], expand, np.where(
+        fr < fsim[:, -2], reflect, np.where(fr < fsim[:, -1], outside, inside)))
 
 
 def _sorted(sim, fsim):

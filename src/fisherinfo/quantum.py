@@ -87,14 +87,14 @@ class Povm:
     """A measurement: positive effects that sum to the identity.
 
     Labels are stable integers so classical post-processing maps can refer
-    to outcomes by index.  ``stack`` holds the effects as one (n, d, d)
-    array for the Born kernel.
+    to outcomes by index.  ``effects`` holds the effects as one (n, d, d)
+    array, in their given order.
     """
 
-    __slots__ = ("effects", "labels", "stack")
+    __slots__ = ("effects", "labels")
 
     def __init__(self, effects, labels=None, *, validate: bool = True):
-        effects = tuple(as_complex_matrix(e, "POVM effect") for e in effects)
+        effects = [as_complex_matrix(e, "POVM effect") for e in effects]
         if not effects:
             raise InvalidPovm("a POVM needs at least one effect")
         dim = effects[0].shape[0]
@@ -116,29 +116,30 @@ class Povm:
                 if defects[k] > POVM_ATOL:
                     raise InvalidPovm(f"effect {k} is non-Hermitian by {defects[k]:.3e}")
                 raise InvalidPovm(f"effect {k} has negative eigenvalue {lows[k]:.3e}")
+            # summed one by one: stack.sum(axis=0) differs in the last bits
             total = sum(effects)
             defect = float(np.max(np.abs(total - identity(dim))))
             if defect > POVM_ATOL:
                 raise InvalidPovm(f"effects sum deviates from identity by {defect:.3e}")
-        self.effects = effects
+        self.effects = stack
         self.labels = labels
-        self.stack = stack
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[-1]
 
     def __len__(self) -> int:
         return len(self.effects)
 
 
 class KrausChannel:
-    """A completely positive trace-preserving map, as Kraus operators."""
+    """A completely positive trace-preserving map; ``kraus`` holds its Kraus
+    operators as one (k, d, d) array, in their given order."""
 
     __slots__ = ("kraus",)
 
     def __init__(self, kraus, *, validate: bool = True):
-        kraus = tuple(as_complex_matrix(k, "Kraus operator") for k in kraus)
+        kraus = [as_complex_matrix(k, "Kraus operator") for k in kraus]
         if not kraus:
             raise InvalidChannel("a channel needs at least one Kraus operator")
         dim = kraus[0].shape[0]
@@ -149,11 +150,11 @@ class KrausChannel:
             defect = float(np.max(np.abs(total - identity(dim))))
             if defect > CHANNEL_ATOL:
                 raise InvalidChannel(f"Kraus completeness violated by {defect:.3e}")
-        self.kraus = kraus
+        self.kraus = np.stack(kraus)
 
     @property
     def dim(self) -> int:
-        return self.kraus[0].shape[0]
+        return self.kraus.shape[-1]
 
 
 def apply_channel_matrix(channel: KrausChannel, a: np.ndarray) -> np.ndarray:
@@ -172,7 +173,7 @@ def apply_dual_matrix(channel: KrausChannel, a: np.ndarray) -> np.ndarray:
 
     tr(E(rho) X) = tr(rho E^dag(X)), and E^dag is unital because the
     channel's Kraus operators are complete; a POVM pulled back through it,
-    ``Povm(apply_dual_matrix(channel, povm.stack), povm.labels)``, is again
+    ``Povm(apply_dual_matrix(channel, povm.effects), povm.labels)``, is again
     a POVM.
     """
     m = _channel_operand(channel, a)
@@ -192,7 +193,7 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def _effect_stack(povm, dim: int) -> np.ndarray:
-    effects = povm.stack if isinstance(povm, Povm) else np.asarray(povm)
+    effects = povm.effects if isinstance(povm, Povm) else np.asarray(povm)
     if effects.shape[-1] != dim:
         raise DimensionMismatch("state and POVM dimensions differ")
     return effects
@@ -239,10 +240,11 @@ def projectors(vectors) -> np.ndarray:
 
 
 def pure_projectors(amplitudes) -> np.ndarray:
-    """|psi><psi| for each amplitude vector of a stack (..., d); each must be normalized."""
+    """|psi><psi| for each amplitude vector of a stack (..., d); each must be
+    normalized: its trace, the squared norm, within NORMALIZATION_ATOL of 1."""
     psi = np.asarray(amplitudes, dtype=complex)
     norms = np.linalg.norm(psi, axis=-1)
-    bad = np.abs(norms - 1.0) > NORMALIZATION_ATOL
+    bad = np.abs(norms * norms - 1.0) > NORMALIZATION_ATOL
     if bad.any():
         raise NotNormalized(f"state vector has norm {float(norms[bad][0])!r}")
     return projectors(psi)
@@ -278,8 +280,7 @@ def basis_projectors(bases) -> np.ndarray:
 
 def projective_povm(basis) -> Povm:
     """Rank-one projectors onto the columns of a unitary basis matrix."""
-    return Povm(list(basis_projectors(as_complex_matrix(basis, "measurement basis"))),
-                validate=False)
+    return Povm(basis_projectors(as_complex_matrix(basis, "measurement basis")), validate=False)
 
 
 def unitary_channel(u) -> KrausChannel:

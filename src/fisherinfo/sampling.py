@@ -62,8 +62,7 @@ def random_channel(rng: np.random.Generator, dim: int, kraus_count: int) -> Krau
         )
     g = _ginibre(rng, dim * kraus_count, dim)
     q, _ = np.linalg.qr(g)
-    blocks = [q[j * dim:(j + 1) * dim, :] for j in range(kraus_count)]
-    return KrausChannel(blocks)
+    return KrausChannel(q.reshape(kraus_count, dim, dim))
 
 
 def random_stochastic_map(rng: np.random.Generator, out_count: int, in_count: int) -> np.ndarray:

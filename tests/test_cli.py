@@ -330,11 +330,38 @@ def test_boolean_pass_count_exits_2(capsys, tmp_path, passes):
 
 
 def test_bad_prior_spec_exits_2(capsys, model_file, x_povm_file):
-    code, _, err = run_cli(capsys, [
-        "bayes", "--model", model_file, "--povm", x_povm_file, "--prior", "tri:0,1",
-    ])
-    assert code == 2
-    assert err.startswith("error:2:")
+    # a long spec is shown cut short, in one line of at most 200 bytes
+    for spec in ("tri:0,1", "uniform:0," + "x" * 50_000, "uniform:0," + "1" * 50_000):
+        code, _, err = run_cli(capsys, [
+            "bayes", "--model", model_file, "--povm", x_povm_file, "--prior", spec,
+        ])
+        assert code == 2
+        assert err.startswith("error:2:bad prior spec")
+        assert err.count("\n") == 1 and len(err.encode()) <= 200
+
+
+@pytest.mark.parametrize("command", ["fisher", "qfi"])
+@pytest.mark.parametrize("excess, code", [(0.9e-10, 2), (0.4e-10, 0)],
+                         ids=["trace-off-by-1.8e-10", "trace-off-by-0.8e-10"])
+def test_state_normalization_is_checked_on_the_trace(capsys, tmp_path, x_povm_file,
+                                                     command, excess, code):
+    # an initial state of norm 1 + excess has trace 1 + 2 excess
+    amplitude = (1.0 + excess) / np.sqrt(2.0)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"dim": 2, "kind": "unitary",
+                                "generator": pairs_from_matrix(PAULI_Z),
+                                "initial_state": [[amplitude, 0.0], [amplitude, 0.0]]}))
+    argv = [command, "--model", str(path), "--theta", "0.4"]
+    if command == "fisher":
+        argv += ["--povm", x_povm_file]
+    exit_code, out, err = run_cli(capsys, argv)
+    assert exit_code == code
+    if code:
+        assert out == ""
+        assert err.startswith(f"error:2:{path}: state vector has norm 1.00000000009")
+        assert err.count("\n") == 1
+    else:
+        assert err == "" and json.loads(out)["value"] == pytest.approx(4.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("argv", [

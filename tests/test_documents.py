@@ -219,13 +219,22 @@ def test_document_loading_failure_modes(tmp_path, capsys):
                         .replace("[1.0, 0.0]", json.dumps(zeros), 1))
     good_model = tmp_path / "good_model.json"
     good_model.write_text(json.dumps(model_doc()))
-    for argv, path in [(["qfi", "--model", str(big_model)], big_model),
-                       (["qfi", "--model", str(nested)], nested),
-                       (["fisher", "--model", str(good_model), "--povm", str(big_povm)], big_povm)]:
+    # and so are a bad kind and a bad channel placement
+    long_kind = tmp_path / "long_kind.json"
+    long_kind.write_text(json.dumps(model_doc(kind=["x"] * 20_000)))
+    long_placement = tmp_path / "long_placement.json"
+    long_placement.write_text(json.dumps(model_doc(compose=[
+        {"kraus": [pairs_from_matrix(np.eye(2))], "placement": "p" * 50_000}])))
+    for argv, path, shown in [
+            (["qfi", "--model", str(big_model)], big_model, "[0][0]"),
+            (["qfi", "--model", str(nested)], nested, "[0][0]"),
+            (["fisher", "--model", str(good_model), "--povm", str(big_povm)], big_povm, "[0][0]"),
+            (["qfi", "--model", str(long_kind)], long_kind, "unsupported kind ['x',"),
+            (["qfi", "--model", str(long_placement)], long_placement, "got 'ppp")]:
         capsys.readouterr()
         assert main(argv + ["--theta", "0.3"]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and str(path) in err and "[0][0]" in err
+        assert err.count("\n") == 1 and str(path) in err and shown in err
         assert len(err.encode()) <= 200 + len(str(path).encode())
 
 

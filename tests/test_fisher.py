@@ -53,7 +53,7 @@ def test_removable_points_take_the_analytic_limit(base_model, multipass_model, x
 
 def test_outcome_scoring_without_curvature_drops_flat_outcomes():
     # both floors satisfied and no second derivative: contributes zero
-    assert information_from_outcomes([1.0, 0.0], [0.0, 0.0]) == 0.0
+    assert information_from_outcomes([1.0, 0.0], [0.0, 0.0], [0.0, 0.0]) == 0.0
     assert information_from_outcomes([1.0, 0.0], [0.0, 0.0], [-3.0, 2.0]) == 4.0
 
 
@@ -86,16 +86,17 @@ def test_stacked_outcome_scores_equal_the_outcome_loop(data, rows, outcomes, wit
 
     p, dp = block(PROBABILITY), block(DERIVATIVE)
     d2p = block(st.floats(-5.0, 5.0)) if with_curvature else None
+    given = np.zeros_like(p) if d2p is None else d2p
     try:
         expected = [scalar_information(p[r], dp[r], None if d2p is None else d2p[r])
                     for r in range(rows)]
     except SingularOutcome as exc:
         with pytest.raises(SingularOutcome) as raised:
-            information_from_outcomes(p, dp, d2p)
+            information_from_outcomes(p, dp, given)
         assert str(raised.value) == str(exc)
     else:
-        assert information_from_outcomes(p, dp, d2p).tobytes() == np.array(expected).tobytes()
-        single = information_from_outcomes(p[0], dp[0], None if d2p is None else d2p[0])
+        assert information_from_outcomes(p, dp, given).tobytes() == np.array(expected).tobytes()
+        single = information_from_outcomes(p[0], dp[0], given[0])
         assert type(single) is float and single == expected[0]
 
 
@@ -112,7 +113,7 @@ def test_prior_average_weights_the_outcome_loop(outcomes):
 
 def test_outcome_scoring_raises_on_divergent_outcome():
     with pytest.raises(SingularOutcome):
-        information_from_outcomes([1.0, 1e-13], [0.0, 1e-6])
+        information_from_outcomes([1.0, 1e-13], [0.0, 1e-6], [0.0, 0.0])
 
 
 def test_vanishing_probability_with_live_derivative_is_singular(base_model, x_basis_povm):

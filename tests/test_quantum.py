@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fisherinfo.bayes import uniform_prior
 from fisherinfo.errors import (
     DimensionMismatch,
+    FisherinfoError,
     InvalidChannel,
     InvalidPovm,
     InvalidState,
     NotNormalized,
     NotUnitary,
 )
-from fisherinfo.linalg import PAULI_X, PAULI_Z, adjoint
+from fisherinfo.fisher import bayesian_information, classical_fisher
+from fisherinfo.linalg import MAX_DIM, PAULI_X, PAULI_Z, adjoint
+from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import (
     DensityMatrix,
     KrausChannel,
@@ -26,6 +32,7 @@ from fisherinfo.quantum import (
 from fisherinfo.sampling import (
     random_channel,
     random_full_rank_state,
+    random_hermitian,
     random_projective_povm,
     random_pure_state,
     random_unitary,
@@ -168,7 +175,7 @@ def test_dual_povm_is_a_valid_povm():
     rng = np.random.default_rng(10)
     channel = random_channel(rng, 2, 3)
     povm = random_projective_povm(rng, 2)
-    back = Povm(apply_dual_matrix(channel, povm.stack), povm.labels)
+    back = Povm(apply_dual_matrix(channel, povm.effects), povm.labels)
     assert isinstance(back, Povm)
     assert back.labels == povm.labels
 
@@ -187,3 +194,77 @@ def test_born_probabilities_normalize():
 def test_born_probabilities_dimension_check():
     with pytest.raises(DimensionMismatch):
         born_probabilities(maximally_mixed(2), projective_povm(np.eye(3)))
+
+
+# a POVM or a channel takes its operators as one (n, d, d) array, a list of
+# matrices or a tuple of them
+OPERATOR_FORMS = {"array": lambda ops: ops, "list": list, "tuple": tuple}
+
+
+def _built(build, ops):
+    """The object, or the type and text of the error, that ``build(ops)`` gives."""
+    try:
+        return build(ops)
+    except FisherinfoError as exc:
+        return type(exc), str(exc)
+
+
+def _defective(effects, kraus, defect):
+    """The operators with one defect: the POVM's first effect non-Hermitian
+    or negative, or every operator scaled off completeness."""
+    effects, kraus = effects.copy(), kraus.copy()
+    if defect == "non-Hermitian":
+        effects[0, 0, -1] += 1e-6j
+    elif defect == "negative":
+        low = np.linalg.eigvalsh(effects[0])[0]
+        effects[0] -= (low + 1e-6) * np.eye(len(effects[0]))
+    elif defect == "incomplete":
+        effects *= 1 + 1e-6
+        kraus *= 1 + 1e-6
+    return effects, kraus
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), count=st.integers(1, 4),
+       defect=st.sampled_from([None, "non-Hermitian", "negative", "incomplete"]))
+def test_operators_are_held_as_one_array_in_their_order(seed, dim, count, defect):
+    rng = np.random.default_rng(seed)
+    kraus = random_channel(rng, dim, count).kraus
+    effects = adjoint(kraus) @ kraus
+    effects, kraus = _defective(effects, kraus, defect)
+    povms = {name: _built(lambda ops: Povm(form(ops)), effects)
+             for name, form in OPERATOR_FORMS.items()}
+    channels = {name: _built(lambda ops: KrausChannel(form(ops)), kraus)
+                for name, form in OPERATOR_FORMS.items()}
+    for built, ops, field in ((povms, effects, "effects"), (channels, kraus, "kraus")):
+        if isinstance(built["array"], tuple):  # an error: the same for every form
+            assert built["list"] == built["tuple"] == built["array"]
+            continue
+        for obj in built.values():
+            held = getattr(obj, field)
+            assert type(held) is np.ndarray and held.shape == ops.shape
+            assert held.tobytes() == ops.tobytes()
+    if defect is not None:
+        return
+    family = UnitaryFamily(random_hermitian(rng, dim), random_pure_state(rng, dim))
+    theta, prior = float(rng.uniform(-1.0, 1.0)), uniform_prior(-0.5, 0.5, 21)
+    values = set()
+    for name in OPERATOR_FORMS:
+        noisy = family.with_channel(channels[name], "post")
+        values.add((classical_fisher(noisy, povms[name], theta).value,
+                    bayesian_information(noisy, povms[name], prior)))
+    assert len(values) == 1
+
+
+@pytest.mark.parametrize("form", sorted(OPERATOR_FORMS))
+def test_operator_forms_reject_the_same_shapes(form):
+    too_big = np.eye(MAX_DIM + 1, dtype=complex)[None]
+    mixed = [np.eye(2, dtype=complex), np.eye(3, dtype=complex)]
+    cases = [(too_big, DimensionMismatch, "outside supported range")]
+    if form != "array":  # an array cannot hold matrices of two sizes
+        cases.append((mixed, DimensionMismatch, "mixed dimensions"))
+    for ops, error, text in cases:
+        for build in (Povm, KrausChannel):
+            with pytest.raises(error, match=text) as raised:
+                build(OPERATOR_FORMS[form](ops))
+            assert _built(build, list(ops)) == (error, str(raised.value))

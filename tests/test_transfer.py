@@ -43,7 +43,7 @@ def test_transfer_map_reproduces_the_rebuilt_model(seed, dim, passes, placements
 
     maps = family.transfer(thetas)
     assert maps.shape == (3 * n_nodes * dim * dim, dim * dim)
-    prepared = family.prepare_input(state).mat.reshape(-1)
+    prepared = family.prepare_inputs(state.mat).reshape(-1)
     blocks = (maps @ prepared).reshape(3, n_nodes, dim, dim)
     for block, rows in zip(blocks, rebuilt.trajectory(thetas)):
         assert np.max(np.abs(block - rows)) < 1e-12
