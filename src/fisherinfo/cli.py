@@ -67,7 +67,7 @@ def cmd_fisher(args):
         "inputs": {"model": args.model, "povm": args.povm, "theta": args.theta},
         "value": value,
         "seed": None,
-        "tolerances": dict(_FLOORS),
+        "tolerances": {**_FLOORS},
     }, EXIT_OK
 
 

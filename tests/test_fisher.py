@@ -86,17 +86,17 @@ def test_stacked_outcome_scores_equal_the_outcome_loop(data, rows, outcomes, wit
 
     p, dp = block(PROBABILITY), block(DERIVATIVE)
     d2p = block(st.floats(-5.0, 5.0)) if with_curvature else None
-    given = np.zeros_like(p) if d2p is None else d2p
+    curvature = np.zeros_like(p) if d2p is None else d2p
     try:
         expected = [scalar_information(p[r], dp[r], None if d2p is None else d2p[r])
                     for r in range(rows)]
     except SingularOutcome as exc:
         with pytest.raises(SingularOutcome) as raised:
-            information_from_outcomes(p, dp, given)
+            information_from_outcomes(p, dp, curvature)
         assert str(raised.value) == str(exc)
     else:
-        assert information_from_outcomes(p, dp, given).tobytes() == np.array(expected).tobytes()
-        single = information_from_outcomes(p[0], dp[0], given[0])
+        assert information_from_outcomes(p, dp, curvature).tobytes() == np.array(expected).tobytes()
+        single = information_from_outcomes(p[0], dp[0], curvature[0])
         assert type(single) is float and single == expected[0]
 
 

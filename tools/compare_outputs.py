@@ -1,11 +1,12 @@
 """Compare the CLI outputs of two source trees on a fixed command set.
 
-    python tools/compare_outputs.py PARENT_SRC [--src SRC]
+    python tools/compare_outputs.py PARENT_SRC
 
-PARENT_SRC and SRC (default: this repository's ``src``) are directories
-holding the ``fisherinfo`` package.  The documents are written once to a
-temporary directory; then each tree runs every command in one fresh
-interpreter (``PYTHONPATH=<tree>``, ``PYTHONDONTWRITEBYTECODE=1``) through
+PARENT_SRC is a directory holding the ``fisherinfo`` package; it is
+compared with the ``src`` of the tree this script lives in (to compare two
+other trees, run the script from one of them).  The documents are written
+once to a temporary directory; then each tree runs every command in one
+fresh interpreter (``PYTHONPATH=<tree>``, ``PYTHONDONTWRITEBYTECODE=1``) through
 ``fisherinfo.cli.main``.  Exit codes, stderr and stdout with the
 ``runtime_ms`` line removed must agree.  The script prints the counts and
 the first differences, each with the largest relative gap between the
@@ -68,47 +69,26 @@ with open(sys.argv[2], "w") as fh:
 NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
-def _pairs(a) -> list:
-    a = np.asarray(a, dtype=complex)
-    return np.stack([a.real, a.imag], axis=-1).tolist()
-
-
-def _write(directory: Path, name: str, doc) -> str:
-    path = directory / name
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
-    return str(path)
-
-
-def _model_doc(generator, amplitudes, compose=(), **extra) -> dict:
-    doc = {"dim": len(amplitudes), "kind": "unitary", "generator": _pairs(generator),
-           "initial_state": _pairs(amplitudes), "passes": 1}
-    if compose:
-        doc["compose"] = [{"kraus": _pairs(k), "placement": p} for k, p in compose]
-    doc.update(extra)
-    return doc
-
-
-def _kraus(rng, d: int, count: int) -> np.ndarray:
-    g = rng.standard_normal((d * count, d)) + 1j * rng.standard_normal((d * count, d))
-    return np.linalg.qr(g)[0].reshape(count, d, d)
+def _model(out, generator, amplitudes, channels=()) -> str:
+    """A one-pass unitary family document, written by the benchmark's writer."""
+    generator = np.asarray(generator, dtype=complex)
+    rho0 = np.outer(amplitudes, np.conj(amplitudes))
+    return out.model(workloads.ModelSpec(generator, rho0, 1, list(channels)), amplitudes)
 
 
 def _optimize_commands(directory: Path) -> list:
     """optimize, plain and with each fixing, on six models with channels."""
     rng = np.random.default_rng(2026)
+    out = workloads.DocumentWriter(str(directory / "optimize"))
     commands = []
     for k in range(6):
         d = 2 + k % 3
-        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        compose = [(_kraus(rng, d, 1 + k % 2), "post")]
+        generator, psi = workloads._hermitian(rng, d), workloads._unit_vector(rng, d)
+        channels = [(workloads._kraus(rng, d, 1 + k % 2), "post")]
         if k % 2:
-            compose.insert(0, (_kraus(rng, d, 2), "pre"))
-        model = _write(directory, f"opt_model{k}.json",
-                       _model_doc((g + g.conj().T) / 2, psi / np.linalg.norm(psi), compose))
-        basis = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
-        povm = _write(directory, f"opt_povm{k}.json", {
-            "dim": d, "effects": _pairs(np.einsum("ik,jk->kij", basis, basis.conj()))})
+            channels.insert(0, (workloads._kraus(rng, d, 2), "pre"))
+        model = _model(out, generator, psi, channels)
+        povm = out.povm(workloads._povm(rng, d, True))
         base = ["optimize", "--model", model, f"--theta={0.3 + 0.2 * k!r}", "--restarts", "8"]
         commands += [base, base + ["--fix-state"], base + ["--fix-povm", povm],
                      base + ["--fix-state", "--fix-povm", povm]]
@@ -117,33 +97,37 @@ def _optimize_commands(directory: Path) -> list:
 
 def _corrupted_commands(directory: Path) -> list:
     """Documents and arguments that must fail with one stderr line."""
+    out = workloads.DocumentWriter(str(directory / "corrupted"))
     z = np.diag([1.0, -1.0])
-    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    x_basis = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]])
-    povm = _write(directory, "x_povm.json", {"dim": 2, "effects": _pairs(x_basis)})
-    good = _model_doc(z, plus)
-    docs = {
-        "not_json": "{",
-        "top_list": [1, 2],
-        "no_dim": {k: v for k, v in good.items() if k != "dim"},
-        "bool_entry": {**good, "generator": [[[True, 0], [0, 0]], [[0, 0], [-1, 0]]]},
-        "nan_entry": json.dumps(good).replace("-1.0", "NaN", 1),
-        "non_hermitian": _model_doc([[1, 1], [0, -1]], plus),
-        "bad_compose": {**good, "compose": {"kraus": []}},
-        "channel_dim": _model_doc(z, plus, [(np.eye(3)[None], "post")]),
-        "deep": {**good, "generator": [[json.loads("[" * 900 + "]" * 900), [0, 0]],
-                                       [[0, 0], [-1, 0]]]},
-        "long_kind": {**good, "kind": ["x"] * 20000},
-        "long_placement": _model_doc(z, plus, [(np.eye(2)[None], "p" * 50000)]),
-        "norm_high": _model_doc(z, plus * math.sqrt(1 + 1.8e-10)),
-    }
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
+    x_basis = np.array([[[0.5, 0.5], [0.5, 0.5]], [[0.5, -0.5], [-0.5, 0.5]]], dtype=complex)
+    povm = out.povm(x_basis)
+    good_model = _model(out, z, plus)
+    good = json.loads(Path(good_model).read_text(encoding="utf-8"))
+    not_json = directory / "corrupted" / "not_json.json"
+    not_json.write_text("{", encoding="utf-8")
+    nan_entry = directory / "corrupted" / "nan_entry.json"
+    nan_entry.write_text(json.dumps(good).replace("-1.0", "NaN", 1), encoding="utf-8")
+    models = [
+        str(not_json),
+        str(nan_entry),
+        out.write([1, 2]),
+        out.write({k: v for k, v in good.items() if k != "dim"}),
+        out.write({**good, "generator": [[[True, 0], [0, 0]], [[0, 0], [-1, 0]]]}),
+        _model(out, [[1, 1], [0, -1]], plus),
+        out.write({**good, "compose": {"kraus": []}}),
+        _model(out, z, plus, [(np.eye(3, dtype=complex)[None], "post")]),
+        out.write({**good, "generator": [[json.loads("[" * 900 + "]" * 900), [0, 0]],
+                                         [[0, 0], [-1, 0]]]}),
+        out.write({**good, "kind": ["x"] * 20000}),
+        _model(out, z, plus, [(np.eye(2, dtype=complex)[None], "p" * 50000)]),
+        _model(out, z, plus * math.sqrt(1 + 1.8e-10)),
+    ]
     commands = []
-    for name, doc in docs.items():
-        model = _write(directory, f"bad_{name}.json", doc)
+    for model in models:
         commands.append(["fisher", "--model", model, "--povm", povm, "--theta", "0.4"])
         commands.append(["qfi", "--model", model, "--theta", "0.4"])
-    incomplete = _write(directory, "bad_povm.json", {"dim": 2, "effects": _pairs(x_basis[:1])})
-    good_model = _write(directory, "good_model.json", good)
+    incomplete = out.povm(x_basis[:1])
     commands.append(["fisher", "--model", good_model, "--povm", incomplete, "--theta", "0.4"])
     commands += [["bayes", "--model", good_model, "--povm", povm, "--prior", f"uniform:0,{bad}"]
                  for bad in ("1" * 5000, "x" * 5000)]
@@ -187,7 +171,6 @@ def largest_gap(a: str, b: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_src", type=Path)
-    parser.add_argument("--src", type=Path, default=ROOT / "src")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -195,7 +178,7 @@ def main() -> int:
         commands_file = tmp / "commands.json"
         commands_file.write_text(json.dumps(commands), encoding="utf-8")
         parent = run_tree(args.parent_src.resolve(), commands_file, tmp / "parent.json")
-        change = run_tree(args.src.resolve(), commands_file, tmp / "change.json")
+        change = run_tree(ROOT / "src", commands_file, tmp / "change.json")
     fields = ("exit code", "stdout", "stderr")
     differing = []
     for argv, before, after in zip(commands, parent, change):
