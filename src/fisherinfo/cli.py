@@ -6,8 +6,9 @@ summary).  Outputs are deterministic for fixed inputs and seed, except the
 runtime_ms field.
 
 Exit codes: 0 success, 2 parse/schema error or any other invalid input,
-3 dimension mismatch, 4 singular information computation or a non-finite
-result, 5 data-processing violation found.
+a size too large to allocate included, 3 dimension mismatch, 4 singular
+information computation or a non-finite result, 5 data-processing
+violation found.
 """
 
 from __future__ import annotations
@@ -288,7 +289,7 @@ def main(argv=None) -> int:
     except (SingularOutcome, DerivativeOffSupport) as exc:
         print(f"error:{EXIT_SINGULAR}:{exc}", file=sys.stderr)
         return EXIT_SINGULAR
-    except FisherinfoError as exc:  # a bad document, or input that fails after its checks
+    except (FisherinfoError, MemoryError) as exc:  # a bad document, or a size too large
         print(f"error:{EXIT_PARSE}:{exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -41,9 +41,10 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """Largest entrywise deviation of ``a`` from its adjoint."""
-    return float(np.max(np.abs(a - adjoint(a)))) if a.size else 0.0
+def hermiticity_defect(a: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation from its adjoint of a matrix, or of each
+    matrix of a stack (..., d, d)."""
+    return np.max(np.abs(a - adjoint(a)), axis=(-2, -1))
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidState, _shown
+from .errors import DimensionMismatch, InvalidChannel, InvalidState, _shown
 from .linalg import adjoint, eig_hermitian, require_hermitian
-from .quantum import (DensityMatrix, KrausChannel, _effect_stack, apply_channel_matrix,
-                      apply_dual_matrix, checked_probabilities, checked_states)
+from .quantum import (CHANNEL_ATOL, DensityMatrix, KrausChannel, _completeness_defect,
+                      _effect_stack, apply_channel_matrix, apply_dual_matrix,
+                      checked_probabilities, checked_states)
 
 
 class ParameterizedModel:
@@ -40,9 +41,10 @@ class UnitaryFamily(ParameterizedModel):
     effective generator is passes * G.  ``channels`` is an ordered tuple of
     (KrausChannel, placement) pairs: "pre" channels act on rho0 in list
     order when the model is built, "post" channels act after the dynamics,
-    also in list order.  ``rho0`` may be left unset to describe the
-    dynamics alone; ``with_state`` binds one.  The generator's
-    eigendecomposition is cached and shared by every derived instance.
+    also in list order.  The channels' completeness defects share one budget,
+    CHANNEL_ATOL.  ``rho0`` may be left unset to describe the dynamics
+    alone; ``with_state`` binds one.  The generator's eigendecomposition is
+    cached and shared by every derived instance.
     """
 
     def __init__(self, generator, rho0: DensityMatrix | None = None, passes: int = 1,
@@ -56,6 +58,9 @@ class UnitaryFamily(ParameterizedModel):
                 raise ValueError(f"placement must be 'pre' or 'post', got {_shown(placement)}")
             if channel.dim != dim:
                 raise DimensionMismatch("channel and model dimensions differ")
+        defect = sum(_completeness_defect(channel) for channel, _ in channels)
+        if defect > CHANNEL_ATOL:
+            raise InvalidChannel(f"the channels' Kraus completeness defects sum to {defect:.3e}")
         self.passes = int(passes)
         self.channels = tuple(channels)
         self._gen_eig = _gen_eig if _gen_eig is not None else eig_hermitian(self.generator)

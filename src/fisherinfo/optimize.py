@@ -86,113 +86,54 @@ def nelder_mead(objective, x0s, maxiter: int):
     the points a branch does not use change nothing.  A shrink takes one
     more call.
 
-    A call that raises is made again point by point, and in an iteration
-    only for the points scipy evaluates (``_scipy_trials``).  A start whose
-    point raises stops there; once all have stopped, the first such start's
-    error is raised, as scipy's runs one after another would raise it.
-
     Returns (x, nit): each start's best vertex and its iteration count.
     """
     x0s = np.asarray(x0s, dtype=float)
     k, n = x0s.shape
-    errors = {}  # start -> the error its run raised
-
-    def evaluate(x, rows):
-        try:
-            return objective(x, rows)
-        except Exception:
-            return _one_by_one(objective, x, rows, errors)
-
     sim = np.repeat(x0s[:, None, :], n + 1, axis=1)
     for j in range(n):
         step = sim[:, j + 1, j]
         sim[:, j + 1, j] = np.where(step != 0, (1 + NONZDELT) * step, ZDELT)
     live = np.arange(k)
-    fsim = evaluate(sim.reshape(-1, n), np.repeat(live, n + 1)).reshape(k, n + 1)
+    fsim = objective(sim.reshape(-1, n), np.repeat(live, n + 1)).reshape(k, n + 1)
     # scipy sorts twice before its first iteration
     sim, fsim = _sorted(*_sorted(sim, fsim))
     x = np.empty_like(x0s)
     nit = np.empty(k, dtype=int)
     iterations = 1
     while True:
-        failed = _stopped(live, errors)
-        if iterations >= maxiter:
-            done = np.ones(len(live), dtype=bool)
-        else:
-            done = failed | (np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= VALUE_SPREAD_TOL)
+        done = ((np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= VALUE_SPREAD_TOL)
+                | (iterations >= maxiter))
         if done.any():
-            ended = done & ~failed
-            x[live[ended]] = sim[ended, 0]
-            nit[live[ended]] = iterations
+            x[live[done]] = sim[done, 0]
+            nit[live[done]] = iterations
             live, sim, fsim = live[~done], sim[~done], fsim[~done]
             if not len(live):
-                if errors:
-                    raise errors[min(errors)]
                 return x, nit
 
         xbar = np.add.reduce(sim[:, :-1], 1) / n
         points = TRIAL_A * xbar - TRIAL_B * sim[:, -1]
-        try:
-            values = objective(points.reshape(-1, n), np.concatenate((live,) * 4)).reshape(4, -1)
-        except Exception:
-            values = _scipy_trials(objective, points, live, fsim, errors)
+        values = objective(points.reshape(-1, n), np.concatenate((live,) * 4)).reshape(4, -1)
         fr, fe, fc, fcc = values
-        # the trial point that replaces the worst vertex, or -1 to shrink
-        choice = _branch(fr, fsim, np.where(fe < fr, 1, 0), 0, np.where(fc <= fr, 2, -1),
-                         np.where(fcc < fsim[:, -1], 3, -1))
+        # scipy's if-chain on the reflection value fr: the trial point that
+        # replaces the worst vertex (0 reflection, 1 expansion, 2 outside and
+        # 3 inside contraction), or -1 to shrink
+        choice = np.where(
+            fr < fsim[:, 0], np.where(fe < fr, 1, 0), np.where(
+                fr < fsim[:, -2], 0, np.where(
+                    fr < fsim[:, -1], np.where(fc <= fr, 2, -1),
+                    np.where(fcc < fsim[:, -1], 3, -1))))
         rows = np.flatnonzero(choice >= 0)
         sim[rows, -1] = points[choice[rows], rows]
         fsim[rows, -1] = values[choice[rows], rows]
-        shrink = (choice < 0) & ~_stopped(live, errors)
+        shrink = choice < 0
         if shrink.any():
             kept = sim[shrink, :1]
             sim[shrink, 1:] = kept + SIGMA * (sim[shrink, 1:] - kept)
-            fsim[shrink, 1:] = evaluate(sim[shrink, 1:].reshape(-1, n),
-                                        np.repeat(live[shrink], n)).reshape(-1, n)
+            fsim[shrink, 1:] = objective(sim[shrink, 1:].reshape(-1, n),
+                                         np.repeat(live[shrink], n)).reshape(-1, n)
         iterations += 1
         sim, fsim = _sorted(sim, fsim)
-
-
-def _stopped(live, errors):
-    """Which live starts have raised."""
-    return np.isin(live, list(errors)) if errors else np.zeros(len(live), dtype=bool)
-
-
-def _one_by_one(objective, x, rows, errors):
-    """The values at the points ``x``, each scored alone.  A start whose
-    point raises keeps that first error in ``errors`` and reads NaN from
-    then on."""
-    values = np.full(len(rows), np.nan)
-    for i, row in enumerate(rows):
-        if row not in errors:
-            try:
-                values[i] = objective(x[i:i + 1], rows[i:i + 1])[0]
-            except Exception as exc:
-                errors[row] = exc
-    return values
-
-
-def _scipy_trials(objective, points, live, fsim, errors):
-    """The four trial values of each live simplex, scored one point at a
-    time as scipy scores them: every reflection, then only the expansion or
-    the contraction its branch takes.  The others read NaN; no branch
-    reads them."""
-    values = np.full(points.shape[:2], np.nan)
-    values[0] = fr = _one_by_one(objective, points[0], live, errors)
-    branch = _branch(fr, fsim, 1, 0, 2, 3)
-    for j in (1, 2, 3):
-        rows = branch == j
-        if rows.any():
-            values[j, rows] = _one_by_one(objective, points[j, rows], live[rows], errors)
-    return values
-
-
-def _branch(fr, fsim, expand, reflect, outside, inside):
-    """scipy's if-chain on each simplex's reflection value ``fr`` and sorted
-    values ``fsim``: ``expand`` where fr is below the best value, ``reflect``
-    below the second worst, ``outside`` (contraction) below the worst, else ``inside``."""
-    return np.where(fr < fsim[:, 0], expand, np.where(
-        fr < fsim[:, -2], reflect, np.where(fr < fsim[:, -1], outside, inside)))
 
 
 def _sorted(sim, fsim):

@@ -17,17 +17,36 @@ from .errors import (
     NotNormalized,
     NotUnitary,
 )
-from .linalg import adjoint, as_complex_matrix, identity
+from .linalg import adjoint, as_complex_matrix, hermiticity_defect, identity
 
+# Compute-time checks, of every state a computation forms and of every row
+# of Born probabilities
 STATE_HERMITIAN_ATOL = 1e-12
 STATE_TRACE_ATOL = 1e-10
 STATE_EIG_FLOOR = -1e-10          # eigenvalues above this are clamped to zero
-POVM_ATOL = 1e-10                 # effect positivity and completeness
-CHANNEL_ATOL = 1e-10              # Kraus completeness
-UNITARY_ATOL = 1e-10
-NORMALIZATION_ATOL = 1e-10
 BORN_CLAMP = -1e-12               # probabilities above this are clamped to zero
 BORN_SUM_ATOL = 1e-10
+
+# Load-time bounds.  A defect D is measured in the Frobenius norm, which is at
+# least the operator norm, so |tr(rho D)| <= tr(rho) ||D|| for every state rho.
+#   NORMALIZATION_ATOL  |tr rho - 1| of a pure input state.
+#   CHANNEL_ATOL        ||sum_j K_j^dag K_j - I|| of a channel, and the sum of
+#                       these over a model's channels, which also bounds every
+#                       partial chain of pre channels.
+#   POVM_ATOL           ||sum_x E_x - I|| of a POVM plus the sum over its
+#                       effects of -min(lowest eigenvalue, 0), which a Born
+#                       row's clamp to 0 can add back; also each effect's
+#                       Hermiticity defect.  Every effect eigenvalue stays
+#                       above BORN_CLAMP / 2.
+# So an input that loads never fails a compute-time check: a pre channel's
+# output trace is within (1 + NORMALIZATION_ATOL)(1 + CHANNEL_ATOL) - 1 <
+# STATE_TRACE_ATOL of 1, a Born row sums to within (1 + NORMALIZATION_ATOL)
+# (1 + CHANNEL_ATOL)(1 + POVM_ATOL) - 1 < BORN_SUM_ATOL of 1, and every
+# probability is at least BORN_CLAMP / 2 (1 + BORN_SUM_ATOL) > BORN_CLAMP.
+NORMALIZATION_ATOL = 5e-11
+CHANNEL_ATOL = 2e-11
+POVM_ATOL = 2e-11
+UNITARY_ATOL = 1e-10
 
 
 class DensityMatrix:
@@ -49,9 +68,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh((self.mat + adjoint(self.mat)) / 2.0)
-
 
 def checked_states(mats) -> np.ndarray:
     """Validate a density matrix or a stack of them (..., d, d).
@@ -62,7 +78,7 @@ def checked_states(mats) -> np.ndarray:
     the trace restored.
     """
     m = np.asarray(mats, dtype=complex)
-    defect = np.max(np.abs(m - adjoint(m)), axis=(-2, -1))
+    defect = hermiticity_defect(m)
     if np.any(defect > STATE_HERMITIAN_ATOL):
         worst = float(defect[defect > STATE_HERMITIAN_ATOL][0])
         raise InvalidState(f"density matrix is non-Hermitian by {worst:.3e}")
@@ -108,17 +124,16 @@ class Povm:
                 raise InvalidPovm("labels must be distinct and match the effect count")
         stack = np.stack(effects)
         if validate:
-            defects = np.max(np.abs(stack - adjoint(stack)), axis=(-2, -1))
+            defects = hermiticity_defect(stack)
             lows = np.linalg.eigvalsh((stack + adjoint(stack)) / 2.0)[:, 0]
-            bad = np.flatnonzero((defects > POVM_ATOL) | (lows < -POVM_ATOL))
+            bad = np.flatnonzero((defects > POVM_ATOL) | (lows < BORN_CLAMP / 2))
             if bad.size:
                 k = int(bad[0])
                 if defects[k] > POVM_ATOL:
                     raise InvalidPovm(f"effect {k} is non-Hermitian by {defects[k]:.3e}")
                 raise InvalidPovm(f"effect {k} has negative eigenvalue {lows[k]:.3e}")
-            # summed one by one: stack.sum(axis=0) differs in the last bits
-            total = sum(effects)
-            defect = float(np.max(np.abs(total - identity(dim))))
+            defect = float(np.linalg.norm(stack.sum(axis=0) - identity(dim))
+                           - np.minimum(lows, 0.0).sum())
             if defect > POVM_ATOL:
                 raise InvalidPovm(f"effects sum deviates from identity by {defect:.3e}")
         self.effects = stack
@@ -145,16 +160,22 @@ class KrausChannel:
         dim = kraus[0].shape[0]
         if any(k.shape[0] != dim for k in kraus):
             raise DimensionMismatch("Kraus operators have mixed dimensions")
+        self.kraus = np.stack(kraus)
         if validate:
-            total = sum(adjoint(k) @ k for k in kraus)
-            defect = float(np.max(np.abs(total - identity(dim))))
+            defect = _completeness_defect(self)
             if defect > CHANNEL_ATOL:
                 raise InvalidChannel(f"Kraus completeness violated by {defect:.3e}")
-        self.kraus = np.stack(kraus)
 
     @property
     def dim(self) -> int:
         return self.kraus.shape[-1]
+
+
+def _completeness_defect(channel: KrausChannel) -> float:
+    """||sum_j K_j^dag K_j - I||, the Frobenius norm: the channel changes the
+    trace of a state rho by at most this times tr(rho)."""
+    k = channel.kraus.reshape(-1, channel.dim)  # the operators stacked as one column
+    return float(np.linalg.norm(adjoint(k) @ k - identity(channel.dim)))
 
 
 def apply_channel_matrix(channel: KrausChannel, a: np.ndarray) -> np.ndarray:

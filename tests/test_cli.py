@@ -8,7 +8,7 @@ import pytest
 
 from fisherinfo.cli import main
 from fisherinfo.documents import pairs_from_matrix, povm_to_document
-from fisherinfo.linalg import PAULI_Z
+from fisherinfo.linalg import PAULI_X, PAULI_Z
 from fisherinfo.quantum import projective_povm
 
 
@@ -341,11 +341,13 @@ def test_bad_prior_spec_exits_2(capsys, model_file, x_povm_file):
 
 
 @pytest.mark.parametrize("command", ["fisher", "qfi"])
-@pytest.mark.parametrize("excess, code", [(0.9e-10, 2), (0.4e-10, 0)],
-                         ids=["trace-off-by-1.8e-10", "trace-off-by-0.8e-10"])
+@pytest.mark.parametrize("excess, code", [(0.9e-10, 2), (0.4e-10, 2), (0.2e-10, 0)],
+                         ids=["trace-off-by-1.8e-10", "trace-off-by-0.8e-10",
+                              "trace-off-by-0.4e-10"])
 def test_state_normalization_is_checked_on_the_trace(capsys, tmp_path, x_povm_file,
                                                      command, excess, code):
-    # an initial state of norm 1 + excess has trace 1 + 2 excess
+    # an initial state of norm 1 + excess has trace 1 + 2 excess, against a
+    # bound of 5e-11
     amplitude = (1.0 + excess) / np.sqrt(2.0)
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"dim": 2, "kind": "unitary",
@@ -358,7 +360,8 @@ def test_state_normalization_is_checked_on_the_trace(capsys, tmp_path, x_povm_fi
     assert exit_code == code
     if code:
         assert out == ""
-        assert err.startswith(f"error:2:{path}: state vector has norm 1.00000000009")
+        assert err.startswith(f"error:2:{path}: state vector has norm ")
+        assert float(err.rsplit(" ", 1)[1]) == pytest.approx(1.0 + excess, abs=1e-15)
         assert err.count("\n") == 1
     else:
         assert err == "" and json.loads(out)["value"] == pytest.approx(4.0, abs=1e-9)
@@ -398,8 +401,8 @@ def _write_model(path, generator, passes=1):
 
 
 def _write_loose_povm(path):
-    # each of 8 basis projectors gains 0.99e-10 J / 8: the entrywise effect sum
-    # passes the POVM check, but the Born sum on the uniform state is 1 + 7.9e-10
+    # each of 8 basis projectors gains 0.99e-10 J / 8, so the Born sum on the
+    # uniform state would be 1 + 7.9e-10; the POVM is refused at load
     dim = 8
     extra = np.full((dim, dim), 0.99e-10 / dim)
     path.write_text(json.dumps({"dim": dim, "effects": [
@@ -428,6 +431,57 @@ def test_runtime_failures_exit_with_one_error_line(capsys, tmp_path, x_povm_file
     assert exit_code == code
     assert out == ""
     assert err.startswith(f"error:{code}:") and err.count("\n") == 1
+
+
+def _sqrt_psd(m):
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(w)) @ v.conj().T
+
+
+@pytest.mark.parametrize("argv, amplitude, generator, channels, effects, bad, message", [
+    (["optimize", "--theta", "0.4", "--restarts", "4"], 1.0, PAULI_Z,
+     [(_sqrt_psd(np.eye(2) + 6e-11 * np.ones((2, 2))), "pre"), (PAULI_X, "post")], None,
+     "model", "Kraus completeness violated by 1.200e-10"),
+    (["fisher", "--theta", "0"], np.sqrt(1.0 + 0.9e-10), PAULI_Z, [],
+     [np.diag([1.0 + 0.9e-10, 0.0]), np.diag([0.0, 1.0 + 0.9e-10])],
+     "model", "state vector has norm 1.000000000045"),
+    (["fisher", "--theta", "0"], 1.0, PAULI_X, [],
+     [np.diag([1.0 + 0.9e-10, -0.9e-10]), np.diag([-0.9e-10, 1.0 + 0.9e-10])],
+     "povm", "effect 0 has negative eigenvalue -9.000e-11"),
+], ids=["pre-channel", "state-and-povm", "effect-floor"])
+def test_inputs_that_would_fail_a_later_check_exit_2_at_load(capsys, tmp_path, x_povm_file,
+                                                             argv, amplitude, generator,
+                                                             channels, effects, bad, message):
+    # each loaded once and then failed mid-computation, naming a search
+    # candidate or the wrong document
+    paths = {"model": tmp_path / "model.json", "povm": x_povm_file}
+    paths["model"].write_text(json.dumps({
+        "dim": 2, "kind": "unitary", "generator": pairs_from_matrix(generator),
+        "initial_state": [[amplitude, 0.0], [0.0, 0.0]],
+        "compose": [{"kraus": [pairs_from_matrix(k)], "placement": p} for k, p in channels]}))
+    argv = argv + ["--model", str(paths["model"])]
+    if effects is not None:
+        paths["povm"] = tmp_path / "povm.json"
+        paths["povm"].write_text(json.dumps({"dim": 2, "effects": [pairs_from_matrix(e)
+                                                                   for e in effects]}))
+        argv += ["--povm", str(paths["povm"])]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"error:2:{paths[bad]}: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1",
+     "--grid", "1000000000000000"],
+    ["dpi", "--mode", "classical", "--trials", "1000000000000000"],
+], ids=["bayes-grid", "dpi-trials"])
+def test_a_size_too_large_to_allocate_exits_2(capsys, model_file, x_povm_file, argv):
+    # each array would take petabytes, more than any address space, so the
+    # allocation fails at once
+    argv = [a.format(model=model_file, povm=x_povm_file) for a in argv]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:2:Unable to allocate") and err.count("\n") == 1
 
 
 def test_dimension_mismatch_exits_3(capsys, model_file, tmp_path):

@@ -16,7 +16,14 @@ from fisherinfo.errors import (
 from fisherinfo.fisher import bayesian_information, classical_fisher
 from fisherinfo.linalg import MAX_DIM, PAULI_X, PAULI_Z, adjoint
 from fisherinfo.models import UnitaryFamily
+from fisherinfo.optimize import ContextSpace, maximize_fisher
 from fisherinfo.quantum import (
+    BORN_CLAMP,
+    BORN_SUM_ATOL,
+    CHANNEL_ATOL,
+    NORMALIZATION_ATOL,
+    POVM_ATOL,
+    STATE_TRACE_ATOL,
     DensityMatrix,
     KrausChannel,
     Povm,
@@ -56,7 +63,7 @@ def test_density_matrix_rejects_negative_eigenvalue():
 
 def test_density_matrix_clamps_roundoff_negatives():
     rho = DensityMatrix(np.diag([1.0 + 5e-11, -5e-11]))
-    w, _ = rho.eig()
+    w, _ = np.linalg.eigh(rho.mat)
     assert w[0] >= 0.0
     assert np.trace(rho.mat).real == pytest.approx(1.0, abs=1e-12)
 
@@ -96,6 +103,15 @@ def test_povm_names_the_first_failing_effect_hermiticity_first():
     # effect 2 is both: Hermiticity is named first
     with pytest.raises(InvalidPovm, match=r"^effect 2 is non-Hermitian by 1\.000e-03$"):
         Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.5]), np.diag([0.0, -0.5]) + skew])
+
+
+def test_a_marginal_fixed_povm_is_refused_at_construction():
+    # effects that sum to I + 6e-11 J (J all ones) would let a Born row sum
+    # miss 1 by up to 1.2e-10, more than its tolerance
+    rng = np.random.default_rng(0)
+    basis = np.linalg.eigh(random_hermitian(rng, 2))[1]
+    with pytest.raises(InvalidPovm, match=r"^effects sum deviates from identity by 1\.200e-10$"):
+        Povm([e + 3e-11 * np.ones((2, 2)) for e in projective_povm(basis).effects])
 
 
 def test_povm_rejects_duplicate_labels():
@@ -146,7 +162,7 @@ def test_channels_preserve_valid_states():
         rho = random_full_rank_state(rng, dim)
         out = apply_channel(channel, rho)
         assert np.trace(out.mat).real == pytest.approx(1.0, abs=1e-10)
-        w, _ = out.eig()
+        w, _ = np.linalg.eigh(out.mat)
         assert w[0] >= -1e-10
 
 
@@ -268,3 +284,76 @@ def test_operator_forms_reject_the_same_shapes(form):
             with pytest.raises(error, match=text) as raised:
                 build(OPERATOR_FORMS[form](ops))
             assert _built(build, list(ops)) == (error, str(raised.value))
+
+
+def test_the_load_bounds_add_up_to_less_than_the_compute_bounds():
+    prepared = (1 + NORMALIZATION_ATOL) * (1 + CHANNEL_ATOL)
+    assert prepared - 1 < STATE_TRACE_ATOL
+    assert prepared * (1 + POVM_ATOL) - 1 < BORN_SUM_ATOL
+    assert BORN_CLAMP / 2 * (1 + BORN_SUM_ATOL) > BORN_CLAMP
+    # an effect eigenvalue may go down to BORN_CLAMP / 2
+    low = BORN_CLAMP / 2
+    Povm([np.diag([1.0, 0.999 * low]), np.diag([0.0, 1.0 - 0.999 * low])])
+    with pytest.raises(InvalidPovm, match="^effect 0 has negative eigenvalue"):
+        Povm([np.diag([1.0, 1.001 * low]), np.diag([0.0, 1.0 - 1.001 * low])])
+
+
+def test_a_povms_budget_counts_what_the_born_clamp_adds_back():
+    # 79 effects with eigenvalue -4.9e-13 on |1>, each above the floor, and
+    # a sum of I + 1.9e-11 |1><1|: at |1> the clamped Born row would sum to
+    # 1 + 5.8e-11 from the POVM alone
+    low = -4.9e-13
+    effects = [np.diag([1.0 / 79, low])] * 79 + [np.diag([0.0, 1.0 - 79 * low + 1.9e-11])]
+    with pytest.raises(InvalidPovm, match=r"^effects sum deviates from identity by 5\.771e-11$"):
+        Povm(effects)
+
+
+def _unit_vector(rng, dim):
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+def _bumped(kraus, eps, v):
+    """Kraus operators times sqrt(I + eps |v><v|): they sum to I + eps |v><v|,
+    a completeness defect of Frobenius norm |eps|."""
+    w, u = np.linalg.eigh(np.eye(len(v)) + eps * np.outer(v, np.conj(v)))
+    return kraus @ ((u * np.sqrt(w)) @ adjoint(u))
+
+
+def test_a_models_channels_share_one_completeness_budget():
+    # six pre channels that raise the trace of |0> and six that lower it:
+    # each is within CHANNEL_ATOL and their composition is complete, but the
+    # sixth output's trace would be off 1 by 1.2e-10
+    v = np.array([1.0, 0.0])
+    up, down = (KrausChannel(_bumped(np.eye(2)[None], sign * 0.995 * CHANNEL_ATOL, v))
+                for sign in (1.0, -1.0))
+    UnitaryFamily(PAULI_Z, channels=((up, "pre"),))
+    with pytest.raises(InvalidChannel,
+                       match=r"^the channels' Kraus completeness defects sum to 2\.388e-10$"):
+        UnitaryFamily(PAULI_Z, channels=tuple((c, "pre") for c in [up] * 6 + [down] * 6))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 3),
+       signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3), split=st.floats(0.0, 1.0),
+       state=st.sampled_from(["pure", "document", "aligned"]))
+def test_inputs_within_the_load_bounds_pass_every_later_check(seed, dim, signs, split, state):
+    # every defect at 0.999 of its load-time bound, along one direction v
+    rng = np.random.default_rng(seed)
+    v, margin = _unit_vector(rng, dim), 0.999
+    weights = rng.dirichlet(np.ones(dim))[:, None, None]
+    povm = Povm(random_projective_povm(rng, dim).effects
+                + weights * margin * POVM_ATOL * np.outer(v, np.conj(v)))
+    budget = margin * CHANNEL_ATOL  # shared by the model's channels
+    pre = KrausChannel(_bumped(random_channel(rng, dim, 2).kraus, signs[0] * split * budget, v))
+    post = KrausChannel(_bumped(random_channel(rng, dim, 2).kraus,
+                                signs[1] * (1.0 - split) * budget, v))
+    psi = v if state == "aligned" else _unit_vector(rng, dim)
+    if state != "pure":  # normalized as a document may be
+        psi = psi * np.sqrt(1.0 + signs[2] * margin * NORMALIZATION_ATOL)
+    family = UnitaryFamily(random_hermitian(rng, dim), pure_state(psi),
+                           channels=((pre, "pre"), (post, "post")))
+    theta = float(rng.uniform(-1.0, 1.0))
+    classical_fisher(family, povm, theta)
+    bayesian_information(family, povm, uniform_prior(-0.5, 0.5, 21))
+    maximize_fisher(family, ContextSpace(dim, povm=povm), theta, restarts=2, maxiter=60)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fisherinfo import dpi
-from fisherinfo.errors import FisherinfoError
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import (
     SCORE_BYTES,
@@ -18,7 +17,6 @@ from fisherinfo.optimize import (
     maximize_fisher,
     nelder_mead,
 )
-from fisherinfo.quantum import Povm, projective_povm, pure_projectors
 from fisherinfo.sampling import (
     random_channel,
     random_hermitian,
@@ -157,95 +155,6 @@ def test_each_row_of_a_stacked_score_matches_its_score_alone(seed, dim, n_nodes,
         value, defined = score(problems[i:i + 1], states[i:i + 1], alone)
         assert ok[i] == defined[0]
         assert abs(values[i] - value[0]) <= 1e-12 * max(1.0, abs(value[0]))
-
-
-def retrace_scipy(objective, x0s, maxiter):
-    """Check a lockstep batch against scipy's run of each start alone: it
-    ends where they end, or raises what the first start to raise raises.
-    Returns how often a stacked call raised in a batch that still ended,
-    and whether the batch raised."""
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    expected = []
-    for x0 in x0s:
-        try:
-            ref = minimize(lambda v: objective(v[None], None)[0], x0, method="Nelder-Mead",
-                           options={"maxiter": maxiter, "fatol": VALUE_SPREAD_TOL,
-                                    "xatol": np.inf})
-            expected.append((ref.x.tobytes(), ref.nit))
-        except (ValueError, FisherinfoError) as exc:
-            expected.append(exc)
-    stacked_raises = 0
-
-    def counted(x, rows):
-        nonlocal stacked_raises
-        try:
-            return objective(x, rows)
-        except Exception:
-            stacked_raises += len(x) > 1
-            raise
-
-    first = next((e for e in expected if isinstance(e, Exception)), None)
-    if first is not None:
-        with pytest.raises(type(first)) as raised:
-            nelder_mead(counted, x0s, maxiter)
-        assert str(raised.value) == str(first)
-        return 0, True
-    x, nit = nelder_mead(counted, x0s, maxiter)
-    assert [(xk.tobytes(), nk) for xk, nk in zip(x, nit)] == expected
-    return stacked_raises, False
-
-
-def walled(f, wall):
-    """f, raising at any point whose first coordinate is past ``wall``."""
-
-    def g(x, rows=None):
-        past = x[:, 0] > wall
-        if past.any():
-            raise ValueError(f"point {x[past][0].tolist()!r} is past the wall")
-        return f(x)
-
-    return g
-
-
-def test_only_points_scipy_evaluates_can_end_the_search():
-    minimize = pytest.importorskip("scipy.optimize").minimize
-    spared = raised = 0
-    for seed in range(12):
-        n = 1 + seed % 3
-        f = smooth(seed, n)
-        x0s = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(3, n))
-        visited = []
-        for x0 in x0s:
-            minimize(lambda v: visited.append(v[0]) or f(v[None])[0], x0, method="Nelder-Mead",
-                     options={"maxiter": 200, "fatol": VALUE_SPREAD_TOL, "xatol": np.inf})
-        # a wall just past every point scipy visits, and one it runs into
-        for wall in (max(visited), float(np.median(visited))):
-            more, hit = retrace_scipy(walled(f, wall), x0s, 200)
-            spared, raised = spared + more, raised + hit
-    assert spared > 0 and raised > 0
-
-
-def test_a_marginal_fixed_povm_raises_only_where_scipy_does():
-    # effects that sum to I + 6e-11 J (J all ones) pass validation, but the
-    # Born sum misses 1 by up to 1.2e-10, more than its tolerance, on a cap
-    # of states
-    rng = np.random.default_rng(0)
-    basis = np.linalg.eigh(random_hermitian(rng, 2))[1]
-    povm = Povm([e + 3e-11 * np.ones((2, 2)) for e in projective_povm(basis).effects])
-    space = ContextSpace(2, povm=povm)
-    score = context_objective([UnitaryFamily(random_hermitian(rng, 2))], [[0.3]], [1.0])
-
-    def objective(x, rows):
-        values, ok = score(np.zeros(len(x), dtype=int),
-                           pure_projectors(space.decode_amplitudes(x)), povm)
-        return np.where(ok, -values, 0.0)
-
-    spared = raised = 0
-    for seed in range(8):
-        x0s = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(2, 2))
-        more, hit = retrace_scipy(objective, x0s, 200)
-        spared, raised = spared + more, raised + hit
-    assert spared > 0 and raised > 0
 
 
 @pytest.mark.parametrize("n_problems, n_nodes", [(1, 201), (2, 21)])

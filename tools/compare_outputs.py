@@ -15,8 +15,9 @@ numbers of the two outputs, and exits 1 on any difference.
 The command set: every ``cli-light`` op and defect-probe op of seeds 1-3
 and the first 540 ``dpi`` ops of seed 1 (``perfbench/workloads.py``, read
 only); two long DPI suites per mode; ``paper-example`` at three thetas;
-``optimize`` with each of its fixings on six documents with channels; and
-a dozen corrupted documents.  Numpy and the standard library only.
+``optimize`` with each of its fixings on six documents with channels; a
+dozen corrupted documents; and five that fail the load-time bounds by
+little.  Numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -131,6 +132,34 @@ def _corrupted_commands(directory: Path) -> list:
     commands.append(["fisher", "--model", good_model, "--povm", incomplete, "--theta", "0.4"])
     commands += [["bayes", "--model", good_model, "--povm", povm, "--prior", f"uniform:0,{bad}"]
                  for bad in ("1" * 5000, "x" * 5000)]
+    return commands + _beyond_the_load_bounds(out, z, x_basis, povm)
+
+
+def _beyond_the_load_bounds(out, z, x_basis, povm) -> list:
+    """Documents that fail the load-time bounds by little: a pre channel, a
+    POVM and a state with a completeness or trace defect each, and a POVM
+    with a negative effect eigenvalue.  Each once loaded and could then fail
+    a later check."""
+    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    zero = np.array([1.0, 0.0], dtype=complex)
+    excess = 0.9e-10
+    w, v = np.linalg.eigh(np.eye(2) + 6e-11 * np.ones((2, 2)))
+    models = [_model(out, z, zero, [(((v * np.sqrt(w)) @ v.T)[None], "pre"), (x[None], "post")]),
+              _model(out, z, zero * math.sqrt(1.0 + excess))]
+    povms = [out.povm(x_basis + 3e-11),
+             out.povm(np.array([np.diag([1.0 + excess, 0.0]), np.diag([0.0, 1.0 + excess])])),
+             out.povm(np.array([np.diag([1.0 + excess, -excess]),
+                                np.diag([-excess, 1.0 + excess])]))]
+    x_model = _model(out, x, zero)
+    commands = [["fisher", "--model", models[1], "--povm", povms[1], "--theta", "0"]]
+    for model in models:
+        commands += [["fisher", "--model", model, "--povm", povm, "--theta", "0.4"],
+                     ["qfi", "--model", model, "--theta", "0.4"],
+                     ["optimize", "--model", model, "--theta", "0.4", "--restarts", "4"]]
+    for bad in povms:
+        commands += [["fisher", "--model", x_model, "--povm", bad, "--theta", "0"],
+                     ["optimize", "--model", x_model, "--theta", "0", "--restarts", "4",
+                      "--fix-povm", bad]]
     return commands
 
 
