@@ -34,6 +34,7 @@ from .documents import (
 from .errors import (
     DerivativeOffSupport,
     DimensionMismatch,
+    DocumentError,
     FisherinfoError,
     SingularOutcome,
 )
@@ -64,8 +65,6 @@ def cmd_fisher(args):
     povm = load_povm_document(args.povm)
     value = classical_fisher(model, povm, args.theta).value
     return {
-        "command": "fisher",
-        "inputs": {"model": args.model, "povm": args.povm, "theta": args.theta},
         "value": value,
         "seed": None,
         "tolerances": {**_FLOORS},
@@ -75,8 +74,6 @@ def cmd_fisher(args):
 def cmd_qfi(args):
     result = sld_solve(load_model_document(args.model), args.theta)
     return {
-        "command": "qfi",
-        "inputs": {"model": args.model, "theta": args.theta},
         "value": result.qfi,
         "support_rank": result.support_rank,
         "seed": None,
@@ -90,9 +87,6 @@ def cmd_bayes(args):
     prior = parse_prior_spec(args.prior, args.grid)
     report = check_bcrb(prior, model, povm)
     return {
-        "command": "bayes",
-        "inputs": {"model": args.model, "povm": args.povm,
-                   "prior": args.prior, "grid": args.grid},
         "values": {
             "risk": report.risk,
             "bayesian_information": report.j,
@@ -118,11 +112,6 @@ def cmd_optimize(args):
     result = maximize_fisher(model, space, args.theta,
                              restarts=args.restarts, seed=args.seed)
     return {
-        "command": "optimize",
-        "inputs": {"model": args.model, "theta": args.theta,
-                   "restarts": args.restarts, "seed": args.seed,
-                   "fix_state": bool(args.fix_state),
-                   "fix_povm": args.fix_povm},
         "value": result.best_value,
         "context": {
             "label": ", ".join(label_bits) or "unrestricted",
@@ -142,9 +131,6 @@ def cmd_dpi(args):
                                             dim=args.dim, kraus_count=args.kraus)
     violations = sum(report.violated for report in reports)
     summary = {
-        "command": "dpi",
-        "inputs": {"mode": args.mode, "trials": args.trials, "dim": args.dim,
-                   "kraus": args.kraus, "seed": args.seed},
         "trials": args.trials,
         "violations": violations,
         "seed": args.seed,
@@ -158,8 +144,6 @@ def cmd_dpi(args):
 def cmd_paper_example(args):
     values = circumvention_report(args.theta)
     return {
-        "command": "paper-example",
-        "inputs": {"theta": args.theta},
         "values": values,
         "statements": {
             "base": "unrestricted context maximum; parameter-independent "
@@ -192,8 +176,15 @@ def _int_at_least(low: int):
     return integer
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises an argument error as a DocumentError: one error:2: line, no usage text."""
+
+    def error(self, message):
+        raise DocumentError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fisherinfo",
         description="Fisher information of small quantum models, with "
                     "data-processing checks",
@@ -216,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", required=True)
     p.add_argument("--prior", required=True,
                    help="uniform:a,b or gauss:mu,sigma,a,b")
-    p.add_argument("--grid", type=int, default=bayes_mod.DEFAULT_GRID)
+    p.add_argument("--grid", type=_int_at_least(bayes_mod.MIN_GRID),
+                   default=bayes_mod.DEFAULT_GRID)
     p.set_defaults(run=cmd_bayes)
 
     p = sub.add_parser("optimize", help="maximize Fisher information over contexts")
@@ -270,17 +262,20 @@ def _attach_negative_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(_attach_negative_values(argv))
-    started = time.perf_counter()
     try:
+        args = build_parser().parse_args(_attach_negative_values(argv))
+        started = time.perf_counter()
         # numpy's overflow and invalid-value warnings stay off stderr: a
         # non-finite result is reported once, by the report's finiteness check
         with np.errstate(all="ignore"):
-            # dpi returns its trial lines before its report and exit code
-            *lines, report, code = args.run(args)
+            # dpi returns its trial lines before its fields and exit code
+            *lines, fields, code = args.run(args)
             for line in lines:
                 print(_dumps(line))
-            report["runtime_ms"] = (time.perf_counter() - started) * 1000.0
+            # the inputs are the parsed arguments, in the parser's order
+            inputs = {k: v for k, v in vars(args).items() if k not in ("command", "run")}
+            report = {"command": args.command, "inputs": inputs, **fields,
+                      "runtime_ms": (time.perf_counter() - started) * 1000.0}
             print(_dumps(report, indent=2))
             return code
     except DimensionMismatch as exc:

@@ -90,16 +90,9 @@ class DpiTrialReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "trial": self.trial,
-            "seed": self.seed,
-            "kind": self.kind,
-            "i_before": self.i_before,
-            "i_after": self.i_after,
-            "gap": self.gap,
-            "violated": self.violated,
-        }
-        out.update(self.extra)
+        """The fields in order, with ``extra``'s entries in place of ``extra``."""
+        out = dict(vars(self))
+        out.update(out.pop("extra"))
         return out
 
 
@@ -227,9 +220,3 @@ def _quantum_report(trial: int, seed: int, draw, before, after) -> DpiTrialRepor
                "dual_defect": float(dual_defect), "theta": theta},
     )
 
-
-__all__ = [
-    "CLASSICAL_TOL", "QUANTUM_TOL", "SLD_TOL", "DUAL_TOL",
-    "StochasticMap", "DpiTrialReport", "postprocess_likelihood",
-    "classical_dpi_suite", "quantum_dpi_suite", "random_channel",
-]

@@ -62,4 +62,4 @@ class ZeroEvidence(FisherinfoError):
 
 
 class DocumentError(FisherinfoError):
-    """A JSON input document is malformed or violates its schema."""
+    """A JSON input document or a command-line argument is malformed or invalid."""

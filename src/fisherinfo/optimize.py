@@ -152,7 +152,8 @@ class ContextSpace:
     Hermitian generator whose exponential supplies the basis.
     """
 
-    __slots__ = ("dim", "state", "povm", "_triu")
+    __slots__ = ("dim", "state", "povm", "n_state_params", "n_povm_params", "n_params",
+                 "_triu")
 
     def __init__(self, dim: int, state: DensityMatrix | None = None,
                  povm: Povm | None = None):
@@ -165,19 +166,10 @@ class ContextSpace:
         self.dim = dim
         self.state = state
         self.povm = povm
+        self.n_state_params = 0 if state is not None else 2 * (dim - 1)
+        self.n_povm_params = 0 if povm is not None else dim * dim
+        self.n_params = self.n_state_params + self.n_povm_params
         self._triu = np.triu_indices(dim, 1)
-
-    @property
-    def n_state_params(self) -> int:
-        return 0 if self.state is not None else 2 * (self.dim - 1)
-
-    @property
-    def n_povm_params(self) -> int:
-        return 0 if self.povm is not None else self.dim * self.dim
-
-    @property
-    def n_params(self) -> int:
-        return self.n_state_params + self.n_povm_params
 
     def decode_amplitudes(self, params: np.ndarray) -> np.ndarray:
         """Hyperspherical angles and relative phases to unit vectors, for one

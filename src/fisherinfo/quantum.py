@@ -38,6 +38,9 @@ BORN_SUM_ATOL = 1e-10
 #                       row's clamp to 0 can add back; also each effect's
 #                       Hermiticity defect.  Every effect eigenvalue stays
 #                       above BORN_CLAMP / 2.
+#   UNITARY_ATOL        ||U^dag U - I|| of a unitary or a measurement basis U:
+#                       its channel's completeness defect and, U square, its
+#                       projective POVM's ||sum_x E_x - I|| = ||U U^dag - I||.
 # So an input that loads never fails a compute-time check: a pre channel's
 # output trace is within (1 + NORMALIZATION_ATOL)(1 + CHANNEL_ATOL) - 1 <
 # STATE_TRACE_ATOL of 1, a Born row sums to within (1 + NORMALIZATION_ATOL)
@@ -46,7 +49,7 @@ BORN_SUM_ATOL = 1e-10
 NORMALIZATION_ATOL = 5e-11
 CHANNEL_ATOL = 2e-11
 POVM_ATOL = 2e-11
-UNITARY_ATOL = 1e-10
+UNITARY_ATOL = min(CHANNEL_ATOL, POVM_ATOL)
 
 
 class DensityMatrix:
@@ -99,6 +102,17 @@ def checked_states(mats) -> np.ndarray:
     return m
 
 
+def _operator_stack(operators, name: str, empty: Exception) -> np.ndarray:
+    """Square matrices named ``name``, at least one (else ``empty`` is
+    raised) and of one dimension, as one (n, d, d) array."""
+    mats = [as_complex_matrix(op, name) for op in operators]
+    if not mats:
+        raise empty
+    if any(m.shape[0] != mats[0].shape[0] for m in mats):
+        raise DimensionMismatch(f"{name}s have mixed dimensions")
+    return np.stack(mats)
+
+
 class Povm:
     """A measurement: positive effects that sum to the identity.
 
@@ -110,19 +124,14 @@ class Povm:
     __slots__ = ("effects", "labels")
 
     def __init__(self, effects, labels=None, *, validate: bool = True):
-        effects = [as_complex_matrix(e, "POVM effect") for e in effects]
-        if not effects:
-            raise InvalidPovm("a POVM needs at least one effect")
-        dim = effects[0].shape[0]
-        if any(e.shape[0] != dim for e in effects):
-            raise DimensionMismatch("POVM effects have mixed dimensions")
+        stack = _operator_stack(effects, "POVM effect",
+                                InvalidPovm("a POVM needs at least one effect"))
         if labels is None:
-            labels = tuple(range(len(effects)))
+            labels = tuple(range(len(stack)))
         else:
             labels = tuple(int(x) for x in labels)
-            if len(labels) != len(effects) or len(set(labels)) != len(labels):
+            if len(labels) != len(stack) or len(set(labels)) != len(labels):
                 raise InvalidPovm("labels must be distinct and match the effect count")
-        stack = np.stack(effects)
         if validate:
             defects = hermiticity_defect(stack)
             lows = np.linalg.eigvalsh((stack + adjoint(stack)) / 2.0)[:, 0]
@@ -132,7 +141,7 @@ class Povm:
                 if defects[k] > POVM_ATOL:
                     raise InvalidPovm(f"effect {k} is non-Hermitian by {defects[k]:.3e}")
                 raise InvalidPovm(f"effect {k} has negative eigenvalue {lows[k]:.3e}")
-            defect = float(np.linalg.norm(stack.sum(axis=0) - identity(dim))
+            defect = float(np.linalg.norm(stack.sum(axis=0) - identity(stack.shape[-1]))
                            - np.minimum(lows, 0.0).sum())
             if defect > POVM_ATOL:
                 raise InvalidPovm(f"effects sum deviates from identity by {defect:.3e}")
@@ -154,13 +163,8 @@ class KrausChannel:
     __slots__ = ("kraus",)
 
     def __init__(self, kraus, *, validate: bool = True):
-        kraus = [as_complex_matrix(k, "Kraus operator") for k in kraus]
-        if not kraus:
-            raise InvalidChannel("a channel needs at least one Kraus operator")
-        dim = kraus[0].shape[0]
-        if any(k.shape[0] != dim for k in kraus):
-            raise DimensionMismatch("Kraus operators have mixed dimensions")
-        self.kraus = np.stack(kraus)
+        self.kraus = _operator_stack(kraus, "Kraus operator",
+                                     InvalidChannel("a channel needs at least one Kraus operator"))
         if validate:
             defect = _completeness_defect(self)
             if defect > CHANNEL_ATOL:
@@ -282,20 +286,19 @@ def maximally_mixed(dim: int) -> DensityMatrix:
 
 
 def require_unitary(u, name: str = "matrix") -> np.ndarray:
-    m = as_complex_matrix(u, name)
-    defect = float(np.max(np.abs(adjoint(m) @ m - identity(m.shape[0]))))
-    if defect > UNITARY_ATOL:
-        raise NotUnitary(f"{name} deviates from unitarity by {defect:.3e}")
+    """A matrix or a stack of them (..., d, d) as a complex array; NotUnitary,
+    naming ``name``, if any ||U^dag U - I|| exceeds UNITARY_ATOL."""
+    m = np.asarray(u, dtype=complex)
+    defect = np.linalg.norm(adjoint(m) @ m - identity(m.shape[-1]), axis=(-2, -1))
+    if np.any(defect > UNITARY_ATOL):
+        raise NotUnitary(f"{name} deviates from unitarity by {float(np.max(defect)):.3e}")
     return m
 
 
 def basis_projectors(bases) -> np.ndarray:
     """Rank-one projectors onto the columns of a unitary or of each unitary
     in a stack (..., d, d); the outcome index is third from last."""
-    u = np.asarray(bases, dtype=complex)
-    defect = np.max(np.abs(adjoint(u) @ u - identity(u.shape[-1])), axis=(-2, -1))
-    if np.any(defect > UNITARY_ATOL):
-        raise NotUnitary(f"measurement basis deviates from unitarity by {float(np.max(defect)):.3e}")
+    u = require_unitary(bases, "measurement basis")
     return projectors(np.swapaxes(u, -1, -2))
 
 
@@ -305,7 +308,8 @@ def projective_povm(basis) -> Povm:
 
 
 def unitary_channel(u) -> KrausChannel:
-    return KrausChannel([require_unitary(u, "unitary")], validate=False)
+    return KrausChannel([require_unitary(as_complex_matrix(u, "unitary"), "unitary")],
+                        validate=False)
 
 
 def depolarizing_channel(strength: float) -> KrausChannel:

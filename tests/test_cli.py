@@ -376,18 +376,38 @@ def test_state_normalization_is_checked_on_the_trace(capsys, tmp_path, x_povm_fi
     ["dpi", "--mode", "classical", "--trials", "-1"],
     ["dpi", "--mode", "quantum", "--trials", "1", "--kraus", "0"],
     ["dpi", "--mode", "classical", "--trials", "1", "--seed", "-1"],
+    [],
+    ["fisher", "--model", "{model}", "--theta", "0.3"],
 ], ids=["theta-nan", "theta-negative-inf", "negative-restarts", "empty-prior-interval", "grid-2",
-        "negative-trials", "kraus-0", "negative-seed"])
+        "negative-trials", "kraus-0", "negative-seed", "no-command", "missing-option"])
 def test_bad_arguments_exit_2(capsys, model_file, x_povm_file, argv):
-    argv = [a.format(model=model_file, povm=x_povm_file) for a in argv]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse rejects the value itself
-        code = exc.code
-    captured = capsys.readouterr()
+    # argparse's own rejections too: one error line, no usage text, no SystemExit
+    code, out, err = run_cli(capsys, [a.format(model=model_file, povm=x_povm_file)
+                                      for a in argv])
     assert code == 2
-    assert captured.out == ""
-    assert "error" in captured.err
+    assert out == ""
+    assert err.startswith("error:2:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["fisher", "--model", "{model}", "--povm", "{povm}", "--theta", "0.3"],
+     ["model", "povm", "theta"]),
+    (["qfi", "--model", "{model}", "--theta", "0.3"], ["model", "theta"]),
+    (["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1"],
+     ["model", "povm", "prior", "grid"]),
+    (["optimize", "--model", "{model}", "--theta", "0.3", "--restarts", "1"],
+     ["model", "theta", "restarts", "seed", "fix_state", "fix_povm"]),
+    (["dpi", "--mode", "classical", "--trials", "0"], ["mode", "trials", "dim", "kraus", "seed"]),
+    (["paper-example", "--theta", "0.3"], ["theta"]),
+], ids=["fisher", "qfi", "bayes", "optimize", "dpi", "paper-example"])
+def test_each_report_echoes_its_inputs_in_parser_order(capsys, model_file, x_povm_file,
+                                                       argv, keys):
+    code, out, err = run_cli(capsys, [a.format(model=model_file, povm=x_povm_file)
+                                      for a in argv])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert list(report)[:2] == ["command", "inputs"] and report["command"] == argv[0]
+    assert list(report["inputs"]) == keys
 
 
 def _write_model(path, generator, passes=1):

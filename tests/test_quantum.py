@@ -24,6 +24,7 @@ from fisherinfo.quantum import (
     NORMALIZATION_ATOL,
     POVM_ATOL,
     STATE_TRACE_ATOL,
+    UNITARY_ATOL,
     DensityMatrix,
     KrausChannel,
     Povm,
@@ -128,6 +129,16 @@ def test_povm_default_labels_are_positions():
 def test_projective_povm_requires_unitary_basis():
     with pytest.raises(NotUnitary):
         projective_povm(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    # a basis and a unitary a little off unitarity: the POVM's effects, or
+    # the channel's Kraus operator, would miss completeness by as much
+    state = pure_state(np.array([0.0, 1.0]) * np.sqrt(1.0 + 4.9e-11))
+    with pytest.raises(NotUnitary,
+                       match=r"^measurement basis deviates from unitarity by 9\.000e-11$"):
+        classical_fisher(UnitaryFamily(PAULI_Z, state),
+                         projective_povm(np.diag([1.0, np.sqrt(1.0 + 9e-11)])), 0.3)
+    with pytest.raises(NotUnitary, match=r"^unitary deviates from unitarity by 8\.000e-11$"):
+        UnitaryFamily(PAULI_Z, channels=(
+            (unitary_channel(np.diag([1.0, np.sqrt(1.0 + 8e-11)])), "post"),))
 
 
 def test_kraus_channel_rejects_incomplete_operators():
@@ -291,6 +302,8 @@ def test_the_load_bounds_add_up_to_less_than_the_compute_bounds():
     assert prepared - 1 < STATE_TRACE_ATOL
     assert prepared * (1 + POVM_ATOL) - 1 < BORN_SUM_ATOL
     assert BORN_CLAMP / 2 * (1 + BORN_SUM_ATOL) > BORN_CLAMP
+    # a unitary's defect is its channel's, and its basis's POVM's
+    assert UNITARY_ATOL <= min(CHANNEL_ATOL, POVM_ATOL)
     # an effect eigenvalue may go down to BORN_CLAMP / 2
     low = BORN_CLAMP / 2
     Povm([np.diag([1.0, 0.999 * low]), np.diag([0.0, 1.0 - 0.999 * low])])
@@ -336,18 +349,28 @@ def test_a_models_channels_share_one_completeness_budget():
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 3),
        signs=st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3), split=st.floats(0.0, 1.0),
-       state=st.sampled_from(["pure", "document", "aligned"]))
-def test_inputs_within_the_load_bounds_pass_every_later_check(seed, dim, signs, split, state):
-    # every defect at 0.999 of its load-time bound, along one direction v
+       state=st.sampled_from(["pure", "document", "aligned"]), unitary=st.booleans())
+def test_inputs_within_the_load_bounds_pass_every_later_check(seed, dim, signs, split, state,
+                                                              unitary):
+    # every defect at 0.999 of its load-time bound, along one direction v;
+    # with ``unitary`` the POVM is a basis's and the post channel a unitary's,
+    # each off unitarity by up to 0.999 UNITARY_ATOL
     rng = np.random.default_rng(seed)
     v, margin = _unit_vector(rng, dim), 0.999
-    weights = rng.dirichlet(np.ones(dim))[:, None, None]
-    povm = Povm(random_projective_povm(rng, dim).effects
-                + weights * margin * POVM_ATOL * np.outer(v, np.conj(v)))
+    if unitary:  # a basis B = sqrt(I + eps |v><v|) U^dag, so sum_x E_x = B B^dag = I + eps |v><v|
+        povm = projective_povm(adjoint(_bumped(random_unitary(rng, dim), margin * UNITARY_ATOL, v)))
+    else:
+        weights = rng.dirichlet(np.ones(dim))[:, None, None]
+        povm = Povm(random_projective_povm(rng, dim).effects
+                    + weights * margin * POVM_ATOL * np.outer(v, np.conj(v)))
     budget = margin * CHANNEL_ATOL  # shared by the model's channels
     pre = KrausChannel(_bumped(random_channel(rng, dim, 2).kraus, signs[0] * split * budget, v))
-    post = KrausChannel(_bumped(random_channel(rng, dim, 2).kraus,
-                                signs[1] * (1.0 - split) * budget, v))
+    if unitary:
+        post = unitary_channel(_bumped(random_unitary(rng, dim),
+                                       signs[1] * (1.0 - split) * margin * UNITARY_ATOL, v))
+    else:
+        post = KrausChannel(_bumped(random_channel(rng, dim, 2).kraus,
+                                    signs[1] * (1.0 - split) * budget, v))
     psi = v if state == "aligned" else _unit_vector(rng, dim)
     if state != "pure":  # normalized as a document may be
         psi = psi * np.sqrt(1.0 + signs[2] * margin * NORMALIZATION_ATOL)

@@ -16,8 +16,8 @@ The command set: every ``cli-light`` op and defect-probe op of seeds 1-3
 and the first 540 ``dpi`` ops of seed 1 (``perfbench/workloads.py``, read
 only); two long DPI suites per mode; ``paper-example`` at three thetas;
 ``optimize`` with each of its fixings on six documents with channels; a
-dozen corrupted documents; and five that fail the load-time bounds by
-little.  Numpy and the standard library only.
+dozen corrupted documents; ten bad arguments; and five documents that fail
+the load-time bounds by little.  Numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -132,7 +132,24 @@ def _corrupted_commands(directory: Path) -> list:
     commands.append(["fisher", "--model", good_model, "--povm", incomplete, "--theta", "0.4"])
     commands += [["bayes", "--model", good_model, "--povm", povm, "--prior", f"uniform:0,{bad}"]
                  for bad in ("1" * 5000, "x" * 5000)]
-    return commands + _beyond_the_load_bounds(out, z, x_basis, povm)
+    return (commands + _bad_arguments(good_model, povm)
+            + _beyond_the_load_bounds(out, z, x_basis, povm))
+
+
+def _bad_arguments(model, povm) -> list:
+    """Argument values the parser or the prior refuses, no command, and a
+    missing option: ``tests/test_cli.py::test_bad_arguments_exit_2``'s cases."""
+    bayes = ["bayes", "--model", model, "--povm", povm, "--prior"]
+    return [["optimize", "--model", model, "--theta", "nan"],
+            ["qfi", "--model", model, "--theta", "-inf"],
+            ["optimize", "--model", model, "--theta", "0.3", "--restarts", "-2"],
+            bayes + ["uniform:1,0"],
+            bayes + ["uniform:0,1", "--grid", "2"],
+            ["dpi", "--mode", "classical", "--trials", "-1"],
+            ["dpi", "--mode", "quantum", "--trials", "1", "--kraus", "0"],
+            ["dpi", "--mode", "classical", "--trials", "1", "--seed", "-1"],
+            [],
+            ["fisher", "--model", model, "--theta", "0.3"]]
 
 
 def _beyond_the_load_bounds(out, z, x_basis, povm) -> list:
