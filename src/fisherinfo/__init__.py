@@ -39,7 +39,6 @@ from .errors import (
     ZeroEvidence,
 )
 from .fisher import (
-    FisherValue,
     SldResult,
     bayesian_information,
     classical_fisher,

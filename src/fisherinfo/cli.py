@@ -37,6 +37,7 @@ from .errors import (
     DocumentError,
     FisherinfoError,
     SingularOutcome,
+    _cut,
 )
 from .fisher import bayesian_information, classical_fisher, sld_solve
 from .optimize import (DEFAULT_RESTARTS, VALUE_SPREAD_TOL, ContextSpace, circumvention_report,
@@ -63,7 +64,7 @@ def _dumps(report: dict, **kwargs) -> str:
 def cmd_fisher(args):
     model = load_model_document(args.model)
     povm = load_povm_document(args.povm)
-    value = classical_fisher(model, povm, args.theta).value
+    value = classical_fisher(model, povm, args.theta)
     return {
         "value": value,
         "seed": None,
@@ -177,10 +178,15 @@ def _int_at_least(low: int):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises an argument error as a DocumentError: one error:2: line, no usage text."""
+    """Raises an argument error as a DocumentError: one error:2: line, no
+    usage text, and every value it echoes cut by ``errors._cut``."""
 
     def error(self, message):
-        raise DocumentError(message)
+        # a value is echoed as a repr, or bare when unrecognized: cut each one
+        parts = message.split("'")
+        parts[::2] = [" ".join(map(_cut, part.split(" "))) for part in parts[::2]]
+        parts[1::2] = [_cut(part) for part in parts[1::2]]
+        raise DocumentError("'".join(parts))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import DocumentError, FisherinfoError, _shown
+from .errors import DocumentError, FisherinfoError, _cut, _shown
 from .models import UnitaryFamily
 from .quantum import DensityMatrix, KrausChannel, Povm, pure_state
 
@@ -118,17 +118,19 @@ def _reject_constant(text: str):
 
 
 def _read_json(path: str) -> dict:
+    where = _cut(path)  # the path as each message below shows it
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from None
+        exc.filename = where  # the error's own echo of the path
+        raise DocumentError(f"cannot read {where}: {exc}") from None
     except ValueError as exc:
-        raise DocumentError(f"{path} is not valid JSON: {exc}") from None
+        raise DocumentError(f"{where} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise DocumentError(f"{path} is nested too deeply to read") from None
+        raise DocumentError(f"{where} is nested too deeply to read") from None
     if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: top level must be an object")
+        raise DocumentError(f"{where}: top level must be an object")
     return doc
 
 

@@ -27,14 +27,6 @@ DELTA_SLD = 1e-8      # derivative weight allowed on the off-support block
 
 
 @dataclass
-class FisherValue:
-    """Classical Fisher information of one (model, POVM, theta) evaluation."""
-
-    value: float
-    theta: float
-
-
-@dataclass
 class SldResult:
     """Symmetric logarithmic derivative and the quantum Fisher information."""
 
@@ -101,10 +93,10 @@ def outcome_blocks(povm, rho, drho, d2rho):
     return p, dp, d2p
 
 
-def classical_fisher(model: ParameterizedModel, povm: Povm, theta: float) -> FisherValue:
+def classical_fisher(model: ParameterizedModel, povm: Povm, theta: float) -> float:
     """Fisher information of the Born distribution at ``theta``."""
     p, dp, d2p = outcome_trajectory(model, povm, [theta])
-    return FisherValue(value=information_from_outcomes(p[0], dp[0], d2p[0]), theta=float(theta))
+    return information_from_outcomes(p[0], dp[0], d2p[0])
 
 
 def averaged_information(weights, p, dp, d2p) -> float:

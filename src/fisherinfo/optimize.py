@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeOffSupport, DimensionMismatch, SingularOutcome
+from .errors import DerivativeOffSupport, DimensionMismatch, SingularOutcome, _cut
 from .fisher import (
     bayesian_information,
     classical_fisher,
@@ -158,7 +158,8 @@ class ContextSpace:
     def __init__(self, dim: int, state: DensityMatrix | None = None,
                  povm: Povm | None = None):
         if dim < 2 or dim > MAX_OPT_DIM:
-            raise DimensionMismatch(f"optimization supports dimensions 2..{MAX_OPT_DIM}, got {dim}")
+            raise DimensionMismatch(
+                f"optimization supports dimensions 2..{MAX_OPT_DIM}, got {_cut(str(dim))}")
         if state is not None and state.dim != dim:
             raise DimensionMismatch("fixed state dimension differs from the space")
         if povm is not None and povm.dim != dim:
@@ -231,7 +232,6 @@ class OptimizationResult:
     best_value: float
     best_state: DensityMatrix
     best_povm: Povm
-    theta: float | None  # None for a prior-averaged maximum
 
 
 def _extreme_superposition(family: UnitaryFamily) -> np.ndarray:
@@ -250,8 +250,8 @@ def context_objective(families, nodes, weights):
     input state before the pre channels (m, d, d), and its measurement:
     None for the SLD measurement at a single node, else a Povm for every
     row or effects per row (m, x, d, d).  It returns each row's QFI or
-    weighted classical Fisher information, and whether that is defined: a
-    row off the SLD support or with a singular outcome scores 0 and is not.
+    weighted classical Fisher information, a float; a row off the SLD
+    support or with a singular outcome, where neither is defined, scores 0.
     Rows are scored SCORE_BYTES at a time, so memory does not grow with m.
     """
     d = families[0].dim
@@ -284,18 +284,17 @@ def context_objective(families, nodes, weights):
                 flat[rows] = maps[k] @ columns[rows]
         blocks = flat.reshape(m, 3, n_nodes, d, d)
         if povm is None:
-            qfi, *_, off_weight = sld_eigen(blocks[:, 0, 0], blocks[:, 1, 0])
-            return qfi, off_weight == 0.0
+            return sld_eigen(blocks[:, 0, 0], blocks[:, 1, 0])[0]
         info, singular = outcome_scores(*outcome_blocks(povm, *np.moveaxis(blocks, 1, 0)))
-        return info @ weights, ~singular.any(axis=(-2, -1))
+        return np.where(singular.any(axis=(-2, -1)), 0.0, info @ weights)
 
     def score(problems, states, povm):
         if len(problems) <= chunk:
             return score_rows(problems, states, povm)
-        parts = [score_rows(problems[at:at + chunk], states[at:at + chunk],
-                            povm[at:at + chunk] if isinstance(povm, np.ndarray) else povm)
-                 for at in range(0, len(problems), chunk)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
+        return np.concatenate([
+            score_rows(problems[at:at + chunk], states[at:at + chunk],
+                       povm[at:at + chunk] if isinstance(povm, np.ndarray) else povm)
+            for at in range(0, len(problems), chunk)])
 
     return score
 
@@ -307,37 +306,25 @@ def _search(score, decode, n_params: int, start, restarts: int, seeds, maxiter: 
     [-pi, pi]^n_params drawn from ``default_rng(seeds[k])``; the restarts
     of every problem advance together (``nelder_mead``).  ``decode`` turns
     stacked parameters into contexts for ``score``, and ``start`` holds one
-    start context per problem in the same form, or is None.  A context
-    whose score is undefined scores 0 inside a run and is never chosen; of
-    equal scores the earliest wins, the start first.  Returns each
-    problem's winning parameters, or None where its start won.
+    start context per problem in the same form, or is None.  An end wins
+    only by a strictly greater score, so of equal scores the earliest wins,
+    the start first.  Returns each problem's winning parameters, or None
+    where its start won; with neither a start nor a restart, SingularOutcome.
     """
     problems = np.arange(len(seeds))
-    best = [None] * len(seeds)  # (value, parameters)
-    if start is not None:
-        values, ok = score(problems, *start)
-        for k in problems[ok]:
-            best[k] = (values[k], None)
+    best = np.full(len(seeds), -np.inf) if start is None else score(problems, *start)
+    winners = [None] * len(seeds)
     if n_params > 0 and restarts > 0:
-        x0s = []
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            x0s += [rng.uniform(-np.pi, np.pi, size=n_params) for _ in range(restarts)]
+        x0s = np.concatenate([np.random.default_rng(s).uniform(-np.pi, np.pi, (restarts, n_params))
+                              for s in seeds])
         owner = np.repeat(problems, restarts)
-
-        def objective(x, rows):
-            values, ok = score(owner[rows], *decode(x))
-            return np.where(ok, -values, 0.0)
-
-        ends, _ = nelder_mead(objective, np.array(x0s), maxiter)
-        values, ok = score(owner, *decode(ends))
-        for row in np.nonzero(ok)[0]:
-            k = owner[row]
-            if best[k] is None or values[row] > best[k][0]:
-                best[k] = (values[row], ends[row])
-    if any(b is None for b in best):
+        ends, _ = nelder_mead(lambda x, rows: -score(owner[rows], *decode(x)), x0s, maxiter)
+        for end, k, value in zip(ends, owner, score(owner, *decode(ends))):
+            if value > best[k]:
+                best[k], winners[k] = value, end
+    if np.isneginf(best).any():
         raise SingularOutcome("no evaluable context in the search space")
-    return [params for _, params in best]
+    return winners
 
 
 def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
@@ -378,9 +365,7 @@ def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
         if povm is None:
             povm = sld_optimal_povm(sld_solve(chosen, theta))
         # report the value computed through the public scoring path
-        best = classical_fisher(chosen, povm, theta).value
-        results.append(OptimizationResult(best_value=best, best_state=state, best_povm=povm,
-                                          theta=float(theta)))
+        results.append(OptimizationResult(classical_fisher(chosen, povm, theta), state, povm))
     return results
 
 
@@ -394,9 +379,7 @@ def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
     extreme-eigenvector superposition with its SLD measurement at the prior
     mean.
     """
-    state = space.state
-    if state is None:
-        state = pure_state(_extreme_superposition(family))
+    state = space.state if space.state is not None else pure_state(_extreme_superposition(family))
     povm = space.povm
     if povm is None:
         try:
@@ -408,8 +391,8 @@ def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
                        space.decode_stack, space.n_params, start, restarts, [seed], maxiter)
     if params is not None:
         state, povm = space.decode(params)
-    best = bayesian_information(family.with_state(state), povm, prior)
-    return OptimizationResult(best_value=best, best_state=state, best_povm=povm, theta=None)
+    return OptimizationResult(bayesian_information(family.with_state(state), povm, prior),
+                              state, povm)
 
 
 def circumvention_report(theta: float) -> dict:

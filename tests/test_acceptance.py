@@ -51,7 +51,7 @@ THETAS = (0.0, 0.4, 1.2)
 
 
 def test_criterion_01_base_example_information(acceptance_log, base_model, x_basis_povm):
-    devs = [abs(classical_fisher(base_model, x_basis_povm, t).value - 4.0) for t in THETAS]
+    devs = [abs(classical_fisher(base_model, x_basis_povm, t) - 4.0) for t in THETAS]
     ok = max(devs) < 1e-8
     assert acceptance_log(
         "criterion 1 (base example I = 4)", ok,
@@ -60,7 +60,7 @@ def test_criterion_01_base_example_information(acceptance_log, base_model, x_bas
 
 
 def test_criterion_02_multipass_information(acceptance_log, multipass_model, x_basis_povm):
-    devs = [abs(classical_fisher(multipass_model, x_basis_povm, t).value - 16.0) for t in THETAS]
+    devs = [abs(classical_fisher(multipass_model, x_basis_povm, t) - 16.0) for t in THETAS]
     ok = max(devs) < 1e-8
     assert acceptance_log(
         "criterion 2 (two passes give I = 16)", ok,
@@ -69,9 +69,9 @@ def test_criterion_02_multipass_information(acceptance_log, multipass_model, x_b
 
 
 def test_criterion_03_restriction_and_recovery(acceptance_log, base_model, z_basis_povm):
-    restricted = [abs(classical_fisher(base_model, z_basis_povm, t).value) for t in THETAS]
+    restricted = [abs(classical_fisher(base_model, z_basis_povm, t)) for t in THETAS]
     rotated = base_model.with_channel(unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post")
-    recovered = [abs(classical_fisher(rotated, z_basis_povm, t).value - 4.0) for t in THETAS]
+    recovered = [abs(classical_fisher(rotated, z_basis_povm, t) - 4.0) for t in THETAS]
     ok = max(restricted) < 1e-10 and max(recovered) < 1e-8
     assert acceptance_log(
         "criterion 3 (restriction kills, rotation restores)", ok,
@@ -83,7 +83,7 @@ def test_criterion_03_restriction_and_recovery(acceptance_log, base_model, z_bas
 def test_criterion_04_sld_consistency(acceptance_log, base_model):
     base_dev = max(abs(sld_solve(base_model, t).qfi - 4.0) for t in THETAS)
     result = sld_solve(base_model, 0.4)
-    achieved = classical_fisher(base_model, sld_optimal_povm(result), 0.4).value
+    achieved = classical_fisher(base_model, sld_optimal_povm(result), 0.4)
     base_gap = abs(achieved - result.qfi)
 
     rng = np.random.default_rng(113)
@@ -92,7 +92,7 @@ def test_criterion_04_sld_consistency(acceptance_log, base_model):
         model = UnitaryFamily(random_hermitian(rng, 2), random_full_rank_state(rng, 2), 1)
         theta = float(rng.uniform(-1.0, 1.0))
         res = sld_solve(model, theta)
-        got = classical_fisher(model, sld_optimal_povm(res), theta).value
+        got = classical_fisher(model, sld_optimal_povm(res), theta)
         worst_gap = max(worst_gap, abs(got - res.qfi))
 
     ok = base_dev < 1e-8 and base_gap < 1e-7 and worst_gap < 1e-7
@@ -186,7 +186,7 @@ def bcrb_configurations(target: int = 500, attempts: int = 5000):
         prior = uniform_prior(a, a + width, 41)
         model = UnitaryFamily(g, state, passes)
         try:
-            quick = classical_fisher(model, povm, prior.mean()).value
+            quick = classical_fisher(model, povm, prior.mean())
             if quick * prior.variance() < 2.0:
                 continue
             j = bayesian_information(model, povm, prior)

@@ -504,6 +504,39 @@ def test_a_size_too_large_to_allocate_exits_2(capsys, model_file, x_povm_file, a
     assert err.startswith("error:2:Unable to allocate") and err.count("\n") == 1
 
 
+def test_a_restart_count_too_large_to_allocate_exits_2_at_once(model_file, x_povm_file):
+    # the starts are drawn as one array, so its allocation fails before any search
+    result = subprocess.run(
+        [sys.executable, "-m", "fisherinfo", "optimize", "--model", model_file, "--theta", "0.3",
+         "--fix-povm", x_povm_file, "--restarts", "1000000000000000"],
+        capture_output=True, text=True, timeout=5,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr.startswith("error:2:Unable to allocate") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["qfi", "--model", "{model}", "--theta", "x" * 5000], 2),
+    (["qfi", "--model", "{model}", "--theta", "1 " * 3000], 2),
+    (["c" * 5000], 2),
+    (["qfi", "--model", "{model}", "--theta", "0.3", "--" + "o" * 3000], 2),
+    (["optimize", "--model", "{model}", "--theta", "0.3", "--restarts", "-" + "9" * 4000], 2),
+    (["dpi", "--mode", "quantum", "--dim", "9" * 5000], 2),
+    (["dpi", "--mode", "quantum", "--dim", "9" * 300], 3),
+    (["qfi", "--model", "{tmp}/" + "m" * 3000, "--theta", "0.3"], 2),
+    (["qfi", "--model", "{tmp}/{brace}", "--theta", "0.3"], 2),
+], ids=["theta-letters", "theta-words", "command", "option", "restarts", "dim-digits",
+        "dim-value", "missing-path", "invalid-json-path"])
+def test_a_long_value_is_cut_in_its_one_error_line(capsys, tmp_path, model_file, argv, code):
+    brace = "b" * (200 - len(str(tmp_path)))
+    (tmp_path / brace).write_text("{")
+    exit_code, out, err = run_cli(capsys, [a.format(model=model_file, tmp=tmp_path, brace=brace)
+                                           for a in argv])
+    assert exit_code == code and out == ""
+    assert err.startswith(f"error:{code}:") and err.count("\n") == 1
+    assert len(err.encode()) <= 200
+
+
 def test_dimension_mismatch_exits_3(capsys, model_file, tmp_path):
     path = tmp_path / "big_povm.json"
     path.write_text(json.dumps(povm_to_document(projective_povm(np.eye(3)))))

@@ -31,24 +31,24 @@ from fisherinfo.sampling import (
 
 def test_base_information_is_four_at_all_angles(base_model, x_basis_povm):
     for theta in (0.0, 0.4, 1.2):
-        assert classical_fisher(base_model, x_basis_povm, theta).value == pytest.approx(4.0, abs=1e-8)
+        assert classical_fisher(base_model, x_basis_povm, theta) == pytest.approx(4.0, abs=1e-8)
 
 
 def test_aligned_basis_sees_nothing(base_model, z_basis_povm):
     for theta in (0.0, 0.4, 1.2):
-        assert classical_fisher(base_model, z_basis_povm, theta).value == pytest.approx(0.0, abs=1e-12)
+        assert classical_fisher(base_model, z_basis_povm, theta) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_passes_quadruple_the_information(multipass_model, x_basis_povm):
     for theta in (0.0, 0.4):
-        assert classical_fisher(multipass_model, x_basis_povm, theta).value == pytest.approx(16.0, abs=1e-8)
+        assert classical_fisher(multipass_model, x_basis_povm, theta) == pytest.approx(16.0, abs=1e-8)
 
 
 def test_removable_points_take_the_analytic_limit(base_model, multipass_model, x_basis_povm):
     # one outcome has p = dp = 0 here; its score is the limit 2 d2p
     for model, limit in ((base_model, 4.0), (multipass_model, 16.0)):
         for theta in (0.0, np.pi / 2):
-            assert abs(classical_fisher(model, x_basis_povm, theta).value - limit) < 1e-12
+            assert abs(classical_fisher(model, x_basis_povm, theta) - limit) < 1e-12
 
 
 def test_outcome_scoring_without_curvature_drops_flat_outcomes():
@@ -130,8 +130,8 @@ def test_dimension_mismatch_is_rejected(base_model):
 def test_information_invariant_under_outcome_relabeling(base_model, x_basis_povm):
     theta = 0.4
     flipped = Povm(list(x_basis_povm.effects)[::-1], labels=(7, 3))
-    lhs = classical_fisher(base_model, x_basis_povm, theta).value
-    rhs = classical_fisher(base_model, flipped, theta).value
+    lhs = classical_fisher(base_model, x_basis_povm, theta)
+    rhs = classical_fisher(base_model, flipped, theta)
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_comoving_measurement_gives_constant_information(base_model):
     for theta in (0.0, 0.3, 0.7, 1.1, 2.0):
         u = base_model.propagator(theta)
         moving = Povm([u @ e @ adjoint(u) for e in effects0])
-        values.append(classical_fisher(base_model, moving, theta).value)
+        values.append(classical_fisher(base_model, moving, theta))
     assert np.max(values) - np.min(values) < 1e-9
 
 
@@ -179,7 +179,7 @@ def test_sld_detects_derivative_off_support():
 def test_sld_measurement_achieves_the_quantum_value(base_model):
     result = sld_solve(base_model, 0.4)
     povm = sld_optimal_povm(result)
-    achieved = classical_fisher(base_model, povm, 0.4).value
+    achieved = classical_fisher(base_model, povm, 0.4)
     assert achieved == pytest.approx(result.qfi, abs=1e-7)
 
 
@@ -189,7 +189,7 @@ def test_sld_achievability_on_random_full_rank_models():
         model = UnitaryFamily(random_hermitian(rng, 2), random_full_rank_state(rng, 2), 1)
         theta = float(rng.uniform(-1.0, 1.0))
         result = sld_solve(model, theta)
-        achieved = classical_fisher(model, sld_optimal_povm(result), theta).value
+        achieved = classical_fisher(model, sld_optimal_povm(result), theta)
         assert abs(achieved - result.qfi) < 1e-7
 
 
@@ -200,7 +200,7 @@ def test_no_measurement_beats_the_sld_value():
         model = UnitaryFamily(random_hermitian(rng, dim), random_full_rank_state(rng, dim), 1)
         theta = float(rng.uniform(-1.0, 1.0))
         qfi = sld_solve(model, theta).qfi
-        value = classical_fisher(model, random_projective_povm(rng, dim), theta).value
+        value = classical_fisher(model, random_projective_povm(rng, dim), theta)
         assert value <= qfi + 1e-7
         assert value >= 0.0
 

@@ -203,4 +203,4 @@ def test_trajectory_invariants_with_random_channels(seed, dim, placements):
     # no measurement beats the SLD value
     theta = float(thetas[0])
     povm = random_projective_povm(rng, dim)
-    assert classical_fisher(model, povm, theta).value <= sld_solve(model, theta).qfi + 1e-7
+    assert classical_fisher(model, povm, theta) <= sld_solve(model, theta).qfi + 1e-7

@@ -135,5 +135,5 @@ def test_a_single_theta_keeps_the_state_path_bitwise():
         povm = random_projective_povm(rng, dim)
         theta = float(rng.uniform(-np.pi, np.pi))
         p, dp, d2p = outcome_blocks(povm, *model.trajectory([theta]))
-        assert classical_fisher(model, povm, theta).value == information_from_outcomes(
+        assert classical_fisher(model, povm, theta) == information_from_outcomes(
             p[0], dp[0], d2p[0])

@@ -278,7 +278,7 @@ def test_operators_are_held_as_one_array_in_their_order(seed, dim, count, defect
     values = set()
     for name in OPERATOR_FORMS:
         noisy = family.with_channel(channels[name], "post")
-        values.add((classical_fisher(noisy, povms[name], theta).value,
+        values.add((classical_fisher(noisy, povms[name], theta),
                     bayesian_information(noisy, povms[name], prior)))
     assert len(values) == 1
 

@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fisherinfo import dpi
+from fisherinfo.errors import SingularOutcome
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import (
     SCORE_BYTES,
     VALUE_SPREAD_TOL,
     ContextSpace,
     _maximize_fisher_many,
+    _search,
     context_objective,
     maximize_fisher,
     nelder_mead,
@@ -149,11 +151,10 @@ def test_each_row_of_a_stacked_score_matches_its_score_alone(seed, dim, n_nodes,
     states, effects = space.decode_stack(params)
     povm = {"sld": None, "fixed": random_projective_povm(rng, dim), "per-row": effects}[measurement]
     problems = rng.integers(len(families), size=12)
-    values, ok = score(problems, states, povm)
+    values = score(problems, states, povm)
     for i in range(12):
         alone = povm[i:i + 1] if measurement == "per-row" else povm
-        value, defined = score(problems[i:i + 1], states[i:i + 1], alone)
-        assert ok[i] == defined[0]
+        value = score(problems[i:i + 1], states[i:i + 1], alone)
         assert abs(values[i] - value[0]) <= 1e-12 * max(1.0, abs(value[0]))
 
 
@@ -172,13 +173,38 @@ def test_scoring_holds_a_bounded_number_of_rows_at_dim_8(n_problems, n_nodes):
     povm = random_projective_povm(rng, 8)
     tracemalloc.start()
     try:
-        values, ok = score(problems, states, povm)
+        values = score(problems, states, povm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert ok.all() and peak < SCORE_BYTES + (8 << 20)
-    first, _ = score(problems[:1], states[:1], povm)
+    assert np.all(values > 0) and peak < SCORE_BYTES + (8 << 20)
+    first = score(problems[:1], states[:1], povm)
     assert abs(values[0] - first[0]) <= 1e-12 * first[0]
+
+
+def search_one(f, start, restarts=3):
+    """``_search`` of one problem whose score of a row is ``f`` of its parameters."""
+    return _search(lambda problems, x: f(x), lambda x: (x,), 2, start, restarts, [7], 40)[0]
+
+
+def test_a_search_scores_floats_and_keeps_the_earliest_best():
+    origin = (np.zeros((1, 2)),)  # the start; no restart draws it
+
+    def at_origin(x):
+        return (x == 0.0).all(axis=1)
+
+    # a row that scores 0, undefined or not, never beats a positive one
+    assert search_one(lambda x: np.where(at_origin(x), 0.5, 0.0), origin) is None
+    end = search_one(lambda x: np.where(at_origin(x), 0.0, 1.0 / (1.0 + (x * x).sum(1))), origin)
+    assert end is not None and (end * end).sum() < 1e-3
+    # an exact tie keeps the start, and without a start the first restart's end
+    assert search_one(lambda x: np.ones(len(x)), origin) is None
+    x0s = np.random.default_rng(7).uniform(-np.pi, np.pi, (3, 2))
+    ends, _ = nelder_mead(lambda x, rows: -np.ones(len(x)), x0s, 40)
+    assert search_one(lambda x: np.ones(len(x)), None).tobytes() == ends[0].tobytes()
+    # no start and no restart leave nothing to choose
+    with pytest.raises(SingularOutcome, match="no evaluable context"):
+        search_one(lambda x: np.ones(len(x)), None, restarts=0)
 
 
 def test_the_quantum_suite_searches_in_blocks_without_changing_a_trial(monkeypatch):

@@ -18,8 +18,7 @@ def random_amplitudes(rng, dim):
 
 def score_one(family, nodes, weights, state, povm):
     """The context objective on a one-problem, one-row stack."""
-    values, ok = context_objective([family], [nodes], weights)(np.array([0]), state.mat[None], povm)
-    assert ok.tolist() == [True]
+    values = context_objective([family], [nodes], weights)(np.array([0]), state.mat[None], povm)
     return float(values[0])
 
 
@@ -53,7 +52,7 @@ def test_transfer_map_reproduces_the_rebuilt_model(seed, dim, passes, placements
     assert abs(score_one(family, [theta], [1.0], state, None) - qfi) <= 1e-12 * qfi
 
     povm = random_projective_povm(rng, dim)
-    value = classical_fisher(rebuilt, povm, theta).value
+    value = classical_fisher(rebuilt, povm, theta)
     assert abs(score_one(family, [theta], [1.0], state, povm) - value) <= 1e-12 * value
 
 

@@ -16,8 +16,9 @@ The command set: every ``cli-light`` op and defect-probe op of seeds 1-3
 and the first 540 ``dpi`` ops of seed 1 (``perfbench/workloads.py``, read
 only); two long DPI suites per mode; ``paper-example`` at three thetas;
 ``optimize`` with each of its fixings on six documents with channels; a
-dozen corrupted documents; ten bad arguments; and five documents that fail
-the load-time bounds by little.  Numpy and the standard library only.
+dozen corrupted documents; ten bad arguments; nine long values that an
+error line must cut; and five documents that fail the load-time bounds by
+little.  Numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -133,6 +134,7 @@ def _corrupted_commands(directory: Path) -> list:
     commands += [["bayes", "--model", good_model, "--povm", povm, "--prior", f"uniform:0,{bad}"]
                  for bad in ("1" * 5000, "x" * 5000)]
     return (commands + _bad_arguments(good_model, povm)
+            + _long_values(directory / "corrupted", good_model)
             + _beyond_the_load_bounds(out, z, x_basis, povm))
 
 
@@ -150,6 +152,24 @@ def _bad_arguments(model, povm) -> list:
             ["dpi", "--mode", "classical", "--trials", "1", "--seed", "-1"],
             [],
             ["fisher", "--model", model, "--theta", "0.3"]]
+
+
+def _long_values(directory: Path, model) -> list:
+    """Values of thousands of characters, each shown cut in a one-line error:
+    ``tests/test_cli.py::test_a_long_value_is_cut_in_its_one_error_line``'s
+    cases.  (``optimize --restarts 1000000000000000`` is left out: before
+    its starts were drawn as one array, it ran without end.)"""
+    brace = directory / ("b" * (200 - len(str(directory))))
+    brace.write_text("{", encoding="utf-8")
+    return [["qfi", "--model", model, "--theta", "x" * 5000],
+            ["qfi", "--model", model, "--theta", "1 " * 3000],
+            ["c" * 5000],
+            ["qfi", "--model", model, "--theta", "0.3", "--" + "o" * 3000],
+            ["optimize", "--model", model, "--theta", "0.3", "--restarts", "-" + "9" * 4000],
+            ["dpi", "--mode", "quantum", "--dim", "9" * 5000],
+            ["dpi", "--mode", "quantum", "--dim", "9" * 300],
+            ["qfi", "--model", str(directory / ("m" * 3000)), "--theta", "0.3"],
+            ["qfi", "--model", str(brace), "--theta", "0.3"]]
 
 
 def _beyond_the_load_bounds(out, z, x_basis, povm) -> list:
