@@ -46,7 +46,7 @@ from .fisher import (
     sld_solve,
 )
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, eig_hermitian, unitary_exp
-from .models import ParameterizedModel, UnitaryFamily
+from .models import UnitaryFamily
 from .optimize import (
     ContextSpace,
     OptimizationResult,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DocumentError, ZeroEvidence, _cut, _shown
 from .fisher import averaged_information, outcome_trajectory
-from .models import ParameterizedModel
+from .models import UnitaryFamily
 from .quantum import Povm
 
 DEFAULT_GRID = 201
@@ -126,12 +126,12 @@ def parse_prior_spec(spec: str, n: int = DEFAULT_GRID) -> PriorGrid:
                         "expected uniform:a,b or gauss:mu,sigma,a,b")
 
 
-def likelihood_table(model: ParameterizedModel, povm: Povm, nodes) -> np.ndarray:
+def likelihood_table(model: UnitaryFamily, povm: Povm, nodes) -> np.ndarray:
     """Pr(x | theta_i) with rows indexed by grid node, columns by outcome."""
     return outcome_trajectory(model, povm, nodes)[0]
 
 
-def posterior(prior: PriorGrid, model: ParameterizedModel, povm: Povm, outcome: int) -> PosteriorGrid:
+def posterior(prior: PriorGrid, model: UnitaryFamily, povm: Povm, outcome: int) -> PosteriorGrid:
     """Bayes rule on the grid for one outcome (by position in the POVM)."""
     like = likelihood_table(model, povm, prior.nodes)[:, outcome]
     raw = prior.weights * like
@@ -146,7 +146,7 @@ def bayes_estimator(post: PosteriorGrid) -> float:
     return post.mean()
 
 
-def bayes_risk(prior: PriorGrid, model: ParameterizedModel, povm: Povm,
+def bayes_risk(prior: PriorGrid, model: UnitaryFamily, povm: Povm,
                method: str = "posterior-variance") -> float:
     """Expected squared error of the posterior-mean estimator.
 
@@ -188,7 +188,7 @@ class BcrbReport:
     vacuous: bool
 
 
-def check_bcrb(prior: PriorGrid, model: ParameterizedModel, povm: Povm) -> BcrbReport:
+def check_bcrb(prior: PriorGrid, model: UnitaryFamily, povm: Povm) -> BcrbReport:
     """Compare the Bayes risk with 1/J.
 
     J is the prior average of the classical Fisher information.  The bound

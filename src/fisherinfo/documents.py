@@ -193,11 +193,11 @@ def povm_from_document(doc: dict, where: str = "povm") -> Povm:
 
 
 def load_model_document(path: str) -> UnitaryFamily:
-    return model_from_document(_read_json(path), path)
+    return model_from_document(_read_json(path), _cut(path))
 
 
 def load_povm_document(path: str) -> Povm:
-    return povm_from_document(_read_json(path), path)
+    return povm_from_document(_read_json(path), _cut(path))
 
 
 def state_to_pairs(rho: DensityMatrix) -> list:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fisher import averaged_information, outcome_trajectory, sld_solve
-from .models import ParameterizedModel, UnitaryFamily
+from .models import UnitaryFamily
 from .optimize import ContextSpace, _maximize_fisher_many
 from .quantum import Povm, apply_channel_matrix, apply_dual_matrix
 from .sampling import (
@@ -106,7 +106,7 @@ def _push(tmap: StochasticMap, povm: Povm, blocks) -> tuple:
     return tuple(tmap.push(block) for block in blocks)
 
 
-def postprocess_likelihood(model: ParameterizedModel, povm: Povm,
+def postprocess_likelihood(model: UnitaryFamily, povm: Povm,
                            tmap: StochasticMap, theta: float) -> tuple[float, float]:
     """Fisher information before and after post-processing, as (i_x, i_y)."""
     return _bayesian_pair(model, povm, tmap, [theta], [1.0])
@@ -199,7 +199,7 @@ def _quantum_report(trial: int, seed: int, draw, before, after) -> DpiTrialRepor
     sld_before = sld_solve(bare, theta).qfi
     sld_after = sld_solve(noisy.with_state(after.best_state), theta).qfi
 
-    rho = bare.state_at(theta).mat
+    rho = bare.trajectory([theta])[0][0]
     pushed = apply_channel_matrix(channel, rho)
     pulled = apply_dual_matrix(channel, after.best_povm.effects)
     dual_defect = max(

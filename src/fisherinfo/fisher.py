@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DerivativeOffSupport, SingularOutcome
 from .linalg import adjoint
-from .models import ParameterizedModel, UnitaryFamily
+from .models import UnitaryFamily
 from .quantum import Povm, born_probabilities, outcome_traces, projective_povm
 
 P_FLOOR = 1e-12       # probabilities at or below this count as zero
@@ -69,16 +69,16 @@ def information_from_outcomes(p, dp, d2p):
     return total if total.ndim else float(total)
 
 
-def outcome_trajectory(model: ParameterizedModel, povm: Povm, thetas):
+def outcome_trajectory(model: UnitaryFamily, povm: Povm, thetas):
     """Born probabilities p and their first two theta-derivatives.
 
     Returns (p, dp, d2p), each shaped (len(thetas), len(povm)).  Derivatives
-    are analytic; they are never re-differenced from probabilities.  A
-    UnitaryFamily with fewer effects than nodes pulls the effects back
+    are analytic; they are never re-differenced from probabilities.  With
+    fewer effects than nodes the effects are pulled back
     (``pulled_back_outcomes``); otherwise the states are pushed forward
     (``trajectory``) and traced against the effects.
     """
-    if isinstance(model, UnitaryFamily) and len(povm) < len(thetas):
+    if len(povm) < len(thetas):
         return model.pulled_back_outcomes(povm, thetas)
     return outcome_blocks(povm, *model.trajectory(thetas))
 
@@ -93,7 +93,7 @@ def outcome_blocks(povm, rho, drho, d2rho):
     return p, dp, d2p
 
 
-def classical_fisher(model: ParameterizedModel, povm: Povm, theta: float) -> float:
+def classical_fisher(model: UnitaryFamily, povm: Povm, theta: float) -> float:
     """Fisher information of the Born distribution at ``theta``."""
     p, dp, d2p = outcome_trajectory(model, povm, [theta])
     return information_from_outcomes(p[0], dp[0], d2p[0])
@@ -104,12 +104,12 @@ def averaged_information(weights, p, dp, d2p) -> float:
     return float(np.dot(weights, information_from_outcomes(p, dp, d2p)))
 
 
-def bayesian_information(model: ParameterizedModel, povm: Povm, prior) -> float:
+def bayesian_information(model: UnitaryFamily, povm: Povm, prior) -> float:
     """Average Fisher information of the measurement under a prior grid."""
     return averaged_information(prior.weights, *outcome_trajectory(model, povm, prior.nodes))
 
 
-def sld_solve(model: ParameterizedModel, theta: float) -> SldResult:
+def sld_solve(model: UnitaryFamily, theta: float) -> SldResult:
     """Solve rho' = (rho L + L rho) / 2 for the SLD L, and the QFI."""
     rho, drho, _ = model.trajectory([theta])
     qfi, v, l_eig, on_support, off_weight = sld_eigen(rho[0], drho[0])

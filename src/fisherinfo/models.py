@@ -1,10 +1,10 @@
-"""Parameterized families of quantum states theta -> rho(theta).
+"""The one model type, ``UnitaryFamily``: theta -> rho(theta).
 
-Each model exposes one kernel, ``trajectory``: the state and its first two
-theta-derivatives, stacked over a vector of theta values.  ``UnitaryFamily``
-also gives Born probabilities and their derivatives on a theta grid with the
-effects pulled back (``pulled_back_outcomes``).  Information functionals
-always consume the model's own derivatives; they never re-difference.
+Its kernel, ``trajectory``, gives the state and its first two
+theta-derivatives, stacked over a vector of theta values; it also gives
+Born probabilities and their derivatives on a theta grid with the effects
+pulled back (``pulled_back_outcomes``).  Information functionals always
+consume the model's own derivatives; they never re-difference.
 """
 
 from __future__ import annotations
@@ -18,23 +18,7 @@ from .quantum import (CHANNEL_ATOL, DensityMatrix, KrausChannel, _completeness_d
                       checked_probabilities, checked_states)
 
 
-class ParameterizedModel:
-    """Base class; concrete families implement ``trajectory``."""
-
-    def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rho, d rho / d theta, d2 rho / d theta2), each shaped (len(thetas), dim, dim)."""
-        raise NotImplementedError
-
-    def state_at(self, theta: float) -> DensityMatrix:
-        # the dynamics and fixed channels preserve validity
-        return DensityMatrix(self.trajectory([theta])[0][0], validate=False)
-
-    def derivative_at(self, theta: float) -> np.ndarray:
-        """d rho / d theta, Hermitian and traceless."""
-        return self.trajectory([theta])[1][0]
-
-
-class UnitaryFamily(ParameterizedModel):
+class UnitaryFamily:
     """rho(theta) = E_post(U E_pre(rho0) U^dag) with U = exp(-i theta passes G).
 
     ``passes`` counts repeated applications of the same generator, so the
@@ -100,6 +84,7 @@ class UnitaryFamily(ParameterizedModel):
         return (v * phases[..., None, :]) @ adjoint(v)
 
     def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rho, d rho / d theta, d2 rho / d theta2), each shaped (len(thetas), dim, dim)."""
         return self._evolve(self._prepared(), np.asarray(thetas, dtype=float).reshape(-1))
 
     def _prepared(self) -> np.ndarray:

@@ -162,13 +162,12 @@ class KrausChannel:
 
     __slots__ = ("kraus",)
 
-    def __init__(self, kraus, *, validate: bool = True):
+    def __init__(self, kraus):
         self.kraus = _operator_stack(kraus, "Kraus operator",
                                      InvalidChannel("a channel needs at least one Kraus operator"))
-        if validate:
-            defect = _completeness_defect(self)
-            if defect > CHANNEL_ATOL:
-                raise InvalidChannel(f"Kraus completeness violated by {defect:.3e}")
+        defect = _completeness_defect(self)
+        if defect > CHANNEL_ATOL:
+            raise InvalidChannel(f"Kraus completeness violated by {defect:.3e}")
 
     @property
     def dim(self) -> int:
@@ -308,8 +307,7 @@ def projective_povm(basis) -> Povm:
 
 
 def unitary_channel(u) -> KrausChannel:
-    return KrausChannel([require_unitary(as_complex_matrix(u, "unitary"), "unitary")],
-                        validate=False)
+    return KrausChannel([require_unitary(as_complex_matrix(u, "unitary"), "unitary")])
 
 
 def depolarizing_channel(strength: float) -> KrausChannel:

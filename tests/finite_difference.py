@@ -8,20 +8,19 @@ import numpy as np
 
 from fisherinfo.errors import InvalidState
 from fisherinfo.linalg import adjoint
-from fisherinfo.models import ParameterizedModel
 from fisherinfo.quantum import DensityMatrix, apply_channel_matrix
 
 FD_STEP = 1e-5  # central-difference step
 
 
 def fd_state_derivative(model, theta: float, h: float = FD_STEP) -> np.ndarray:
-    """Central difference of ``model.state_at`` at ``theta``."""
-    hi = model.state_at(theta + h).mat
-    lo = model.state_at(theta - h).mat
+    """Central difference of the states of ``model.trajectory`` at ``theta``."""
+    hi = model.trajectory([theta + h])[0][0]
+    lo = model.trajectory([theta - h])[0][0]
     return (hi - lo) / (2.0 * h)
 
 
-class KrausFamily(ParameterizedModel):
+class KrausFamily:
     """rho(theta) = E_theta(rho0) for a theta-dependent Kraus channel.
 
     ``kraus_at`` maps theta to a KrausChannel.  No analytic derivative is

@@ -242,7 +242,7 @@ def test_criterion_09_derivative_hygiene(acceptance_log, base_model, multipass_m
     worst_builtin = 0.0
     for model in builtins:
         for theta in (0.0, 0.3, 1.1):
-            dev = np.max(np.abs(model.derivative_at(theta) - fd_state_derivative(model, theta)))
+            dev = np.max(np.abs(model.trajectory([theta])[1][0] - fd_state_derivative(model, theta)))
             worst_builtin = max(worst_builtin, float(dev))
 
     rng = np.random.default_rng(127)
@@ -254,7 +254,7 @@ def test_criterion_09_derivative_hygiene(acceptance_log, base_model, multipass_m
         if k % 4 == 0:
             model = model.with_channel(random_channel(rng, dim, 8 // dim), "post")
         theta = float(rng.uniform(-1.0, 1.0))
-        dev = np.max(np.abs(model.derivative_at(theta) - fd_state_derivative(model, theta)))
+        dev = np.max(np.abs(model.trajectory([theta])[1][0] - fd_state_derivative(model, theta)))
         worst_random = max(worst_random, float(dev))
 
     ok = worst_builtin < 1e-6 and worst_random < 1e-6

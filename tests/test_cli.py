@@ -8,6 +8,7 @@ import pytest
 
 from fisherinfo.cli import main
 from fisherinfo.documents import pairs_from_matrix, povm_to_document
+from fisherinfo.errors import _cut
 from fisherinfo.linalg import PAULI_X, PAULI_Z
 from fisherinfo.quantum import projective_povm
 
@@ -360,7 +361,7 @@ def test_state_normalization_is_checked_on_the_trace(capsys, tmp_path, x_povm_fi
     assert exit_code == code
     if code:
         assert out == ""
-        assert err.startswith(f"error:2:{path}: state vector has norm ")
+        assert err.startswith(f"error:2:{_cut(str(path))}: state vector has norm ")
         assert float(err.rsplit(" ", 1)[1]) == pytest.approx(1.0 + excess, abs=1e-15)
         assert err.count("\n") == 1
     else:
@@ -487,7 +488,7 @@ def test_inputs_that_would_fail_a_later_check_exit_2_at_load(capsys, tmp_path, x
         argv += ["--povm", str(paths["povm"])]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
-    assert err == f"error:2:{paths[bad]}: {message}\n"
+    assert err == f"error:2:{_cut(str(paths[bad]))}: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -525,13 +526,20 @@ def test_a_restart_count_too_large_to_allocate_exits_2_at_once(model_file, x_pov
     (["dpi", "--mode", "quantum", "--dim", "9" * 300], 3),
     (["qfi", "--model", "{tmp}/" + "m" * 3000, "--theta", "0.3"], 2),
     (["qfi", "--model", "{tmp}/{brace}", "--theta", "0.3"], 2),
+    (["qfi", "--model", "{long}kind.json", "--theta", "0.3"], 2),
+    (["fisher", "--model", "{model}", "--povm", "{long}effects.json", "--theta", "0.3"], 2),
 ], ids=["theta-letters", "theta-words", "command", "option", "restarts", "dim-digits",
-        "dim-value", "missing-path", "invalid-json-path"])
+        "dim-value", "missing-path", "invalid-json-path", "schema-error-model-path",
+        "schema-error-povm-path"])
 def test_a_long_value_is_cut_in_its_one_error_line(capsys, tmp_path, model_file, argv, code):
     brace = "b" * (200 - len(str(tmp_path)))
     (tmp_path / brace).write_text("{")
-    exit_code, out, err = run_cli(capsys, [a.format(model=model_file, tmp=tmp_path, brace=brace)
-                                           for a in argv])
+    # documents that read as JSON, so the schema error names the path it was given
+    (tmp_path / "kind.json").write_text(json.dumps({"dim": 2, "kind": "nope"}))
+    (tmp_path / "effects.json").write_text(json.dumps({"dim": 2, "effects": 3}))
+    long = f"{tmp_path}/" + "./" * 1500
+    exit_code, out, err = run_cli(capsys, [a.format(model=model_file, tmp=tmp_path, brace=brace,
+                                                    long=long) for a in argv])
     assert exit_code == code and out == ""
     assert err.startswith(f"error:{code}:") and err.count("\n") == 1
     assert len(err.encode()) <= 200

@@ -20,9 +20,10 @@ from fisherinfo.fisher import (
 )
 from fisherinfo.bayes import uniform_prior
 from fisherinfo.linalg import PAULI_Z, adjoint
-from fisherinfo.models import ParameterizedModel, UnitaryFamily
+from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import DensityMatrix, Povm, projective_povm, pure_state
 from fisherinfo.sampling import (
+    random_channel,
     random_full_rank_state,
     random_hermitian,
     random_projective_povm,
@@ -159,7 +160,7 @@ def test_sld_of_constant_model():
 
 
 def test_sld_detects_derivative_off_support():
-    class FrozenModel(ParameterizedModel):
+    class FrozenModel:
         dim = 3
 
         def trajectory(self, thetas):
@@ -174,6 +175,49 @@ def test_sld_detects_derivative_off_support():
     rho, drho, _ = FrozenModel().trajectory([0.0])
     qfi, *_, off_weight = sld_eigen(rho[0], drho[0])
     assert (qfi, off_weight) == (0.0, 1.0)
+
+
+def _qfi_reference(mpmath, generator, psi, kraus, theta):
+    """The QFI of rho(theta) = sum_j K_j U psi psi^dag U^dag K_j^dag, at 50 digits."""
+    with mpmath.workdps(50):
+        g = mpmath.matrix(generator.tolist())
+        phi = mpmath.expm(-1j * mpmath.mpf(theta) * g) * mpmath.matrix(psi.tolist())
+        dphi = -1j * g * phi
+        dim = len(psi)
+        rho, drho = mpmath.zeros(dim), mpmath.zeros(dim)
+        for k in map(mpmath.matrix, kraus.tolist()):
+            a, da = k * phi, k * dphi
+            rho += a * a.H
+            drho += da * a.H + a * da.H
+        w, q = mpmath.eighe(rho)
+        d = q.H * drho * q
+        return float(sum(2 * abs(d[i, j]) ** 2 / (w[i] + w[j])
+                         for i in range(dim) for j in range(dim) if w[i] + w[j] > 0))
+
+
+# ROADMAP item 1: near a pure output the SLD kernel loses digits, then
+# returns a verdict or a wrong value
+@pytest.mark.parametrize("offset", [
+    1e-3,
+    pytest.param(1e-6, marks=pytest.mark.xfail(
+        strict=True, raises=DerivativeOffSupport, reason="ROADMAP item 1: off-support verdict")),
+    pytest.param(1e-9, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="ROADMAP item 1: wrong value")),
+])
+def test_sld_matches_a_50_digit_reference_near_a_pure_output(offset):
+    mpmath = pytest.importorskip("mpmath")
+    # the output is pure at theta0: v is an eigenvector of K0^-1 K1, so K0 v and K1 v are parallel
+    rng = np.random.default_rng(3)
+    generator = random_hermitian(rng, 2)
+    channel = random_channel(rng, 2, 2)
+    v = np.linalg.eig(np.linalg.solve(*channel.kraus))[1][:, 0]
+    theta0 = 0.7
+    family = UnitaryFamily(generator)
+    psi = adjoint(family.propagator(theta0)) @ v
+    model = family.with_state(pure_state(psi)).with_channel(channel, "post")
+    theta = theta0 + offset
+    reference = _qfi_reference(mpmath, generator, psi, channel.kraus, theta)
+    assert sld_solve(model, theta).qfi == pytest.approx(reference, rel=1e-8)
 
 
 def test_sld_measurement_achieves_the_quantum_value(base_model):
@@ -214,8 +258,8 @@ def test_mixed_state_sld_matches_measurement_sphere_search():
     assert qfi == pytest.approx(1.0, abs=1e-10)
 
     # dense sweep of projective measurement axes at one-degree resolution
-    rho = model.state_at(theta).mat
-    drho = model.derivative_at(theta)
+    rho = model.trajectory([theta])[0][0]
+    drho = model.trajectory([theta])[1][0]
     paulis = np.stack([
         np.array([[0, 1], [1, 0]], dtype=complex),
         np.array([[0, -1j], [1j, 0]]),

@@ -26,7 +26,7 @@ from finite_difference import KrausFamily, fd_state_derivative
 
 def test_base_state_closed_form(base_model):
     theta = 0.7
-    rho = base_model.state_at(theta).mat
+    rho = base_model.trajectory([theta])[0][0]
     # e^{-i theta sz}|+> has off-diagonal e^{-2 i theta}/2
     expect = np.array([
         [0.5, 0.5 * np.exp(-2j * theta)],
@@ -37,7 +37,7 @@ def test_base_state_closed_form(base_model):
 
 def test_derivative_is_hermitian_and_traceless(base_model):
     for theta in (0.0, 0.3, 1.1):
-        d = base_model.derivative_at(theta)
+        d = base_model.trajectory([theta])[1][0]
         assert np.max(np.abs(d - adjoint(d))) < 1e-10
         assert abs(np.trace(d)) < 1e-10
 
@@ -45,22 +45,22 @@ def test_derivative_is_hermitian_and_traceless(base_model):
 def test_derivative_matches_finite_difference_builtin(base_model, multipass_model):
     for model in (base_model, multipass_model):
         for theta in (0.0, 0.3, 1.1):
-            err = np.max(np.abs(model.derivative_at(theta) - fd_state_derivative(model, theta)))
+            err = np.max(np.abs(model.trajectory([theta])[1][0] - fd_state_derivative(model, theta)))
             assert err < 1e-6
 
 
 def test_generator_eigenstate_gives_constant_model():
     model = UnitaryFamily(PAULI_Z, pure_state(np.array([1.0, 0.0])), 1)
     for theta in (0.0, 0.4, 2.0):
-        assert np.max(np.abs(model.derivative_at(theta))) < 1e-12
-        assert np.max(np.abs(model.state_at(theta).mat - np.diag([1.0, 0.0]))) < 1e-12
+        assert np.max(np.abs(model.trajectory([theta])[1][0])) < 1e-12
+        assert np.max(np.abs(model.trajectory([theta])[0][0] - np.diag([1.0, 0.0]))) < 1e-12
 
 
 def test_passes_double_the_angle(plus_state):
     single = UnitaryFamily(PAULI_Z, plus_state, 1)
     double = UnitaryFamily(PAULI_Z, plus_state, 2)
     for theta in (0.1, 0.9):
-        assert np.max(np.abs(double.state_at(theta).mat - single.state_at(2 * theta).mat)) < 1e-12
+        assert np.max(np.abs(double.trajectory([theta])[0][0] - single.trajectory([2 * theta])[0][0])) < 1e-12
 
 
 def test_make_unitary_family_validates_inputs(plus_state):
@@ -78,23 +78,23 @@ def test_kraus_family_reproduces_unitary_dynamics(plus_state, base_model):
 
     model = KrausFamily(kraus_at, plus_state)
     for theta in (0.0, 0.3, 1.1):
-        assert np.max(np.abs(model.state_at(theta).mat - base_model.state_at(theta).mat)) < 1e-12
-        err = np.max(np.abs(model.derivative_at(theta) - base_model.derivative_at(theta)))
+        assert np.max(np.abs(model.trajectory([theta])[0][0] - base_model.trajectory([theta])[0][0])) < 1e-12
+        err = np.max(np.abs(model.trajectory([theta])[1][0] - base_model.trajectory([theta])[1][0]))
         assert err < 1e-6
 
 
 def test_compose_identity_channel_changes_nothing(base_model):
     wrapped = base_model.with_channel(KrausChannel([np.eye(2)]), "post")
     for theta in (0.0, 0.8):
-        assert np.max(np.abs(wrapped.state_at(theta).mat - base_model.state_at(theta).mat)) < 1e-14
-        assert np.max(np.abs(wrapped.derivative_at(theta) - base_model.derivative_at(theta))) < 1e-14
+        assert np.max(np.abs(wrapped.trajectory([theta])[0][0] - base_model.trajectory([theta])[0][0])) < 1e-14
+        assert np.max(np.abs(wrapped.trajectory([theta])[1][0] - base_model.trajectory([theta])[1][0])) < 1e-14
 
 
 def test_compose_full_depolarizing_kills_dependence(base_model):
     wrapped = base_model.with_channel(depolarizing_channel(1.0), "post")
     for theta in (0.0, 0.6):
-        assert np.max(np.abs(wrapped.state_at(theta).mat - np.eye(2) / 2.0)) < 1e-12
-        assert np.max(np.abs(wrapped.derivative_at(theta))) < 1e-12
+        assert np.max(np.abs(wrapped.trajectory([theta])[0][0] - np.eye(2) / 2.0)) < 1e-12
+        assert np.max(np.abs(wrapped.trajectory([theta])[1][0])) < 1e-12
 
 
 def test_compose_post_applies_channel_to_derivative(base_model):
@@ -102,9 +102,9 @@ def test_compose_post_applies_channel_to_derivative(base_model):
     wrapped = base_model.with_channel(channel, "post")
     theta = 0.5
     u = channel.kraus[0]
-    expect = u @ base_model.derivative_at(theta) @ adjoint(u)
-    assert np.max(np.abs(wrapped.derivative_at(theta) - expect)) < 1e-12
-    err = np.max(np.abs(wrapped.derivative_at(theta) - fd_state_derivative(wrapped, theta)))
+    expect = u @ base_model.trajectory([theta])[1][0] @ adjoint(u)
+    assert np.max(np.abs(wrapped.trajectory([theta])[1][0] - expect)) < 1e-12
+    err = np.max(np.abs(wrapped.trajectory([theta])[1][0] - fd_state_derivative(wrapped, theta)))
     assert err < 1e-6
 
 
@@ -115,8 +115,8 @@ def test_compose_pre_transforms_the_input(plus_state, base_model):
     moved = pure_state(u @ np.array([1.0, 1.0]) / np.sqrt(2.0))
     direct = UnitaryFamily(PAULI_Z, moved, 1)
     for theta in (0.0, 0.7):
-        assert np.max(np.abs(wrapped.state_at(theta).mat - direct.state_at(theta).mat)) < 1e-12
-        assert np.max(np.abs(wrapped.derivative_at(theta) - direct.derivative_at(theta))) < 1e-12
+        assert np.max(np.abs(wrapped.trajectory([theta])[0][0] - direct.trajectory([theta])[0][0])) < 1e-12
+        assert np.max(np.abs(wrapped.trajectory([theta])[1][0] - direct.trajectory([theta])[1][0])) < 1e-12
 
 
 def test_compose_rejects_mismatched_dimensions(base_model):
@@ -131,7 +131,7 @@ def test_compose_rejects_unknown_placement(base_model):
 
 def test_with_initial_state_rebinds(base_model):
     rebound = base_model.with_state(pure_state(np.array([1.0, 0.0])))
-    assert np.max(np.abs(rebound.state_at(1.0).mat - np.diag([1.0, 0.0]))) < 1e-12
+    assert np.max(np.abs(rebound.trajectory([1.0])[0][0] - np.diag([1.0, 0.0]))) < 1e-12
 
 
 def test_random_families_match_finite_differences():
@@ -144,9 +144,9 @@ def test_random_families_match_finite_differences():
             int(rng.integers(1, 4)),
         )
         theta = float(rng.uniform(-1.0, 1.0))
-        err = np.max(np.abs(model.derivative_at(theta) - fd_state_derivative(model, theta)))
+        err = np.max(np.abs(model.trajectory([theta])[1][0] - fd_state_derivative(model, theta)))
         assert err < 1e-6
-        assert abs(np.trace(model.derivative_at(theta))) < 1e-10
+        assert abs(np.trace(model.trajectory([theta])[1][0])) < 1e-10
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:

@@ -16,9 +16,10 @@ The command set: every ``cli-light`` op and defect-probe op of seeds 1-3
 and the first 540 ``dpi`` ops of seed 1 (``perfbench/workloads.py``, read
 only); two long DPI suites per mode; ``paper-example`` at three thetas;
 ``optimize`` with each of its fixings on six documents with channels; a
-dozen corrupted documents; ten bad arguments; nine long values that an
-error line must cut; and five documents that fail the load-time bounds by
-little.  Numpy and the standard library only.
+dozen corrupted documents; ten bad arguments; eleven long values that an
+error line must cut, two of them paths of 3,000 characters to a model and a
+POVM document with a schema error; and five documents that fail the
+load-time bounds by little.  Numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -161,6 +162,9 @@ def _long_values(directory: Path, model) -> list:
     its starts were drawn as one array, it ran without end.)"""
     brace = directory / ("b" * (200 - len(str(directory))))
     brace.write_text("{", encoding="utf-8")
+    (directory / "kind.json").write_text(json.dumps({"dim": 2, "kind": "nope"}), encoding="utf-8")
+    (directory / "effects.json").write_text(json.dumps({"dim": 2, "effects": 3}), encoding="utf-8")
+    long_path = f"{directory}/" + "./" * 1500
     return [["qfi", "--model", model, "--theta", "x" * 5000],
             ["qfi", "--model", model, "--theta", "1 " * 3000],
             ["c" * 5000],
@@ -169,7 +173,9 @@ def _long_values(directory: Path, model) -> list:
             ["dpi", "--mode", "quantum", "--dim", "9" * 5000],
             ["dpi", "--mode", "quantum", "--dim", "9" * 300],
             ["qfi", "--model", str(directory / ("m" * 3000)), "--theta", "0.3"],
-            ["qfi", "--model", str(brace), "--theta", "0.3"]]
+            ["qfi", "--model", str(brace), "--theta", "0.3"],
+            ["qfi", "--model", long_path + "kind.json", "--theta", "0.3"],
+            ["fisher", "--model", model, "--povm", long_path + "effects.json", "--theta", "0.3"]]
 
 
 def _beyond_the_load_bounds(out, z, x_basis, povm) -> list:
