@@ -51,7 +51,6 @@ from .optimize import (
     ContextSpace,
     OptimizationResult,
     circumvention_report,
-    maximize_bayesian,
     maximize_fisher,
 )
 from .quantum import (

@@ -39,7 +39,7 @@ from .errors import (
     SingularOutcome,
     _cut,
 )
-from .fisher import bayesian_information, classical_fisher, sld_solve
+from .fisher import classical_fisher, sld_solve
 from .optimize import (DEFAULT_RESTARTS, VALUE_SPREAD_TOL, ContextSpace, circumvention_report,
                        maximize_fisher)
 
@@ -48,6 +48,12 @@ EXIT_PARSE = 2
 EXIT_DIMENSION = 3
 EXIT_SINGULAR = 4
 EXIT_VIOLATION = 5
+
+# The largest count --trials, --restarts and --grid accept: 2**53, up to
+# which a float64, and so a JSON reader of a report's inputs, holds every
+# integer exactly.  A count up to it that is too large fails its allocation
+# with a MemoryError (exit 2); a larger one could fail otherwise.
+MAX_COUNT = 2 ** 53
 
 # the classical score's floors, as the reports' tolerances echo them
 _FLOORS = {"p_floor": fisher_mod.P_FLOOR, "d_floor": fisher_mod.D_FLOOR}
@@ -168,11 +174,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"expected an integer <= {high}, got {text!r}")
         return value
     return integer
 
@@ -213,14 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--povm", required=True)
     p.add_argument("--prior", required=True,
                    help="uniform:a,b or gauss:mu,sigma,a,b")
-    p.add_argument("--grid", type=_int_at_least(bayes_mod.MIN_GRID),
+    p.add_argument("--grid", type=_int_at_least(bayes_mod.MIN_GRID, MAX_COUNT),
                    default=bayes_mod.DEFAULT_GRID)
     p.set_defaults(run=cmd_bayes)
 
     p = sub.add_parser("optimize", help="maximize Fisher information over contexts")
     p.add_argument("--model", required=True)
     p.add_argument("--theta", type=_finite_float, required=True)
-    p.add_argument("--restarts", type=_int_at_least(0), default=DEFAULT_RESTARTS)
+    p.add_argument("--restarts", type=_int_at_least(0, MAX_COUNT), default=DEFAULT_RESTARTS)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--fix-state", action="store_true",
                    help="freeze the state to the model document's initial state")
@@ -230,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dpi", help="randomized data-processing inequality suites")
     p.add_argument("--mode", choices=("classical", "quantum"), required=True)
-    p.add_argument("--trials", type=_int_at_least(0), default=100)
+    p.add_argument("--trials", type=_int_at_least(0, MAX_COUNT), default=100)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--kraus", type=_int_at_least(1), default=2)
     p.add_argument("--seed", type=_int_at_least(0), default=0)

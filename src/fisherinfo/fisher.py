@@ -83,11 +83,8 @@ def outcome_trajectory(model: UnitaryFamily, povm: Povm, thetas):
     return outcome_blocks(povm, *model.trajectory(thetas))
 
 
-def outcome_blocks(povm, rho, drho, d2rho):
-    """(p, dp, d2p) of states and their derivatives at n nodes, each (..., n, d, d).
-
-    ``povm`` is a Povm, or one effect stack per row (m, x, d, d).
-    """
+def outcome_blocks(povm: Povm, rho, drho, d2rho):
+    """(p, dp, d2p) of states and their derivatives, each a stack (..., d, d)."""
     p = born_probabilities(rho, povm)
     dp, d2p = outcome_traces(np.stack((drho, d2rho)), povm)
     return p, dp, d2p

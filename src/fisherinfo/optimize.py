@@ -10,19 +10,18 @@ superposition of the generator's extreme eigenvectors, worth
 k^2 (lmax - lmin)^2 (Giovannetti, Lloyd & Maccone 2006).  Otherwise the
 2(dim-1) state parameters are searched with multi-start Nelder-Mead,
 scored by the QFI for a free POVM or by the classical Fisher information
-for a fixed one.  A prior average has no such closed form, so
-maximize_bayesian searches state and measurement parameters together.
+for a fixed one.
 
 The search is the package's own (``nelder_mead``): scipy's Nelder-Mead,
 step for step, run on many simplices at once, every restart of every
 problem in lockstep.  Each iteration scores all their candidate points in
-one stacked call.  The theta nodes (one, or the prior's grid) are fixed
-during a search, so the dynamics and the post channels form one linear
-map from the prepared input to (rho, rho', rho'') at every node
-(``UnitaryFamily.transfer``).  ``context_objective`` builds it once per
-problem and scores a stack of contexts with the pre channels, one
-matrix-vector product per row and the stacked SLD or Born kernel, never a
-rebuilt model.  Each row scores as it would alone, up to rounding.
+one stacked call.  Each problem's theta is fixed during a search, so the
+dynamics and the post channels form one linear map from the prepared
+input to (rho, rho', rho'') at that theta (``UnitaryFamily.transfer``).
+``context_objective`` builds it once per problem and scores a stack of
+contexts with the pre channels, one matrix-vector product per row and the
+stacked SLD or Born kernel, never a rebuilt model.  Each row scores as it
+would alone, up to rounding.
 """
 
 from __future__ import annotations
@@ -31,9 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeOffSupport, DimensionMismatch, SingularOutcome, _cut
+from .errors import DimensionMismatch, _cut
 from .fisher import (
-    bayesian_information,
     classical_fisher,
     outcome_blocks,
     outcome_scores,
@@ -41,12 +39,11 @@ from .fisher import (
     sld_optimal_povm,
     sld_solve,
 )
-from .linalg import PAULI_X, PAULI_Z, adjoint, unitary_exp
+from .linalg import PAULI_X, PAULI_Z, unitary_exp
 from .models import UnitaryFamily
 from .quantum import (
     DensityMatrix,
     Povm,
-    basis_projectors,
     projective_povm,
     pure_projectors,
     pure_state,
@@ -146,14 +143,12 @@ def _sorted(sim, fsim):
 class ContextSpace:
     """The search space of contexts for one optimization.
 
-    A None state (or POVM) means that side is free: pure states carry
-    2(dim-1) real parameters (hyperspherical angles and relative phases),
-    projective measurements carry dim^2 real parameters that build a
-    Hermitian generator whose exponential supplies the basis.
+    A None state (or POVM) means that side is free: a pure state carries
+    2(dim-1) real parameters (hyperspherical angles and relative phases), a
+    free POVM none, since it is read off the chosen state's SLD.
     """
 
-    __slots__ = ("dim", "state", "povm", "n_state_params", "n_povm_params", "n_params",
-                 "_triu")
+    __slots__ = ("dim", "state", "povm", "n_params")
 
     def __init__(self, dim: int, state: DensityMatrix | None = None,
                  povm: Povm | None = None):
@@ -167,10 +162,7 @@ class ContextSpace:
         self.dim = dim
         self.state = state
         self.povm = povm
-        self.n_state_params = 0 if state is not None else 2 * (dim - 1)
-        self.n_povm_params = 0 if povm is not None else dim * dim
-        self.n_params = self.n_state_params + self.n_povm_params
-        self._triu = np.triu_indices(dim, 1)
+        self.n_params = 0 if state is not None else 2 * (dim - 1)
 
     def decode_amplitudes(self, params: np.ndarray) -> np.ndarray:
         """Hyperspherical angles and relative phases to unit vectors, for one
@@ -193,39 +185,6 @@ class ContextSpace:
         # one vector takes the whole-vector norm, a stack the norm of each row
         return amps / np.linalg.norm(amps, axis=None if amps.ndim == 1 else -1, keepdims=True)
 
-    def decode_basis(self, params: np.ndarray) -> np.ndarray:
-        """Measurement-basis unitaries from the POVM block of the parameters,
-        for one parameter vector or a stack (..., n_params)."""
-        d = self.dim
-        vec = np.asarray(params, dtype=float)[..., self.n_state_params:]
-        h = np.zeros(vec.shape[:-1] + (d, d), dtype=complex)
-        h[..., np.arange(d), np.arange(d)] = vec[..., :d]
-        m = d * (d - 1) // 2
-        h[..., self._triu[0], self._triu[1]] = vec[..., d:d + m] + 1j * vec[..., d + m:]
-        h = h + adjoint(np.triu(h, 1))
-        w, v = np.linalg.eigh(h)
-        return (v * np.exp(-1j * w)[..., None, :]) @ adjoint(v)
-
-    def decode(self, params: np.ndarray) -> tuple[DensityMatrix, Povm]:
-        state, povm = self.state, self.povm
-        if state is None:
-            state = pure_state(self.decode_amplitudes(params))
-        if povm is None:
-            povm = projective_povm(self.decode_basis(params))
-        return state, povm
-
-    def decode_stack(self, params: np.ndarray) -> tuple[np.ndarray, np.ndarray | Povm]:
-        """Stacked parameters (m, n_params) as ``context_objective`` takes
-        contexts: input states (m, d, d) and the fixed POVM or the decoded
-        effects (m, d, d, d)."""
-        if self.state is None:
-            states = pure_projectors(self.decode_amplitudes(params))
-        else:
-            states = np.broadcast_to(self.state.mat, (len(params), self.dim, self.dim))
-        if self.povm is not None:
-            return states, self.povm
-        return states, basis_projectors(self.decode_basis(params))
-
 
 @dataclass
 class OptimizationResult:
@@ -240,24 +199,20 @@ def _extreme_superposition(family: UnitaryFamily) -> np.ndarray:
     return (v[:, 0] + v[:, -1]) / np.sqrt(2.0)
 
 
-def context_objective(families, nodes, weights):
+def context_objective(families, thetas):
     """Scores of stacked contexts, each row against its own problem.
 
-    Problem k is ``families[k]`` at the theta values ``nodes[k]``; every
-    problem has as many nodes, averaged with the same ``weights``.  The
-    transfer maps at the nodes are built once, here.
-    ``score(problems, states, povm)`` takes each row's problem index, its
-    input state before the pre channels (m, d, d), and its measurement:
-    None for the SLD measurement at a single node, else a Povm for every
-    row or effects per row (m, x, d, d).  It returns each row's QFI or
-    weighted classical Fisher information, a float; a row off the SLD
-    support or with a singular outcome, where neither is defined, scores 0.
-    Rows are scored SCORE_BYTES at a time, so memory does not grow with m.
+    Problem k is ``families[k]`` at ``thetas[k]``; the transfer maps there
+    are built once, here.  ``score(problems, states, povm)`` takes each
+    row's problem index, its input state before the pre channels (m, d, d),
+    and its measurement: None for the SLD measurement, else a Povm for every
+    row.  It returns each row's QFI or classical Fisher information, a
+    float; a row off the SLD support or with a singular outcome, where
+    neither is defined, scores 0.  Rows are scored SCORE_BYTES at a time,
+    so memory does not grow with m.
     """
     d = families[0].dim
-    maps = np.stack([family.transfer(at) for family, at in zip(families, nodes)])
-    n_nodes = maps.shape[1] // (3 * d * d)
-    weights = np.asarray(weights, dtype=float)
+    maps = np.stack([family.transfer(theta) for family, theta in zip(families, thetas)])
     prepared = [(k, family) for k, family in enumerate(families)
                 if any(placement == "pre" for _, placement in family.channels)]
     # a row holds its (rho, rho', rho'') blocks, and the Born kernel a copy
@@ -282,19 +237,17 @@ def context_objective(families, nodes, weights):
             ks, firsts = np.unique(problems[order], return_index=True)
             for k, rows in zip(ks, np.split(order, firsts[1:])):
                 flat[rows] = maps[k] @ columns[rows]
-        blocks = flat.reshape(m, 3, n_nodes, d, d)
+        blocks = flat.reshape(m, 3, d, d)
         if povm is None:
-            return sld_eigen(blocks[:, 0, 0], blocks[:, 1, 0])[0]
+            return sld_eigen(blocks[:, 0], blocks[:, 1])[0]
         info, singular = outcome_scores(*outcome_blocks(povm, *np.moveaxis(blocks, 1, 0)))
-        return np.where(singular.any(axis=(-2, -1)), 0.0, info @ weights)
+        return np.where(singular.any(-1), 0.0, info)
 
     def score(problems, states, povm):
         if len(problems) <= chunk:
             return score_rows(problems, states, povm)
-        return np.concatenate([
-            score_rows(problems[at:at + chunk], states[at:at + chunk],
-                       povm[at:at + chunk] if isinstance(povm, np.ndarray) else povm)
-            for at in range(0, len(problems), chunk)])
+        return np.concatenate([score_rows(problems[at:at + chunk], states[at:at + chunk], povm)
+                               for at in range(0, len(problems), chunk)])
 
     return score
 
@@ -306,13 +259,13 @@ def _search(score, decode, n_params: int, start, restarts: int, seeds, maxiter: 
     [-pi, pi]^n_params drawn from ``default_rng(seeds[k])``; the restarts
     of every problem advance together (``nelder_mead``).  ``decode`` turns
     stacked parameters into contexts for ``score``, and ``start`` holds one
-    start context per problem in the same form, or is None.  An end wins
-    only by a strictly greater score, so of equal scores the earliest wins,
-    the start first.  Returns each problem's winning parameters, or None
-    where its start won; with neither a start nor a restart, SingularOutcome.
+    start context per problem in the same form.  An end wins only by a
+    strictly greater score, so of equal scores the earliest wins, the start
+    first.  Returns each problem's winning parameters, or None where its
+    start won.
     """
     problems = np.arange(len(seeds))
-    best = np.full(len(seeds), -np.inf) if start is None else score(problems, *start)
+    best = score(problems, *start)
     winners = [None] * len(seeds)
     if n_params > 0 and restarts > 0:
         x0s = np.concatenate([np.random.default_rng(s).uniform(-np.pi, np.pi, (restarts, n_params))
@@ -322,8 +275,6 @@ def _search(score, decode, n_params: int, start, restarts: int, seeds, maxiter: 
         for end, k, value in zip(ends, owner, score(owner, *decode(ends))):
             if value > best[k]:
                 best[k], winners[k] = value, end
-    if np.isneginf(best).any():
-        raise SingularOutcome("no evaluable context in the search space")
     return winners
 
 
@@ -350,10 +301,10 @@ def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
                 if space.state is None and (space.povm is not None or family.channels)]
     if searched:
         score = context_objective([problems[k][0] for k in searched],
-                                  [[problems[k][1]] for k in searched], [1.0])
+                                  [problems[k][1] for k in searched])
         winners = _search(
             score, lambda x: (pure_projectors(space.decode_amplitudes(x)), space.povm),
-            space.n_state_params, (np.stack([states[k].mat for k in searched]), space.povm),
+            space.n_params, (np.stack([states[k].mat for k in searched]), space.povm),
             restarts, [problems[k][2] for k in searched], maxiter)
         for k, params in zip(searched, winners):
             if params is not None:
@@ -367,32 +318,6 @@ def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
         # report the value computed through the public scoring path
         results.append(OptimizationResult(classical_fisher(chosen, povm, theta), state, povm))
     return results
-
-
-def maximize_bayesian(family: UnitaryFamily, space: ContextSpace, prior, *,
-                      restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-                      maxiter: int = MAX_ITER) -> OptimizationResult:
-    """Largest prior-averaged Fisher information over the context space.
-
-    Pointwise SLD measurements do not maximize a prior average, so state
-    and measurement are searched together; the structured start pairs the
-    extreme-eigenvector superposition with its SLD measurement at the prior
-    mean.
-    """
-    state = space.state if space.state is not None else pure_state(_extreme_superposition(family))
-    povm = space.povm
-    if povm is None:
-        try:
-            povm = sld_optimal_povm(sld_solve(family.with_state(state), prior.mean()))
-        except DerivativeOffSupport:
-            pass
-    start = None if povm is None else (state.mat[None], povm)
-    [params] = _search(context_objective([family], [prior.nodes], prior.weights),
-                       space.decode_stack, space.n_params, start, restarts, [seed], maxiter)
-    if params is not None:
-        state, povm = space.decode(params)
-    return OptimizationResult(bayesian_information(family.with_state(state), povm, prior),
-                              state, povm)
 
 
 def circumvention_report(theta: float) -> dict:

@@ -216,30 +216,22 @@ def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(apply_channel_matrix(channel, rho.mat))
 
 
-def _effect_stack(povm, dim: int) -> np.ndarray:
-    effects = povm.effects if isinstance(povm, Povm) else np.asarray(povm)
-    if effects.shape[-1] != dim:
+def _effect_stack(povm: Povm, dim: int) -> np.ndarray:
+    if povm.dim != dim:
         raise DimensionMismatch("state and POVM dimensions differ")
-    return effects
+    return povm.effects
 
 
-def outcome_traces(a: np.ndarray, povm) -> np.ndarray:
-    """tr(A E_x) for a matrix or a stack (..., d, d); the outcome index goes last.
-
-    ``povm`` is a Povm, one effect stack (x, d, d) for every matrix, or one
-    effect stack per row, (m, x, d, d) against ``a`` shaped (..., m, n, d, d).
-    """
-    effects = _effect_stack(povm, a.shape[-1])
-    if effects.ndim == 3:
-        return np.einsum("...ij,xji->...x", a, effects).real
-    return np.einsum("...nij,...xji->...nx", a, effects).real
+def outcome_traces(a: np.ndarray, povm: Povm) -> np.ndarray:
+    """tr(A E_x) for a matrix or a stack (..., d, d); the outcome index goes last."""
+    return np.einsum("...ij,xji->...x", a, _effect_stack(povm, a.shape[-1])).real
 
 
-def born_probabilities(rho: DensityMatrix | np.ndarray, povm) -> np.ndarray:
+def born_probabilities(rho: DensityMatrix | np.ndarray, povm: Povm) -> np.ndarray:
     """Outcome probabilities tr(rho E_x), clamped against tiny negatives.
 
-    ``rho`` is a DensityMatrix or a stack of state matrices (..., d, d),
-    ``povm`` as for ``outcome_traces``; every row of the result must sum to 1.
+    ``rho`` is a DensityMatrix or a stack of state matrices (..., d, d);
+    every row of the result must sum to 1.
     """
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho)
     return checked_probabilities(outcome_traces(mat, povm))

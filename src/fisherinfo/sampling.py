@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, _cut
 from .linalg import MAX_DIM, adjoint
 from .quantum import DensityMatrix, KrausChannel, Povm, projective_povm, pure_state
 
@@ -58,7 +58,7 @@ def random_channel(rng: np.random.Generator, dim: int, kraus_count: int) -> Krau
     """
     if dim * kraus_count > MAX_DIM:
         raise DimensionMismatch(
-            f"dim * kraus_count = {dim * kraus_count} exceeds the supported {MAX_DIM}"
+            f"dim * kraus_count = {_cut(str(dim * kraus_count))} exceeds the supported {MAX_DIM}"
         )
     g = _ginibre(rng, dim * kraus_count, dim)
     q, _ = np.linalg.qr(g)

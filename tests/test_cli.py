@@ -491,18 +491,30 @@ def test_inputs_that_would_fail_a_later_check_exit_2_at_load(capsys, tmp_path, x
     assert err == f"error:2:{_cut(str(paths[bad]))}: {message}\n"
 
 
-@pytest.mark.parametrize("argv", [
-    ["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1",
-     "--grid", "1000000000000000"],
-    ["dpi", "--mode", "classical", "--trials", "1000000000000000"],
-], ids=["bayes-grid", "dpi-trials"])
-def test_a_size_too_large_to_allocate_exits_2(capsys, model_file, x_povm_file, argv):
-    # each array would take petabytes, more than any address space, so the
-    # allocation fails at once
+@pytest.mark.parametrize("argv, refused", [
+    (["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1",
+      "--grid", "1000000000000000"], None),
+    (["dpi", "--mode", "classical", "--trials", "1000000000000000"], None),
+    (["dpi", "--mode", "classical", "--trials", str(2 ** 61)], "--trials"),
+    (["optimize", "--model", "{model}", "--theta", "0.3", "--fix-povm", "{povm}",
+      "--restarts", str(2 ** 59)], "--restarts"),
+    (["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1",
+      "--grid", str(2 ** 63 - 1)], "--grid"),
+    (["dpi", "--mode", "quantum", "--trials", "9" * 300], "--trials"),
+], ids=["bayes-grid", "dpi-trials", "dpi-trials-2^61", "optimize-restarts-2^59",
+        "bayes-grid-2^63-1", "dpi-trials-300-nines"])
+def test_a_size_too_large_to_allocate_exits_2(capsys, model_file, x_povm_file, argv, refused):
+    # up to 2**53 each array would take petabytes, more than any address
+    # space, so the allocation fails at once; a larger count is refused as
+    # it is parsed, naming its argument
     argv = [a.format(model=model_file, povm=x_povm_file) for a in argv]
     code, out, err = run_cli(capsys, argv)
     assert code == 2 and out == ""
-    assert err.startswith("error:2:Unable to allocate") and err.count("\n") == 1
+    assert err.count("\n") == 1 and len(err.encode()) <= 200
+    if refused is None:
+        assert err.startswith("error:2:Unable to allocate")
+    else:
+        assert err.startswith(f"error:2:argument {refused}: expected an integer <= {2 ** 53},")
 
 
 def test_a_restart_count_too_large_to_allocate_exits_2_at_once(model_file, x_povm_file):
@@ -524,12 +536,13 @@ def test_a_restart_count_too_large_to_allocate_exits_2_at_once(model_file, x_pov
     (["optimize", "--model", "{model}", "--theta", "0.3", "--restarts", "-" + "9" * 4000], 2),
     (["dpi", "--mode", "quantum", "--dim", "9" * 5000], 2),
     (["dpi", "--mode", "quantum", "--dim", "9" * 300], 3),
+    (["dpi", "--mode", "quantum", "--trials", "1", "--kraus", "9" * 4000], 3),
     (["qfi", "--model", "{tmp}/" + "m" * 3000, "--theta", "0.3"], 2),
     (["qfi", "--model", "{tmp}/{brace}", "--theta", "0.3"], 2),
     (["qfi", "--model", "{long}kind.json", "--theta", "0.3"], 2),
     (["fisher", "--model", "{model}", "--povm", "{long}effects.json", "--theta", "0.3"], 2),
 ], ids=["theta-letters", "theta-words", "command", "option", "restarts", "dim-digits",
-        "dim-value", "missing-path", "invalid-json-path", "schema-error-model-path",
+        "dim-value", "kraus-value", "missing-path", "invalid-json-path", "schema-error-model-path",
         "schema-error-povm-path"])
 def test_a_long_value_is_cut_in_its_one_error_line(capsys, tmp_path, model_file, argv, code):
     brace = "b" * (200 - len(str(tmp_path)))

@@ -1,29 +1,19 @@
 import numpy as np
 import pytest
 
-from fisherinfo.bayes import uniform_prior
 from fisherinfo.errors import DimensionMismatch
-from fisherinfo.fisher import classical_fisher, bayesian_information, sld_solve
-from fisherinfo.linalg import PAULI_X, PAULI_Z, adjoint, unitary_exp
+from fisherinfo.fisher import classical_fisher, sld_solve
+from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import (
     ContextSpace,
     OptimizationResult,
     circumvention_report,
-    maximize_bayesian,
     maximize_fisher,
 )
-from fisherinfo.quantum import (
-    DensityMatrix,
-    KrausChannel,
-    Povm,
-    depolarizing_channel,
-    projective_povm,
-    pure_state,
-)
+from fisherinfo.quantum import KrausChannel
 from fisherinfo.sampling import (
     random_channel,
-    random_full_rank_state,
     random_hermitian,
     random_projective_povm,
     random_pure_state,
@@ -31,13 +21,11 @@ from fisherinfo.sampling import (
 
 
 def test_context_space_parameter_counts(plus_state, z_basis_povm):
-    free = ContextSpace(2)
-    assert (free.n_state_params, free.n_povm_params, free.n_params) == (2, 4, 6)
-    assert ContextSpace(3).n_params == 4 + 9
-    fixed_state = ContextSpace(2, state=plus_state)
-    assert (fixed_state.n_state_params, fixed_state.n_povm_params) == (0, 4)
-    fixed_povm = ContextSpace(2, povm=z_basis_povm)
-    assert (fixed_povm.n_state_params, fixed_povm.n_povm_params) == (2, 0)
+    # a free POVM is read off the state's SLD, so it carries no parameters
+    assert ContextSpace(2).n_params == 2
+    assert ContextSpace(3).n_params == 4
+    assert ContextSpace(2, state=plus_state).n_params == 0
+    assert ContextSpace(2, povm=z_basis_povm).n_params == 2
     frozen = ContextSpace(2, state=plus_state, povm=z_basis_povm)
     assert frozen.n_params == 0
 
@@ -61,18 +49,6 @@ def test_decoded_contexts_are_always_valid(dim):
         params = rng.uniform(-4.0, 4.0, size=space.n_params)
         amps = space.decode_amplitudes(params)
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
-        basis = space.decode_basis(params)
-        assert np.max(np.abs(adjoint(basis) @ basis - np.eye(dim))) < 1e-12
-        state, povm = space.decode(params)
-        assert isinstance(state, DensityMatrix)
-        assert isinstance(povm, Povm)
-
-
-def test_fixed_sides_pass_through_decode(plus_state, z_basis_povm):
-    space = ContextSpace(2, state=plus_state, povm=z_basis_povm)
-    state, povm = space.decode(np.zeros(0))
-    assert state is plus_state
-    assert povm is z_basis_povm
 
 
 def test_unrestricted_maximum_for_one_pass():
@@ -117,7 +93,6 @@ def test_state_search_builds_no_model_per_candidate(monkeypatch, fixed_povm):
     rng = np.random.default_rng(101)
     family = UnitaryFamily(random_hermitian(rng, 2)).with_channel(random_channel(rng, 2, 2))
     space = ContextSpace(2, povm=random_projective_povm(rng, 2) if fixed_povm else None)
-    prior = uniform_prior(0.0, np.pi / 2, 21)
     built = []
     init = UnitaryFamily.__init__
 
@@ -126,18 +101,12 @@ def test_state_search_builds_no_model_per_candidate(monkeypatch, fixed_povm):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(UnitaryFamily, "__init__", counting_init)
-    searches = [
-        lambda restarts: maximize_fisher(family, space, 0.4, restarts=restarts, seed=3),
-        lambda restarts: maximize_bayesian(family, space, prior, restarts=restarts, seed=3,
-                                           maxiter=100),
-    ]
-    for search in searches:
-        counts = []
-        for restarts in (1, 8):
-            built.clear()
-            search(restarts)
-            counts.append(len(built))
-        assert counts[0] == counts[1] <= 3
+    counts = []
+    for restarts in (1, 8):
+        built.clear()
+        maximize_fisher(family, space, 0.4, restarts=restarts, seed=3)
+        counts.append(len(built))
+    assert counts[0] == counts[1] <= 3
 
 
 def test_fixed_state_with_a_free_measurement_attains_the_qfi():
@@ -269,30 +238,6 @@ def test_fixing_a_side_never_helps():
         pinned = ContextSpace(2, state=random_pure_state(rng, 2))
         value = maximize_fisher(family, pinned, theta, restarts=4, seed=4).best_value
         assert value <= free_value + 1e-9
-
-
-def test_bayesian_maximum_for_the_standard_scenario():
-    prior = uniform_prior(0.0, np.pi / 2, 21)
-    result = maximize_bayesian(UnitaryFamily(PAULI_Z), ContextSpace(2), prior,
-                               restarts=2, maxiter=100)
-    assert result.best_value == pytest.approx(4.0, abs=1e-6)
-    replay = bayesian_information(UnitaryFamily(PAULI_Z).with_state(result.best_state),
-                                  result.best_povm, prior)
-    assert replay == pytest.approx(result.best_value, abs=1e-12)
-
-
-def test_bayesian_maximum_of_a_frozen_blind_context(plus_state, z_basis_povm):
-    prior = uniform_prior(0.0, np.pi / 2, 21)
-    frozen = ContextSpace(2, state=plus_state, povm=z_basis_povm)
-    result = maximize_bayesian(UnitaryFamily(PAULI_Z), frozen, prior, restarts=2)
-    assert result.best_value == pytest.approx(0.0, abs=1e-12)
-
-
-def test_bayesian_maximum_vanishes_after_total_depolarization():
-    prior = uniform_prior(0.0, np.pi / 2, 21)
-    family = UnitaryFamily(PAULI_Z).with_channel(depolarizing_channel(1.0), "post")
-    result = maximize_bayesian(family, ContextSpace(2), prior, restarts=2, maxiter=60)
-    assert result.best_value == pytest.approx(0.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.4, 1.2])

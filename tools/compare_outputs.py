@@ -16,10 +16,10 @@ The command set: every ``cli-light`` op and defect-probe op of seeds 1-3
 and the first 540 ``dpi`` ops of seed 1 (``perfbench/workloads.py``, read
 only); two long DPI suites per mode; ``paper-example`` at three thetas;
 ``optimize`` with each of its fixings on six documents with channels; a
-dozen corrupted documents; ten bad arguments; eleven long values that an
-error line must cut, two of them paths of 3,000 characters to a model and a
-POVM document with a schema error; and five documents that fail the
-load-time bounds by little.  Numpy and the standard library only.
+dozen corrupted documents; ten bad arguments; four counts above 2**53;
+twelve long values that an error line must cut, two of them paths of 3,000
+characters to a model and a POVM document with a schema error; and five
+documents that fail the load-time bounds by little.  Numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _corrupted_commands(directory: Path) -> list:
     commands.append(["fisher", "--model", good_model, "--povm", incomplete, "--theta", "0.4"])
     commands += [["bayes", "--model", good_model, "--povm", povm, "--prior", f"uniform:0,{bad}"]
                  for bad in ("1" * 5000, "x" * 5000)]
-    return (commands + _bad_arguments(good_model, povm)
+    return (commands + _bad_arguments(good_model, povm) + _huge_counts(good_model, povm)
             + _long_values(directory / "corrupted", good_model)
             + _beyond_the_load_bounds(out, z, x_basis, povm))
 
@@ -155,6 +155,18 @@ def _bad_arguments(model, povm) -> list:
             ["fisher", "--model", model, "--theta", "0.3"]]
 
 
+def _huge_counts(model, povm) -> list:
+    """Counts above 2**53, which the parser refuses:
+    ``tests/test_cli.py::test_a_size_too_large_to_allocate_exits_2``'s cases
+    past the bound."""
+    return [["dpi", "--mode", "classical", "--trials", str(2 ** 61)],
+            ["optimize", "--model", model, "--theta", "0.3", "--fix-povm", povm,
+             "--restarts", str(2 ** 59)],
+            ["bayes", "--model", model, "--povm", povm, "--prior", "uniform:0,1",
+             "--grid", str(2 ** 63 - 1)],
+            ["dpi", "--mode", "quantum", "--trials", "9" * 300]]
+
+
 def _long_values(directory: Path, model) -> list:
     """Values of thousands of characters, each shown cut in a one-line error:
     ``tests/test_cli.py::test_a_long_value_is_cut_in_its_one_error_line``'s
@@ -172,6 +184,7 @@ def _long_values(directory: Path, model) -> list:
             ["optimize", "--model", model, "--theta", "0.3", "--restarts", "-" + "9" * 4000],
             ["dpi", "--mode", "quantum", "--dim", "9" * 5000],
             ["dpi", "--mode", "quantum", "--dim", "9" * 300],
+            ["dpi", "--mode", "quantum", "--trials", "1", "--kraus", "9" * 4000],
             ["qfi", "--model", str(directory / ("m" * 3000)), "--theta", "0.3"],
             ["qfi", "--model", str(brace), "--theta", "0.3"],
             ["qfi", "--model", long_path + "kind.json", "--theta", "0.3"],
