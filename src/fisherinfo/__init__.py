@@ -25,7 +25,6 @@ from .dpi import (
     quantum_dpi_suite,
 )
 from .errors import (
-    DerivativeOffSupport,
     DimensionMismatch,
     DocumentError,
     FisherinfoError,

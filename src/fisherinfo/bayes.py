@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DocumentError, ZeroEvidence, _cut, _shown
-from .fisher import averaged_information, outcome_trajectory
+from .fisher import outcome_information, outcome_trajectory
 from .models import UnitaryFamily
 from .quantum import Povm
 
@@ -195,9 +195,10 @@ def check_bcrb(prior: PriorGrid, model: UnitaryFamily, povm: Povm) -> BcrbReport
     reads risk >= 1/J; with J at numerical zero it is vacuous and reported
     as such (satisfied trivially, since 1/J is +inf).
     """
-    p, dp, d2p = outcome_trajectory(model, povm, prior.nodes)
+    p, dp, _ = outcome_trajectory(model, povm, prior.nodes)
     risk = _risk(prior, p)
-    j = averaged_information(prior.weights, p, dp, d2p)
+    j = float(np.dot(prior.weights,
+                     outcome_information(model, prior.nodes, p, dp, lambda: povm.factors)))
     if j <= VACUOUS_J:
         return BcrbReport(risk=risk, j=j, satisfied=True, vacuous=True)
     return BcrbReport(risk=risk, j=j, satisfied=bool(risk >= 1.0 / j - BCRB_SLACK), vacuous=False)

@@ -6,9 +6,8 @@ summary).  Outputs are deterministic for fixed inputs and seed, except the
 runtime_ms field.
 
 Exit codes: 0 success, 2 parse/schema error or any other invalid input,
-a size too large to allocate included, 3 dimension mismatch, 4 singular
-information computation or a non-finite result, 5 data-processing
-violation found.
+a size too large to allocate included, 3 dimension mismatch, 4 a
+non-finite result, 5 data-processing violation found.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 
 from . import bayes as bayes_mod
 from . import dpi as dpi_mod
-from . import fisher as fisher_mod
 from .bayes import check_bcrb, parse_prior_spec
 from .documents import (
     load_model_document,
@@ -31,14 +29,7 @@ from .documents import (
     povm_to_document,
     state_to_pairs,
 )
-from .errors import (
-    DerivativeOffSupport,
-    DimensionMismatch,
-    DocumentError,
-    FisherinfoError,
-    SingularOutcome,
-    _cut,
-)
+from .errors import DimensionMismatch, DocumentError, FisherinfoError, SingularOutcome, _cut
 from .fisher import classical_fisher, sld_solve
 from .optimize import (DEFAULT_RESTARTS, VALUE_SPREAD_TOL, ContextSpace, circumvention_report,
                        maximize_fisher)
@@ -54,9 +45,6 @@ EXIT_VIOLATION = 5
 # integer exactly.  A count up to it that is too large fails its allocation
 # with a MemoryError (exit 2); a larger one could fail otherwise.
 MAX_COUNT = 2 ** 53
-
-# the classical score's floors, as the reports' tolerances echo them
-_FLOORS = {"p_floor": fisher_mod.P_FLOOR, "d_floor": fisher_mod.D_FLOOR}
 
 
 def _dumps(report: dict, **kwargs) -> str:
@@ -74,7 +62,7 @@ def cmd_fisher(args):
     return {
         "value": value,
         "seed": None,
-        "tolerances": {**_FLOORS},
+        "tolerances": {},
     }, EXIT_OK
 
 
@@ -84,7 +72,7 @@ def cmd_qfi(args):
         "value": result.qfi,
         "support_rank": result.support_rank,
         "seed": None,
-        "tolerances": {"eps_sld": fisher_mod.EPS_SLD, "delta_sld": fisher_mod.DELTA_SLD},
+        "tolerances": {},
     }, EXIT_OK
 
 
@@ -126,7 +114,7 @@ def cmd_optimize(args):
             "povm": povm_to_document(result.best_povm),
         },
         "seed": args.seed,
-        "tolerances": {"value_spread": VALUE_SPREAD_TOL, **_FLOORS},
+        "tolerances": {"value_spread": VALUE_SPREAD_TOL},
     }, EXIT_OK
 
 
@@ -163,7 +151,7 @@ def cmd_paper_example(args):
                                         "without raising the unrestricted maximum",
         },
         "seed": 0,
-        "tolerances": {**_FLOORS, "value_spread": VALUE_SPREAD_TOL},
+        "tolerances": {"value_spread": VALUE_SPREAD_TOL},
     }, EXIT_OK
 
 
@@ -295,7 +283,7 @@ def main(argv=None) -> int:
     except DimensionMismatch as exc:
         print(f"error:{EXIT_DIMENSION}:{exc}", file=sys.stderr)
         return EXIT_DIMENSION
-    except (SingularOutcome, DerivativeOffSupport) as exc:
+    except SingularOutcome as exc:
         print(f"error:{EXIT_SINGULAR}:{exc}", file=sys.stderr)
         return EXIT_SINGULAR
     except (FisherinfoError, MemoryError) as exc:  # a bad document, or a size too large

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fisher import averaged_information, outcome_trajectory, sld_solve
+from .fisher import outcome_information, outcome_trajectory, sld_solve
 from .models import UnitaryFamily
 from .optimize import ContextSpace, _maximize_fisher_many
 from .quantum import Povm, apply_channel_matrix, apply_dual_matrix
@@ -97,8 +97,8 @@ class DpiTrialReport:
 
 
 def _push(tmap: StochasticMap, povm: Povm, blocks) -> tuple:
-    """Push each outcome block (p, dp, d2p) through the map; T is linear, so
-    it carries the derivatives as it carries the probabilities."""
+    """Push each outcome block (p, dp) through the map; T is linear, so it
+    carries the derivative as it carries the probabilities."""
     if tmap.in_count != len(povm):
         raise ValueError(
             f"map expects {tmap.in_count} outcomes, POVM has {len(povm)}"
@@ -114,10 +114,18 @@ def postprocess_likelihood(model: UnitaryFamily, povm: Povm,
 
 def _bayesian_pair(model, povm, tmap, nodes, weights):
     """Prior-averaged information before and after post-processing; one node
-    of weight 1 gives the pointwise pair."""
-    before = outcome_trajectory(model, povm, nodes)
+    of weight 1 gives the pointwise pair.  Pushed outcome y has the effect
+    sum_x T_yx E_x, whose factor rows are the sqrt(T_yx) F_x."""
+    before = outcome_trajectory(model, povm, nodes)[:2]
     after = _push(tmap, povm, before)
-    return averaged_information(weights, *before), averaged_information(weights, *after)
+
+    def pushed_factors():
+        f = povm.factors
+        return (np.sqrt(tmap.matrix)[:, :, None, None] * f).reshape(tmap.out_count, -1, f.shape[-1])
+
+    return (float(np.dot(weights, outcome_information(model, nodes, *before,
+                                                      lambda: povm.factors))),
+            float(np.dot(weights, outcome_information(model, nodes, *after, pushed_factors))))
 
 
 def classical_dpi_suite(trials: int, seed: int) -> list[DpiTrialReport]:

@@ -47,13 +47,9 @@ class InvalidChannel(FisherinfoError):
 
 
 class SingularOutcome(FisherinfoError):
-    """An outcome has (numerically) zero probability but a nonzero
-    probability derivative, so its information contribution diverges."""
-
-
-class DerivativeOffSupport(FisherinfoError):
-    """The state derivative has weight outside the state's support, so no
-    symmetric logarithmic derivative exists."""
+    """A result is not finite, or an outcome row given without a model has
+    (numerically) zero probability but a nonzero probability derivative, so
+    its information contribution diverges."""
 
 
 class ZeroEvidence(FisherinfoError):

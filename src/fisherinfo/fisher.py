@@ -1,11 +1,23 @@
 """Fisher information functionals: classical, Bayesian, and quantum (SLD).
 
-The classical score sums (dp_x)^2 / p_x over measurement outcomes.  An
-outcome whose probability and probability-derivative both (numerically)
-vanish sits at a removable singularity of that ratio; its contribution is
-the limit 2 * d2p_x, read from the model's second derivative.  A vanishing
-probability with a non-vanishing derivative has divergent information and
-raises SingularOutcome instead.
+The classical score sums (dp_x)^2 / p_x over measurement outcomes.  A
+package model is analytic in theta, so a vanishing p_x vanishes to even
+order and the ratio stays bounded; near it the ratio computed from p_x and
+dp_x loses its digits.  An outcome whose probability is below NEAR_NULL is
+therefore scored from its Born amplitudes a = F_x A, with F_x^dag F_x = E_x
+and A the model's Kraus vectors: dp^2 / p = 4 (Re <a, a'>)^2 / |a|^2, where
+p = |a|^2 is a sum of squares, and the limit 4 |a'|^2 where a = 0.  The
+switch only picks the path; every other outcome keeps dp^2 / p, so no
+package model's outcome raises SingularOutcome.
+
+Rows of probabilities given without a model (``information_from_outcomes``)
+have no amplitudes: an outcome at or below P_FLOOR takes the removable-point
+limit 2 d2p_x if its derivative is at most D_FLOOR and raises
+SingularOutcome otherwise.
+
+The SLD quantum Fisher information is read from the Kraus vectors too
+(``qfi_from_vectors``): exact, with no eigendecomposition of rho, and
+continuous where the rank of rho drops.
 """
 
 from __future__ import annotations
@@ -14,16 +26,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DerivativeOffSupport, SingularOutcome
+from .errors import SingularOutcome
 from .linalg import adjoint
 from .models import UnitaryFamily
 from .quantum import Povm, born_probabilities, outcome_traces, projective_povm
 
-P_FLOOR = 1e-12       # probabilities at or below this count as zero
-D_FLOOR = 1e-9        # derivative magnitude above this at p ~ 0 is divergent
+NEAR_NULL = 1e-8      # a model's outcome with p below this is scored from its amplitudes
 
-EPS_SLD = 1e-10       # eigenvalue-pair sums at or below this are off support
-DELTA_SLD = 1e-8      # derivative weight allowed on the off-support block
+# A Born probability from amplitudes, a qubit's determinant or a squared
+# singular value at most ROUNDED_ZERO is 0 and takes its limit; the vectors
+# are those of a unit-trace state and an effect of norm at most 1.  Rounding
+# of about eps leaves so small an amplitude a no direction: a ratio it
+# enters errs by about (eps / |a|)^2, the limit by O(|a|), and the two
+# errors meet near |a| = 1e-11.
+ROUNDED_ZERO = 1e-22
+
+P_FLOOR = 1e-12       # rows without a model: probabilities at or below this count as zero
+D_FLOOR = 1e-9        # and a derivative magnitude above this there is divergent
 
 
 @dataclass
@@ -36,7 +55,8 @@ class SldResult:
 
 
 def outcome_scores(p, dp, d2p) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of outcome rows (..., outcomes) and the mask of singular outcomes.
+    """Scores of outcome rows given without a model (..., outcomes) and the
+    mask of their singular outcomes.
 
     ``d2p`` holds d2p_x/dtheta2 and is only read for outcomes at a
     removable singularity, which score the limit 2 max(d2p_x, 0).  The
@@ -48,10 +68,7 @@ def outcome_scores(p, dp, d2p) -> tuple[np.ndarray, np.ndarray]:
     curvature = 2.0 * np.asarray(d2p, dtype=float)
     limit = np.where(curvature > 0.0, curvature, 0.0)
     terms = np.where(live, dp * dp / np.where(live, p, 1.0), limit)
-    total = np.zeros(terms.shape[:-1])
-    for x in range(terms.shape[-1]):
-        total = total + terms[..., x]
-    return total, ~live & (np.abs(dp) > D_FLOOR)
+    return _summed(terms), ~live & (np.abs(dp) > D_FLOOR)
 
 
 def information_from_outcomes(p, dp, d2p):
@@ -67,6 +84,59 @@ def information_from_outcomes(p, dp, d2p):
             f"but derivative {float(np.asarray(dp)[first]):.3e}"
         )
     return total if total.ndim else float(total)
+
+
+def _summed(terms: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, added in outcome order as a loop adds them."""
+    total = np.zeros(terms.shape[:-1])
+    for x in range(terms.shape[-1]):
+        total = total + terms[..., x]
+    return total
+
+
+def model_scores(p, dp, near_terms) -> np.ndarray:
+    """Scores of a package model's outcome rows (..., outcomes): the sums of
+    dp^2 / p in outcome order, where the cells whose p is below NEAR_NULL
+    take ``near_terms(near)``, their amplitude scores in row-major order."""
+    near = p < NEAR_NULL
+    terms = dp * dp / np.where(near, 1.0, p)
+    if near.any():
+        terms[near] = near_terms(near)
+    return _summed(terms)
+
+
+def amplitude_scores(f, a, da) -> np.ndarray:
+    """dp^2 / p = 4 (Re <b, b'>)^2 / |b|^2 of the Born amplitudes b = F A and
+    their derivatives b' = F dA, for effect factor rows F (..., k, d) and
+    Kraus vectors A, dA (..., d, r); the limit 4 |b'|^2 where b is 0
+    (ROUNDED_ZERO)."""
+    b, db = _real_rows(f @ a), _real_rows(f @ da)
+    p = _dots(b, b)
+    zero = p <= ROUNDED_ZERO
+    slope = _dots(b, db)
+    return 4.0 * np.where(zero, _dots(db, db), slope * slope / np.where(zero, 1.0, p))
+
+
+def _real_rows(z) -> np.ndarray:
+    """A complex stack (m, ...) as m rows of its real and imaginary parts."""
+    return np.ascontiguousarray(z).reshape(len(z), -1).view(float)
+
+
+def _dots(u, v) -> np.ndarray:
+    """Row-wise dot products of two real (m, n) arrays."""
+    return np.einsum("ij,ij->i", u, v)
+
+
+def outcome_information(model: UnitaryFamily, thetas, p, dp, factors) -> np.ndarray:
+    """Scores (``model_scores``) of the model's outcome rows p, dp at each
+    theta; ``factors()`` gives the effects' factor rows (outcomes, r, d),
+    and is called only if an outcome is near null."""
+    def near_terms(near):
+        nodes, outcomes = np.nonzero(near)
+        a, da = model.kraus_vectors(np.asarray(thetas, dtype=float).reshape(-1)[nodes])
+        return amplitude_scores(factors()[outcomes], a, da)
+
+    return model_scores(p, dp, near_terms)
 
 
 def outcome_trajectory(model: UnitaryFamily, povm: Povm, thetas):
@@ -92,55 +162,107 @@ def outcome_blocks(povm: Povm, rho, drho, d2rho):
 
 def classical_fisher(model: UnitaryFamily, povm: Povm, theta: float) -> float:
     """Fisher information of the Born distribution at ``theta``."""
-    p, dp, d2p = outcome_trajectory(model, povm, [theta])
-    return information_from_outcomes(p[0], dp[0], d2p[0])
+    p, dp, _ = outcome_trajectory(model, povm, [theta])
+    return float(outcome_information(model, [theta], p, dp, lambda: povm.factors)[0])
 
 
 def averaged_information(weights, p, dp, d2p) -> float:
-    """Weighted sum of the scores of stacked outcome rows, one row per node."""
+    """Weighted sum of the scores of stacked outcome rows given without a
+    model (``information_from_outcomes``), one row per node."""
     return float(np.dot(weights, information_from_outcomes(p, dp, d2p)))
 
 
 def bayesian_information(model: UnitaryFamily, povm: Povm, prior) -> float:
     """Average Fisher information of the measurement under a prior grid."""
-    return averaged_information(prior.weights, *outcome_trajectory(model, povm, prior.nodes))
+    p, dp, _ = outcome_trajectory(model, povm, prior.nodes)
+    return float(np.dot(prior.weights,
+                        outcome_information(model, prior.nodes, p, dp, lambda: povm.factors)))
 
 
 def sld_solve(model: UnitaryFamily, theta: float) -> SldResult:
-    """Solve rho' = (rho L + L rho) / 2 for the SLD L, and the QFI."""
-    rho, drho, _ = model.trajectory([theta])
-    qfi, v, l_eig, on_support, off_weight = sld_eigen(rho[0], drho[0])
-    if off_weight:
-        raise DerivativeOffSupport(
-            f"derivative has weight {float(off_weight):.3e} outside the state support"
-        )
-    sld = v @ l_eig @ adjoint(v)
-    sld = (sld + adjoint(sld)) / 2.0
-    support_rank = int(np.count_nonzero(on_support.diagonal()))
-    return SldResult(sld=sld, qfi=float(qfi), support_rank=support_rank)
+    """The SLD L, with rho' = (rho L + L rho) / 2, and the QFI, from the
+    model's Kraus vectors, both from their singular-value form at every
+    dimension.
 
-
-def sld_eigen(rho: np.ndarray, drho: np.ndarray):
-    """The SLD of (rho, rho') in the eigenbasis of rho, and the QFI, for one
-    pair of matrices or a stack (..., d, d).
-
-    L_ij = 2 rho'_ij / (l_i + l_j) wherever the eigenvalue pair-sum is
-    above EPS_SLD.  Derivative weight above DELTA_SLD on the remaining block
-    means no SLD exists.  Returns (qfi, eigenvectors, L in the eigenbasis,
-    the on-support mask of eigenvalue pairs, the off-support weight): the
-    weight is 0 where an SLD exists, else the largest off-support entry,
-    and there the qfi reads 0.
+    With A = V S W^dag, B = V^dag dA W and N = dA W - V B, the part of dA W
+    off the span of V: L = V L_B V^dag + X + X^dag, where (L_B)_ij =
+    2 (B_ij s_j + s_i B*_ji) / (s_i^2 + s_j^2), 0 where both singular values
+    are 0, and X = N diag(2 / s) V^dag over the nonzero s.  The support rank
+    counts the nonzero singular values.
     """
-    w, v = np.linalg.eigh((rho + adjoint(rho)) / 2.0)
-    d_eig = adjoint(v) @ drho @ v
+    blocks = _singular_blocks(*model.kraus_vectors([theta]))
+    qfi = float(_singular_qfi(*blocks[1:])[0])
+    v, sigma, b, n = (block[0] for block in blocks)
+    pair_sums, r = _pairs(sigma, b)
+    inner = np.where(pair_sums > 0.0, 2.0 * r / np.where(pair_sums > 0.0, pair_sums, 1.0), 0.0)
+    x = (n * np.where(sigma > 0.0, 2.0 / np.where(sigma > 0.0, sigma, 1.0), 0.0)) @ adjoint(v)
+    sld = v @ inner @ adjoint(v) + x + adjoint(x)
+    return SldResult(sld=(sld + adjoint(sld)) / 2.0, qfi=qfi,
+                     support_rank=int(np.count_nonzero(sigma)))
 
-    pair_sums = w[..., :, None] + w[..., None, :]
-    on_support = pair_sums > EPS_SLD
-    worst = np.abs(np.where(on_support, 0.0, d_eig)).max(axis=(-2, -1))
-    off_weight = np.where(worst > DELTA_SLD, worst, 0.0)
-    l_eig = np.where(on_support, 2.0 * d_eig / np.where(on_support, pair_sums, 1.0), 0.0)
-    qfi = (w[..., :, None] * np.abs(l_eig) ** 2).sum(axis=(-2, -1))
-    return np.where(off_weight > 0.0, 0.0, qfi), v, l_eig, on_support, off_weight
+
+def qfi_from_vectors(a, da) -> np.ndarray:
+    """SLD quantum Fisher information of rho = A A^dag with rho' = dA A^dag
+    + A dA^dag, for the Kraus vectors A and dA (m, d, r) of m unit-trace
+    states; at a drop in rank the value is its limit (Safranek, PRA 95,
+    052320, 2017).
+
+    A qubit takes the closed form 2 tr(rho'^2) + 4 (sum Re m* m')^2 / sum |m|^2
+    over the 2x2 minors m of A (det rho = sum |m|^2, Cauchy-Binet), and the
+    limit 4 sum |m'|^2 where the determinant is 0 (ROUNDED_ZERO).  A larger
+    dimension takes the singular-value form (``_singular_qfi``).
+    """
+    if a.shape[-2] == 2:
+        return _qubit_qfi(a, da)
+    return _singular_qfi(*_singular_blocks(a, da)[1:])
+
+
+def _qubit_qfi(a, da) -> np.ndarray:
+    # the minors m_ij = a0_i a1_j - a0_j a1_i as an antisymmetric matrix, so
+    # each sum over i < j is half the sum over all i, j
+    a0, a1 = a[:, 0, :, None], a[:, 1, None, :]
+    m = a0 * a1
+    m = _real_rows(m - np.swapaxes(m, 1, 2))
+    dm = da[:, 0, :, None] * a1 + a0 * da[:, 1, None, :]
+    dm = _real_rows(dm - np.swapaxes(dm, 1, 2))
+    det, slope = _dots(m, m), _dots(m, dm)
+    drho = da @ adjoint(a)
+    drho = _real_rows(drho + adjoint(drho))
+    zero = det <= 2.0 * ROUNDED_ZERO
+    return 2.0 * (_dots(drho, drho)
+                  + np.where(zero, _dots(dm, dm), slope * slope / np.where(zero, 1.0, det)))
+
+
+def _singular_blocks(a, da):
+    """(V, s, B, N) of Kraus vectors (m, d, r): the thin SVD A = V S W^dag,
+    its singular values s with those that are 0 (ROUNDED_ZERO) set to 0,
+    B = V^dag dA W and N = dA W - V B."""
+    v, s, wh = np.linalg.svd(a, full_matrices=False)
+    y = da @ adjoint(wh)
+    b = adjoint(v) @ y
+    return v, np.where(s * s > ROUNDED_ZERO, s, 0.0), b, y - v @ b
+
+
+def _pairs(sigma, b):
+    """The singular-value pair sums s_i^2 + s_j^2 and R_ij = B_ij s_j + s_i B*_ji."""
+    s2 = sigma * sigma
+    return (s2[..., :, None] + s2[..., None, :],
+            b * sigma[..., None, :] + sigma[..., :, None] * np.conj(np.swapaxes(b, -1, -2)))
+
+
+def _singular_qfi(sigma, b, n) -> np.ndarray:
+    """sum_ij 2 |R_ij|^2 / (s_i^2 + s_j^2) over the pairs with a nonzero
+    singular value, each term at most 2 (|B_ij|^2 + |B_ji|^2), plus 4 |N|^2,
+    the pairs of a nonzero singular value with the null space of rho.  A
+    singular value s_z that is 0 adds the limit 4 sum_t |B_tz|^2 over the
+    s_t that are 0 and 4 |N_z|^2: A w_z vanishes, and the rate at which it
+    leaves 0 is the part of dA w_z off the support of rho."""
+    pair_sums, r = _pairs(sigma, b)
+    terms = np.where(pair_sums > 0.0, 2.0 * (r.real * r.real + r.imag * r.imag)
+                     / np.where(pair_sums > 0.0, pair_sums, 1.0),
+                     4.0 * (b.real * b.real + b.imag * b.imag))
+    n = _real_rows(n)
+    return np.sum(terms, axis=(-2, -1)) + 4.0 * _dots(n, n)
 
 
 def sld_optimal_povm(result: SldResult) -> Povm:

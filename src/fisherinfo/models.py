@@ -3,8 +3,10 @@
 Its kernel, ``trajectory``, gives the state and its first two
 theta-derivatives, stacked over a vector of theta values; it also gives
 Born probabilities and their derivatives on a theta grid with the effects
-pulled back (``pulled_back_outcomes``).  Information functionals always
-consume the model's own derivatives; they never re-difference.
+pulled back (``pulled_back_outcomes``), and the Kraus vectors A with
+rho = A A^dag and their derivative (``kraus_vectors``).  Information
+functionals always consume the model's own derivatives; they never
+re-difference.
 """
 
 from __future__ import annotations
@@ -115,6 +117,40 @@ class UnitaryFamily:
         p, dp, d2p = (rows @ coeffs.reshape(len(effects), -1).T).real.reshape(3, len(phases), -1)
         return checked_probabilities(p), dp, d2p
 
+    def vector_map(self, thetas) -> np.ndarray:
+        """The linear map from input vectors to Kraus vectors at each theta.
+
+        A (n, 2 r d, d) array for n theta values: for the r products
+        K_j U P_l of a product K_j of the "post" channels' Kraus operators
+        and a product P_l of the "pre" channels', each in list order, the
+        rows K_j U P_l, then the rows K_j U (-i passes G) P_l.
+        ``kraus_columns`` turns its product with input vectors (..., d, s)
+        into (A, dA).
+        """
+        d = self.dim
+        ops = {"pre": None, "post": None}  # None: no channel, the identity
+        for channel, placement in self.channels:
+            done = ops[placement]
+            ops[placement] = (channel.kraus if done is None
+                              else (channel.kraus[:, None] @ done).reshape(-1, d, d))
+        evolved = self.propagator(np.asarray(thetas, dtype=float).reshape(-1))[:, None]
+        if ops["post"] is not None:
+            evolved = ops["post"] @ evolved
+        slope = evolved @ (-1j * self.passes * self.generator)
+        if ops["pre"] is not None:
+            evolved, slope = evolved[:, :, None] @ ops["pre"], slope[:, :, None] @ ops["pre"]
+        return np.concatenate((evolved, slope), axis=1).reshape(len(evolved), -1, d)
+
+    def kraus_vectors(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """(A, dA / d theta), each (len(thetas), dim, r s): rho = A A^dag and
+        d rho / d theta = dA A^dag + A dA^dag at each theta.
+
+        The columns are K_j U P_l v_i (``vector_map``) for the initial
+        state's vectors v_i (``DensityMatrix.vectors``).
+        """
+        self._prepared()
+        return kraus_columns(self.vector_map(thetas) @ self.rho0.vectors, self.dim)
+
     def transfer(self, thetas) -> np.ndarray:
         """The linear map from a prepared input to (rho, d rho, d2 rho) at each theta.
 
@@ -146,3 +182,11 @@ class UnitaryFamily:
                 rho, drho, d2rho = apply_channel_matrix(channel, np.stack((rho, drho, d2rho)))
         return rho, drho, d2rho
 
+
+def kraus_columns(flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(A, dA), each (..., dim, r s), from a vector map's product with input
+    vectors, (..., 2 r dim, s): column j s + i is operator j on vector i."""
+    *lead, rows, s = flat.shape
+    r = rows // (2 * dim)
+    blocks = np.swapaxes(flat.reshape(*lead, 2, r, dim, s), -3, -2).reshape(*lead, 2, dim, r * s)
+    return blocks[..., 0, :, :], blocks[..., 1, :, :]

@@ -7,7 +7,9 @@ information at every state (Braunstein & Caves 1994), so a free POVM is
 read off the chosen state's SLD.  A fixed state is never searched either.
 Without channels, the best state for a free POVM is the equal
 superposition of the generator's extreme eigenvectors, worth
-k^2 (lmax - lmin)^2 (Giovannetti, Lloyd & Maccone 2006).  Otherwise the
+k^2 (lmax - lmin)^2 (Giovannetti, Lloyd & Maccone 2006); a post channel
+with one Kraus operator, a unitary, leaves the QFI unchanged and so keeps
+that state.  Otherwise the
 2(dim-1) state parameters are searched with multi-start Nelder-Mead,
 scored by the QFI for a free POVM or by the classical Fisher information
 for a fixed one.
@@ -16,12 +18,14 @@ The search is the package's own (``nelder_mead``): scipy's Nelder-Mead,
 step for step, run on many simplices at once, every restart of every
 problem in lockstep.  Each iteration scores all their candidate points in
 one stacked call.  Each problem's theta is fixed during a search, so the
-dynamics and the post channels form one linear map from the prepared
-input to (rho, rho', rho'') at that theta (``UnitaryFamily.transfer``).
-``context_objective`` builds it once per problem and scores a stack of
-contexts with the pre channels, one matrix-vector product per row and the
-stacked SLD or Born kernel, never a rebuilt model.  Each row scores as it
-would alone, up to rounding.
+dynamics and the channels form one linear map at that theta: from the
+input amplitudes to the Kraus vectors (``UnitaryFamily.vector_map``) for
+the QFI, from the input matrix after the pre channels to (rho, rho',
+rho'') (``UnitaryFamily.transfer``) for the Born rows of a fixed POVM.
+``context_objective`` builds them once per problem and scores a stack of
+candidate amplitudes, one matrix product per row and the stacked QFI or
+Born kernel, never a rebuilt model.  Each row scores as it would alone, up
+to rounding.
 """
 
 from __future__ import annotations
@@ -32,23 +36,17 @@ import numpy as np
 
 from .errors import DimensionMismatch, _cut
 from .fisher import (
+    amplitude_scores,
     classical_fisher,
+    model_scores,
     outcome_blocks,
-    outcome_scores,
-    sld_eigen,
+    qfi_from_vectors,
     sld_optimal_povm,
     sld_solve,
 )
 from .linalg import PAULI_X, PAULI_Z, unitary_exp
-from .models import UnitaryFamily
-from .quantum import (
-    DensityMatrix,
-    Povm,
-    projective_povm,
-    pure_projectors,
-    pure_state,
-    unitary_channel,
-)
+from .models import UnitaryFamily, kraus_columns
+from .quantum import DensityMatrix, Povm, projective_povm, projectors, pure_state, unitary_channel
 
 MAX_OPT_DIM = 8          # larger searches are out of scope
 VALUE_SPREAD_TOL = 1e-10  # simplex value spread at termination
@@ -202,51 +200,96 @@ def _extreme_superposition(family: UnitaryFamily) -> np.ndarray:
 def context_objective(families, thetas):
     """Scores of stacked contexts, each row against its own problem.
 
-    Problem k is ``families[k]`` at ``thetas[k]``; the transfer maps there
-    are built once, here.  ``score(problems, states, povm)`` takes each
-    row's problem index, its input state before the pre channels (m, d, d),
-    and its measurement: None for the SLD measurement, else a Povm for every
-    row.  It returns each row's QFI or classical Fisher information, a
-    float; a row off the SLD support or with a singular outcome, where
-    neither is defined, scores 0.  Rows are scored SCORE_BYTES at a time,
-    so memory does not grow with m.
+    Problem k is ``families[k]`` at ``thetas[k]``; its maps there are built
+    once, here, when a score first needs them.  ``score(problems,
+    amplitudes, povm)`` takes each row's problem index, its input state's
+    amplitudes before the pre channels (m, d), and its measurement: None
+    for the SLD measurement, else a Povm for every row.  It returns each
+    row's QFI (``qfi_from_vectors``) or classical Fisher information
+    (``model_scores``, a near-null outcome scored from its amplitudes), a
+    float.  Rows are scored SCORE_BYTES at a time, so memory does not grow
+    with m.
     """
     d = families[0].dim
-    maps = np.stack([family.transfer(theta) for family, theta in zip(families, thetas)])
+    maps = {}
     prepared = [(k, family) for k, family in enumerate(families)
                 if any(placement == "pre" for _, placement in family.channels)]
-    # a row holds its (rho, rho', rho'') blocks, and the Born kernel a copy
-    # of the derivatives
-    chunk = max(1, SCORE_BYTES // (2 * maps.itemsize * maps.shape[1]))
+    # a row holds its (rho, rho', rho'') blocks and the Born kernel a copy of
+    # the derivatives, 6 d^2 numbers, or its vector map and the QFI kernel's
+    # products, about 4 r d^2 for r Kraus vectors
+    r = max(int(np.prod([len(channel.kraus) for channel, _ in family.channels]))
+            for family in families)
+    chunk = max(1, SCORE_BYTES // (16 * d * d * max(6, 4 * r)))
 
-    def score_rows(problems, states, povm):
-        if prepared:
-            states = np.array(states, dtype=complex)
-            for k, family in prepared:
-                rows = problems == k
-                states[rows] = family.prepare_inputs(states[rows])
+    def transfer_maps():
+        if "transfer" not in maps:
+            maps["transfer"] = [family.transfer(theta) for family, theta in zip(families, thetas)]
+        return maps["transfer"]
+
+    def vector_maps():
+        """The problems' vector maps stacked by shape, each problem's stack
+        and its place in it."""
+        if "vector" not in maps:
+            each = [family.vector_map(theta)[0] for family, theta in zip(families, thetas)]
+            shapes = sorted({m.shape for m in each})
+            group = np.array([shapes.index(m.shape) for m in each])
+            place = np.zeros(len(each), dtype=int)
+            for g in range(len(shapes)):
+                place[group == g] = np.arange(np.count_nonzero(group == g))
+            maps["vector"] = ([np.stack([m for m, h in zip(each, group) if h == g])
+                               for g in range(len(shapes))], group, place)
+        return maps["vector"]
+
+    def kraus_rows(problems, amplitudes):
+        """(rows, A, dA) for each group of rows whose problems' vector maps
+        have one shape: one map-vector product per row, bitwise the row's
+        alone."""
+        stacks, group, place = vector_maps()
+        for g, stack in enumerate(stacks):
+            rows = slice(None) if len(stacks) == 1 else np.flatnonzero(group[problems] == g)
+            if len(stacks) > 1 and not len(rows):
+                continue
+            at = stack[0] if len(stack) == 1 else stack[place[problems[rows]]]
+            yield (rows, *kraus_columns(at @ amplitudes[rows, :, None], d))
+
+    def score_rows(problems, amplitudes, povm):
+        if povm is None:
+            values = np.empty(len(problems))
+            for rows, a, da in kraus_rows(problems, amplitudes):
+                values[rows] = qfi_from_vectors(a, da)
+            return values
         m = len(problems)
+        states = projectors(amplitudes)
+        for k, family in prepared:
+            rows = problems == k
+            states[rows] = family.prepare_inputs(states[rows])
         # one gemv per row, bitwise the product of the row's map with its
         # input; each map serves its own rows, uncopied
-        columns = np.reshape(states, (m, -1, 1))
-        if len(maps) == 1:
-            flat = maps[0] @ columns
+        ms = transfer_maps()
+        inputs = np.reshape(states, (m, -1, 1))
+        if len(ms) == 1:
+            flat = ms[0] @ inputs
         else:
-            flat = np.empty((m, maps.shape[1], 1), dtype=complex)
+            flat = np.empty((m, 3 * d * d, 1), dtype=complex)
             order = np.argsort(problems, kind="stable")
             ks, firsts = np.unique(problems[order], return_index=True)
             for k, rows in zip(ks, np.split(order, firsts[1:])):
-                flat[rows] = maps[k] @ columns[rows]
-        blocks = flat.reshape(m, 3, d, d)
-        if povm is None:
-            return sld_eigen(blocks[:, 0], blocks[:, 1])[0]
-        info, singular = outcome_scores(*outcome_blocks(povm, *np.moveaxis(blocks, 1, 0)))
-        return np.where(singular.any(-1), 0.0, info)
+                flat[rows] = ms[k] @ inputs[rows]
+        p, dp, _ = outcome_blocks(povm, *np.moveaxis(flat.reshape(m, 3, d, d), 1, 0))
 
-    def score(problems, states, povm):
+        def near_terms(near):
+            rows, outcomes = np.nonzero(near)
+            terms = np.empty(len(rows))
+            for at, a, da in kraus_rows(problems[rows], amplitudes[rows]):
+                terms[at] = amplitude_scores(povm.factors[outcomes[at]], a, da)
+            return terms
+
+        return model_scores(p, dp, near_terms)
+
+    def score(problems, amplitudes, povm):
         if len(problems) <= chunk:
-            return score_rows(problems, states, povm)
-        return np.concatenate([score_rows(problems[at:at + chunk], states[at:at + chunk], povm)
+            return score_rows(problems, amplitudes, povm)
+        return np.concatenate([score_rows(problems[at:at + chunk], amplitudes[at:at + chunk], povm)
                                for at in range(0, len(problems), chunk)])
 
     return score
@@ -298,13 +341,13 @@ def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
     states = [space.state if space.state is not None
               else pure_state(_extreme_superposition(family)) for family, _, _ in problems]
     searched = [k for k, (family, _, _) in enumerate(problems)
-                if space.state is None and (space.povm is not None or family.channels)]
+                if space.state is None and (space.povm is not None or _changes_the_qfi(family))]
     if searched:
         score = context_objective([problems[k][0] for k in searched],
                                   [problems[k][1] for k in searched])
         winners = _search(
-            score, lambda x: (pure_projectors(space.decode_amplitudes(x)), space.povm),
-            space.n_params, (np.stack([states[k].mat for k in searched]), space.povm),
+            score, lambda x: (space.decode_amplitudes(x), space.povm), space.n_params,
+            (np.stack([states[k].vectors[:, 0] for k in searched]), space.povm),
             restarts, [problems[k][2] for k in searched], maxiter)
         for k, params in zip(searched, winners):
             if params is not None:
@@ -318,6 +361,14 @@ def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
         # report the value computed through the public scoring path
         results.append(OptimizationResult(classical_fisher(chosen, povm, theta), state, povm))
     return results
+
+
+def _changes_the_qfi(family: UnitaryFamily) -> bool:
+    """Whether a channel can move the best state off the closed form: a pre
+    channel, or a post channel with more than one Kraus operator.  One Kraus
+    operator that passes the completeness check is a unitary."""
+    return any(placement == "pre" or len(channel.kraus) > 1
+               for channel, placement in family.channels)
 
 
 def circumvention_report(theta: float) -> dict:

@@ -19,6 +19,12 @@ from .errors import (
 )
 from .linalg import adjoint, as_complex_matrix, hermiticity_defect, identity
 
+# An eigenvalue of a state or an effect at or below FACTOR_CUT times its
+# dimension is zero when the matrix is factored (``psd_factors``): eigh's
+# rounding on a matrix of norm at most 1 stays below it, and a factor row of
+# rounding weight would otherwise swamp a vanishing Born amplitude.
+FACTOR_CUT = 4 * np.finfo(float).eps
+
 # Compute-time checks, of every state a computation forms and of every row
 # of Born probabilities
 STATE_HERMITIAN_ATOL = 1e-12
@@ -59,17 +65,37 @@ class DensityMatrix:
     clamped to zero at construction; anything below STATE_EIG_FLOOR is an
     error.  ``validate=False`` skips the checks for internal callers that
     construct states from operations which provably preserve validity.
+    ``vectors``, if given, are columns V with mat = V V^dag.
     """
 
-    __slots__ = ("mat",)
+    __slots__ = ("mat", "_vectors")
 
-    def __init__(self, mat, *, validate: bool = True):
+    def __init__(self, mat, *, validate: bool = True, vectors=None):
         m = as_complex_matrix(mat, "density matrix")
         self.mat = checked_states(m) if validate else m
+        self._vectors = vectors
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Columns V with mat = V V^dag: a pure state's amplitude, else the
+        eigenvectors scaled by the square roots of their nonzero eigenvalues."""
+        if self._vectors is None:
+            rows = psd_factors(self.mat)
+            self._vectors = adjoint(rows[np.any(rows != 0, axis=-1)])
+        return self._vectors
+
+
+def psd_factors(mats) -> np.ndarray:
+    """Rows F with F^dag F = M for a positive semidefinite matrix M or each of
+    a stack (..., d, d): sqrt(l) v^dag for each eigenpair (l, v), a zero row
+    where l is at most FACTOR_CUT * d."""
+    w, v = np.linalg.eigh(mats)
+    w = np.where(w > FACTOR_CUT * w.shape[-1], w, 0.0)
+    return np.sqrt(w)[..., :, None] * adjoint(v)
 
 
 def checked_states(mats) -> np.ndarray:
@@ -118,12 +144,13 @@ class Povm:
 
     Labels are stable integers so classical post-processing maps can refer
     to outcomes by index.  ``effects`` holds the effects as one (n, d, d)
-    array, in their given order.
+    array, in their given order; ``factors``, if given, rows (n, r, d) whose
+    products F^dag F are the effects.
     """
 
-    __slots__ = ("effects", "labels")
+    __slots__ = ("effects", "labels", "_factors")
 
-    def __init__(self, effects, labels=None, *, validate: bool = True):
+    def __init__(self, effects, labels=None, *, validate: bool = True, factors=None):
         stack = _operator_stack(effects, "POVM effect",
                                 InvalidPovm("a POVM needs at least one effect"))
         if labels is None:
@@ -147,6 +174,7 @@ class Povm:
                 raise InvalidPovm(f"effects sum deviates from identity by {defect:.3e}")
         self.effects = stack
         self.labels = labels
+        self._factors = factors
 
     @property
     def dim(self) -> int:
@@ -154,6 +182,14 @@ class Povm:
 
     def __len__(self) -> int:
         return len(self.effects)
+
+    @property
+    def factors(self) -> np.ndarray:
+        """Rows (n, r, d) with F_x^dag F_x = E_x: the basis rows of a
+        projective measurement, else ``psd_factors`` of the effects."""
+        if self._factors is None:
+            self._factors = psd_factors((self.effects + adjoint(self.effects)) / 2.0)
+        return self._factors
 
 
 class KrausChannel:
@@ -255,21 +291,14 @@ def projectors(vectors) -> np.ndarray:
     return vectors[..., :, None] * np.conj(vectors)[..., None, :]
 
 
-def pure_projectors(amplitudes) -> np.ndarray:
-    """|psi><psi| for each amplitude vector of a stack (..., d); each must be
-    normalized: its trace, the squared norm, within NORMALIZATION_ATOL of 1."""
-    psi = np.asarray(amplitudes, dtype=complex)
-    norms = np.linalg.norm(psi, axis=-1)
-    bad = np.abs(norms * norms - 1.0) > NORMALIZATION_ATOL
-    if bad.any():
-        raise NotNormalized(f"state vector has norm {float(norms[bad][0])!r}")
-    return projectors(psi)
-
-
 def pure_state(amplitudes) -> DensityMatrix:
-    """|psi><psi| from a normalized amplitude vector."""
+    """|psi><psi| from an amplitude vector, which must be normalized: its
+    squared norm, the trace, within NORMALIZATION_ATOL of 1."""
     psi = np.asarray(amplitudes, dtype=complex).reshape(-1)
-    return DensityMatrix(pure_projectors(psi), validate=False)
+    norm = float(np.linalg.norm(psi, axis=-1))
+    if abs(norm * norm - 1.0) > NORMALIZATION_ATOL:
+        raise NotNormalized(f"state vector has norm {norm!r}")
+    return DensityMatrix(projectors(psi), validate=False, vectors=psi[:, None])
 
 
 def maximally_mixed(dim: int) -> DensityMatrix:
@@ -295,7 +324,8 @@ def basis_projectors(bases) -> np.ndarray:
 
 def projective_povm(basis) -> Povm:
     """Rank-one projectors onto the columns of a unitary basis matrix."""
-    return Povm(basis_projectors(as_complex_matrix(basis, "measurement basis")), validate=False)
+    u = as_complex_matrix(basis, "measurement basis")
+    return Povm(basis_projectors(u), validate=False, factors=adjoint(u)[:, None, :])
 
 
 def unitary_channel(u) -> KrausChannel:

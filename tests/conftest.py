@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fisherinfo.linalg import PAULI_X, PAULI_Y, PAULI_Z
+from fisherinfo.linalg import PAULI_Z
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import projective_povm, pure_state
 

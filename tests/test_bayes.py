@@ -14,7 +14,6 @@ from fisherinfo.bayes import (
     uniform_prior,
 )
 from fisherinfo.errors import DocumentError, ZeroEvidence
-from fisherinfo.linalg import PAULI_Z
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import Povm
 from fisherinfo.sampling import random_full_rank_state, random_hermitian, random_projective_povm

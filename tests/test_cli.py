@@ -56,7 +56,7 @@ def test_fisher_command(capsys, model_file, x_povm_file):
     assert report["command"] == "fisher"
     assert report["value"] == pytest.approx(4.0, abs=1e-8)
     assert report["inputs"]["theta"] == 0.3
-    assert "p_floor" in report["tolerances"]
+    assert report["tolerances"] == {}
     assert list(report)[-1] == "runtime_ms"
 
 
@@ -568,12 +568,27 @@ def test_dimension_mismatch_exits_3(capsys, model_file, tmp_path):
     assert err.startswith("error:3:")
 
 
-def test_singular_computation_exits_4(capsys, model_file, x_povm_file):
-    code, _, err = run_cli(capsys, [
-        "fisher", "--model", model_file, "--povm", x_povm_file, "--theta", "1e-7",
+@pytest.mark.parametrize("theta", ["1e-7", repr(np.pi / 2 + 1e-9), repr(np.pi / 2 + 5e-7),
+                                   repr(np.pi / 2 + 1e-6)])
+def test_a_vanishing_probability_is_scored_exactly_on_the_command_line(capsys, model_file,
+                                                                      x_povm_file, theta):
+    # one outcome's p is below fisher.NEAR_NULL; the information is 4 at every theta
+    code, out, err = run_cli(capsys, [
+        "fisher", "--model", model_file, "--povm", x_povm_file, "--theta", theta,
     ])
-    assert code == 4
-    assert err.startswith("error:4:")
+    assert code == 0 and err == ""
+    assert json.loads(out)["value"] == pytest.approx(4.0, rel=1e-13)
+
+
+def test_a_non_finite_result_exits_4(capsys, tmp_path):
+    # a generator of norm 1e200 gives a QFI of about 1e400, which overflows
+    doc = {"dim": 2, "kind": "unitary", "generator": pairs_from_matrix(1e200 * PAULI_X),
+           "initial_state": [[1.0, 0.0], [0.0, 0.0]]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, ["qfi", "--model", str(path), "--theta", "0.3"])
+    assert code == 4 and out == ""
+    assert err.startswith("error:4:the result is not finite") and err.count("\n") == 1
 
 
 def strip_runtime(text: str) -> list:

@@ -12,8 +12,13 @@ from hypothesis import given, strategies as st
 from fisherinfo.dpi import DUAL_TOL, SLD_TOL
 from fisherinfo.fisher import sld_solve
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.quantum import apply_channel_matrix, apply_dual_matrix
-from fisherinfo.sampling import random_channel, random_full_rank_state, random_hermitian
+from fisherinfo.quantum import DensityMatrix, apply_channel_matrix, apply_dual_matrix
+from fisherinfo.sampling import (
+    random_channel,
+    random_full_rank_state,
+    random_hermitian,
+    random_pure_state,
+)
 
 seeds = st.integers(0, 2 ** 32 - 1)
 
@@ -22,6 +27,20 @@ seeds = st.integers(0, 2 ** 32 - 1)
 def test_post_channel_never_raises_the_sld_information(seed, dim, kraus_count, theta):
     rng = np.random.default_rng(seed)
     model = UnitaryFamily(random_hermitian(rng, dim), random_full_rank_state(rng, dim))
+    noisy = model.with_channel(random_channel(rng, dim, kraus_count), "post")
+    assert sld_solve(noisy, theta).qfi <= sld_solve(model, theta).qfi + SLD_TOL
+
+
+@given(seeds, st.integers(2, 4), st.integers(1, 3), st.floats(-1.5, 1.5),
+       st.sampled_from([0.0, 1e-13, 1e-10, 1e-7, 1e-4]))
+def test_post_channel_never_raises_the_sld_information_of_a_near_pure_input(
+        seed, dim, kraus_count, theta, mixing):
+    # a pure input mixed with weight ``mixing`` of a full-rank state; the
+    # channel can take the output close to pure as well
+    rng = np.random.default_rng(seed)
+    pure = random_pure_state(rng, dim).mat
+    rho0 = DensityMatrix((1.0 - mixing) * pure + mixing * random_full_rank_state(rng, dim).mat)
+    model = UnitaryFamily(random_hermitian(rng, dim), rho0)
     noisy = model.with_channel(random_channel(rng, dim, kraus_count), "post")
     assert sld_solve(noisy, theta).qfi <= sld_solve(model, theta).qfi + SLD_TOL
 

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fisherinfo.errors import (
-    DerivativeOffSupport,
-    DimensionMismatch,
-    SingularOutcome,
-)
+from fisherinfo.errors import DimensionMismatch, SingularOutcome
 from fisherinfo.fisher import (
     D_FLOOR,
+    NEAR_NULL,
     P_FLOOR,
     averaged_information,
     bayesian_information,
     classical_fisher,
     information_from_outcomes,
-    sld_eigen,
+    qfi_from_vectors,
     sld_optimal_povm,
     sld_solve,
 )
@@ -117,10 +114,15 @@ def test_outcome_scoring_raises_on_divergent_outcome():
         information_from_outcomes([1.0, 1e-13], [0.0, 1e-6], [0.0, 0.0])
 
 
-def test_vanishing_probability_with_live_derivative_is_singular(base_model, x_basis_povm):
-    # sin^2(1e-7) is below the probability floor but its derivative is not
-    with pytest.raises(SingularOutcome):
-        classical_fisher(base_model, x_basis_povm, 1e-7)
+@pytest.mark.parametrize("offset", [1e-9, 1e-8, 1e-7, 5e-7, 1e-6, 2e-6, 1e-5, 1e-4, 1e-3])
+def test_a_vanishing_probability_is_scored_from_its_amplitudes(base_model, x_basis_povm, offset):
+    # one outcome's p is sin^2(offset) on either side of the zeros at 0 and
+    # pi/2, and the information is 4 throughout: exact from the amplitudes
+    # below NEAR_NULL, within the Born rows' rounding of p above it
+    for theta in (offset, -offset, np.pi / 2 + offset, np.pi / 2 - offset):
+        near = base_model.pulled_back_outcomes(x_basis_povm, [theta])[0].min() < NEAR_NULL
+        assert classical_fisher(base_model, x_basis_povm, theta) == pytest.approx(
+            4.0, rel=1e-13 if near else 1e-7)
 
 
 def test_dimension_mismatch_is_rejected(base_model):
@@ -159,24 +161,6 @@ def test_sld_of_constant_model():
     assert sld_solve(model, 0.9).qfi == pytest.approx(0.0, abs=1e-12)
 
 
-def test_sld_detects_derivative_off_support():
-    class FrozenModel:
-        dim = 3
-
-        def trajectory(self, thetas):
-            rho = np.diag([1.0, 0.0, 0.0]).astype(complex)[None]
-            d = np.zeros((1, 3, 3), dtype=complex)
-            d[0, 1, 2] = d[0, 2, 1] = 1.0
-            return rho, d, np.zeros_like(d)
-
-    with pytest.raises(DerivativeOffSupport):
-        sld_solve(FrozenModel(), 0.0)
-    # the kernel itself reports the off-support weight and scores the pair 0
-    rho, drho, _ = FrozenModel().trajectory([0.0])
-    qfi, *_, off_weight = sld_eigen(rho[0], drho[0])
-    assert (qfi, off_weight) == (0.0, 1.0)
-
-
 def _qfi_reference(mpmath, generator, psi, kraus, theta):
     """The QFI of rho(theta) = sum_j K_j U psi psi^dag U^dag K_j^dag, at 50 digits."""
     with mpmath.workdps(50):
@@ -195,29 +179,72 @@ def _qfi_reference(mpmath, generator, psi, kraus, theta):
                          for i in range(dim) for j in range(dim) if w[i] + w[j] > 0))
 
 
-# ROADMAP item 1: near a pure output the SLD kernel loses digits, then
-# returns a verdict or a wrong value
-@pytest.mark.parametrize("offset", [
-    1e-3,
-    pytest.param(1e-6, marks=pytest.mark.xfail(
-        strict=True, raises=DerivativeOffSupport, reason="ROADMAP item 1: off-support verdict")),
-    pytest.param(1e-9, marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError, reason="ROADMAP item 1: wrong value")),
-])
-def test_sld_matches_a_50_digit_reference_near_a_pure_output(offset):
-    mpmath = pytest.importorskip("mpmath")
-    # the output is pure at theta0: v is an eigenvector of K0^-1 K1, so K0 v and K1 v are parallel
-    rng = np.random.default_rng(3)
-    generator = random_hermitian(rng, 2)
-    channel = random_channel(rng, 2, 2)
+def output_pure_at(dim, seed, theta0=0.7):
+    """A model whose output is pure at theta0: v is an eigenvector of
+    K0^-1 K1, so K0 v and K1 v are parallel; with its generator, input and
+    Kraus operators."""
+    rng = np.random.default_rng(seed)
+    generator = random_hermitian(rng, dim)
+    channel = random_channel(rng, dim, 2)
     v = np.linalg.eig(np.linalg.solve(*channel.kraus))[1][:, 0]
-    theta0 = 0.7
     family = UnitaryFamily(generator)
     psi = adjoint(family.propagator(theta0)) @ v
-    model = family.with_state(pure_state(psi)).with_channel(channel, "post")
-    theta = theta0 + offset
+    return family.with_state(pure_state(psi)).with_channel(channel, "post"), generator, psi, channel
+
+
+def check_against_the_reference(dim, seed, offset):
+    mpmath = pytest.importorskip("mpmath")
+    model, generator, psi, channel = output_pure_at(dim, seed)
+    theta = 0.7 + offset
     reference = _qfi_reference(mpmath, generator, psi, channel.kraus, theta)
     assert sld_solve(model, theta).qfi == pytest.approx(reference, rel=1e-8)
+    # the search's kernel: the qubit closed form, or the singular-value form
+    assert qfi_from_vectors(*model.kraus_vectors([theta]))[0] == pytest.approx(reference, rel=1e-8)
+
+
+# a qubit whose output is pure at theta0 = 0.7; the reference is
+# 8.51326088441 for |theta - theta0| <= 1e-6
+@pytest.mark.parametrize("offset", [1e-3, 1e-6, 1e-9, -1e-9])
+def test_sld_matches_a_50_digit_reference_near_a_pure_output(offset):
+    check_against_the_reference(2, 3, offset)
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+@pytest.mark.parametrize("offset", [1e-5, 1e-6, 1e-7, 1e-9, -1e-9])
+def test_sld_matches_a_50_digit_reference_near_a_pure_output_at_dim_3(seed, offset):
+    check_against_the_reference(3, seed, offset)
+
+
+@pytest.mark.parametrize("dim, seed", [(2, 3), (3, 3), (4, 3)])
+def test_sld_value_is_continuous_across_a_pure_output(dim, seed):
+    model = output_pure_at(dim, seed)[0]
+    values = {k: [sld_solve(model, 0.7 + side * 10.0 ** -k).qfi for side in (-1, 1)]
+              for k in range(3, 10)}
+    limit = np.mean(values[9])
+    for k, sides in values.items():
+        # the value is smooth in theta, so each side moves by O(10^-k)
+        assert max(abs(v - limit) for v in sides) <= 100.0 * 10.0 ** -k * max(1.0, limit)
+    # the SLD measurement attains it, its near-null outcome scored from amplitudes
+    for k in (4, 6, 9):
+        theta = 0.7 + 10.0 ** -k
+        result = sld_solve(model, theta)
+        assert classical_fisher(model, sld_optimal_povm(result), theta) == pytest.approx(
+            result.qfi, rel=1e-8)
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), kraus=st.integers(1, 4),
+       offset_exponent=st.integers(3, 9), side=st.sampled_from([-1, 1]))
+def test_no_measurement_beats_the_sld_value_near_a_pure_output(seed, dim, kraus, offset_exponent,
+                                                               side):
+    rng = np.random.default_rng(seed)
+    model = output_pure_at(dim, int(rng.integers(1000)))[0].with_channel(
+        random_channel(rng, dim, kraus), "post")
+    theta = 0.7 + side * 10.0 ** -offset_exponent
+    qfi = sld_solve(model, theta).qfi
+    for _ in range(4):
+        value = classical_fisher(model, random_projective_povm(rng, dim), theta)
+        assert 0.0 <= value <= qfi * (1 + 1e-9) + 1e-12
 
 
 def test_sld_measurement_achieves_the_quantum_value(base_model):

@@ -88,6 +88,28 @@ def test_channel_free_maximum_is_the_closed_form_without_a_search(monkeypatch):
         assert result.best_value == pytest.approx((passes * (w[-1] - w[0])) ** 2, abs=1e-12)
 
 
+def test_unitary_post_channels_keep_the_closed_form_without_a_search(monkeypatch):
+    import fisherinfo.optimize
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("a unitary post channel leaves the QFI unchanged; no search")
+
+    monkeypatch.setattr(fisherinfo.optimize, "nelder_mead", no_search)
+    rng = np.random.default_rng(97)
+    for dim, passes, count in [(2, 1, 1), (2, 3, 2), (3, 2, 1), (4, 1, 2)]:
+        generator = random_hermitian(rng, dim)
+        w = np.linalg.eigvalsh(generator)
+        family = UnitaryFamily(generator, passes=passes)
+        for _ in range(count):
+            family = family.with_channel(random_channel(rng, dim, 1), "post")
+        result = maximize_fisher(family, ContextSpace(dim), float(rng.uniform(-1, 1)), restarts=4)
+        assert result.best_value == pytest.approx((passes * (w[-1] - w[0])) ** 2, rel=1e-12)
+    # a unitary before the dynamics moves the best state, so it is searched
+    family = UnitaryFamily(PAULI_Z).with_channel(random_channel(rng, 2, 1), "pre")
+    with pytest.raises(AssertionError, match="no search"):
+        maximize_fisher(family, ContextSpace(2), 0.3, restarts=1)
+
+
 @pytest.mark.parametrize("fixed_povm", [False, True])
 def test_state_search_builds_no_model_per_candidate(monkeypatch, fixed_povm):
     rng = np.random.default_rng(101)

@@ -14,7 +14,7 @@ from fisherinfo.errors import (
     NotUnitary,
 )
 from fisherinfo.fisher import bayesian_information, classical_fisher
-from fisherinfo.linalg import MAX_DIM, PAULI_X, PAULI_Z, adjoint
+from fisherinfo.linalg import MAX_DIM, PAULI_Z, adjoint
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import ContextSpace, maximize_fisher
 from fisherinfo.quantum import (

@@ -18,7 +18,6 @@ from fisherinfo.optimize import (
     maximize_fisher,
     nelder_mead,
 )
-from fisherinfo.quantum import pure_projectors
 from fisherinfo.sampling import (
     random_channel,
     random_hermitian,
@@ -145,7 +144,7 @@ def test_each_row_of_a_stacked_score_matches_its_score_alone(seed, dim, measurem
     score = context_objective(families, rng.uniform(-1.0, 1.0, size=len(families)))
     space = ContextSpace(dim)
     params = rng.uniform(-np.pi, np.pi, size=(12, space.n_params))
-    states = pure_projectors(space.decode_amplitudes(params))
+    states = space.decode_amplitudes(params)
     povm = random_projective_povm(rng, dim) if measurement == "fixed" else None
     problems = rng.integers(len(families), size=12)
     values = score(problems, states, povm)
@@ -162,7 +161,7 @@ def test_scoring_holds_a_bounded_number_of_rows_at_dim_8(n_problems):
     score = context_objective(families, rng.uniform(-1.0, 1.0, n_problems))
     # three slices of rows; all rows at once would peak at about 30 MB
     rows = 2 * (SCORE_BYTES // (2 * 16 * 3 * 64)) + 1
-    states = np.stack([random_pure_state(rng, 8).mat for _ in range(rows)])
+    states = np.stack([random_pure_state(rng, 8).vectors[:, 0] for _ in range(rows)])
     problems = rng.integers(n_problems, size=rows)
     povm = random_projective_povm(rng, 8)
     tracemalloc.start()
@@ -187,7 +186,7 @@ def test_a_search_scores_floats_and_keeps_the_earliest_best():
     def at_origin(x):
         return (x == 0.0).all(axis=1)
 
-    # a row that scores 0, undefined or not, never beats a positive one
+    # a row that scores 0 never beats a positive one
     assert search_one(lambda x: np.where(at_origin(x), 0.5, 0.0), origin) is None
     end = search_one(lambda x: np.where(at_origin(x), 0.0, 1.0 / (1.0 + (x * x).sum(1))), origin)
     assert end is not None and (end * end).sum() < 1e-3

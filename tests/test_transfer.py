@@ -1,4 +1,4 @@
-"""The transfer maps over theta nodes and the context objective built on them."""
+"""The transfer and vector maps at theta nodes and the context objective built on them."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -7,7 +7,12 @@ from fisherinfo.fisher import classical_fisher, sld_solve
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import context_objective
 from fisherinfo.quantum import pure_state
-from fisherinfo.sampling import random_channel, random_hermitian, random_projective_povm
+from fisherinfo.sampling import (
+    random_channel,
+    random_full_rank_state,
+    random_hermitian,
+    random_projective_povm,
+)
 
 
 def random_amplitudes(rng, dim):
@@ -17,7 +22,7 @@ def random_amplitudes(rng, dim):
 
 def score_one(family, theta, state, povm):
     """The context objective on a one-problem, one-row stack."""
-    values = context_objective([family], [theta])(np.array([0]), state.mat[None], povm)
+    values = context_objective([family], [theta])(np.array([0]), state.vectors.T, povm)
     return float(values[0])
 
 
@@ -53,3 +58,21 @@ def test_transfer_map_reproduces_the_rebuilt_model(seed, dim, passes, placements
     povm = random_projective_povm(rng, dim)
     value = classical_fisher(rebuilt, povm, theta)
     assert abs(score_one(family, theta, state, povm) - value) <= 1e-12 * value
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), passes=st.integers(1, 3),
+       placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3),
+       pure=st.booleans(), n_nodes=st.integers(1, 4))
+def test_kraus_vectors_reproduce_the_trajectory(seed, dim, passes, placements, pure, n_nodes):
+    rng = np.random.default_rng(seed)
+    family = random_family(rng, dim, passes, placements)
+    state = (pure_state(random_amplitudes(rng, dim)) if pure
+             else random_full_rank_state(rng, dim))
+    model = family.with_state(state)
+    thetas = rng.uniform(-1.5, 1.5, size=n_nodes)
+    a, da = model.kraus_vectors(thetas)
+    rho, drho, _ = model.trajectory(thetas)
+    slope = da @ np.conj(np.swapaxes(a, -1, -2))
+    assert np.max(np.abs(a @ np.conj(np.swapaxes(a, -1, -2)) - rho)) < 1e-12
+    assert np.max(np.abs(slope + np.conj(np.swapaxes(slope, -1, -2)) - drho)) < 1e-12

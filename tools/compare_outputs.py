@@ -12,14 +12,16 @@ fresh interpreter (``PYTHONPATH=<tree>``, ``PYTHONDONTWRITEBYTECODE=1``) through
 the first differences, each with the largest relative gap between the
 numbers of the two outputs, and exits 1 on any difference.
 
-The command set: every ``cli-light`` op and defect-probe op of seeds 1-3
-and the first 540 ``dpi`` ops of seed 1 (``perfbench/workloads.py``, read
-only); two long DPI suites per mode; ``paper-example`` at three thetas;
+The command set, 1,291 commands: every ``cli-light`` op and defect-probe
+op of seeds 1-3 and the first 540 ``dpi`` ops of seed 1
+(``perfbench/workloads.py``, read only); two long DPI suites per mode; ``paper-example`` at three thetas;
 ``optimize`` with each of its fixings on six documents with channels; a
 dozen corrupted documents; ten bad arguments; four counts above 2**53;
 twelve long values that an error line must cut, two of them paths of 3,000
-characters to a model and a POVM document with a schema error; and five
-documents that fail the load-time bounds by little.  Numpy and the standard library only.
+characters to a model and a POVM document with a schema error; five
+documents that fail the load-time bounds by little; and six computations at
+or near a vanishing probability or a pure output, or with a result that is
+not finite.  Numpy and the standard library only.
 """
 
 from __future__ import annotations
@@ -136,7 +138,8 @@ def _corrupted_commands(directory: Path) -> list:
                  for bad in ("1" * 5000, "x" * 5000)]
     return (commands + _bad_arguments(good_model, povm) + _huge_counts(good_model, povm)
             + _long_values(directory / "corrupted", good_model)
-            + _beyond_the_load_bounds(out, z, x_basis, povm))
+            + _beyond_the_load_bounds(out, z, x_basis, povm)
+            + _near_null(out, z, plus, povm))
 
 
 def _bad_arguments(model, povm) -> list:
@@ -217,6 +220,19 @@ def _beyond_the_load_bounds(out, z, x_basis, povm) -> list:
                      ["optimize", "--model", x_model, "--theta", "0", "--restarts", "4",
                       "--fix-povm", bad]]
     return commands
+
+
+def _near_null(out, z, plus, povm) -> list:
+    """fisher where one outcome's probability is below fisher.NEAR_NULL (the
+    information is 4 at each theta), a qubit DPI trial whose SLD measurement
+    has an outcome of probability 1e-12, and a qfi of about 1e400."""
+    model = _model(out, z, plus)
+    huge = _model(out, 1e200 * np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1.0, 0.0]))
+    return ([["fisher", "--model", model, "--povm", povm, f"--theta={t!r}"]
+             for t in (1e-7, math.pi / 2 + 1e-9, math.pi / 2 + 5e-7, math.pi / 2 + 1e-6)]
+            + [["dpi", "--mode", "quantum", "--trials", "1", "--dim", "2", "--kraus", "2",
+                "--seed", "57096725"],
+               ["qfi", "--model", huge, "--theta", "0.3"]])
 
 
 def command_set(directory: Path) -> list:
