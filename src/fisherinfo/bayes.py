@@ -2,8 +2,7 @@
 Bayesian Cramer-Rao bound.
 
 Priors live on a fixed quadrature grid (trapezoid weights times density,
-normalized).  All downstream quantities are finite sums over that grid, so
-the two textbook routes to the Bayes risk ought to agree to roundoff.
+normalized).  All downstream quantities are finite sums over that grid.
 """
 
 from __future__ import annotations
@@ -146,20 +145,17 @@ def bayes_estimator(post: PosteriorGrid) -> float:
     return post.mean()
 
 
-def bayes_risk(prior: PriorGrid, model: UnitaryFamily, povm: Povm,
-               method: str = "posterior-variance") -> float:
-    """Expected squared error of the posterior-mean estimator.
+def bayes_risk(prior: PriorGrid, model: UnitaryFamily, povm: Povm) -> float:
+    """Expected squared error of the posterior-mean estimator: the sum of
+    Pr(x) * Var(theta | x) over the outcomes.
 
-    "posterior-variance" sums Pr(x) * Var(theta | x); "estimator-mse"
-    averages the conditional squared error over the prior and likelihood.
-    The two are the same finite sum reorganized, and agree to roundoff.
     Outcomes with zero evidence are skipped: they occur with probability
     zero and contribute nothing to the risk.
     """
-    return _risk(prior, likelihood_table(model, povm, prior.nodes), method)
+    return _risk(prior, likelihood_table(model, povm, prior.nodes))
 
 
-def _risk(prior: PriorGrid, like: np.ndarray, method: str = "posterior-variance") -> float:
+def _risk(prior: PriorGrid, like: np.ndarray) -> float:
     """bayes_risk from the likelihood table ``like``."""
     joint = prior.weights[:, None] * like            # Pr(theta_i, x)
     evidence = joint.sum(axis=0)                     # Pr(x)
@@ -169,12 +165,7 @@ def _risk(prior: PriorGrid, like: np.ndarray, method: str = "posterior-variance"
             continue
         post = joint[:, x] / evidence[x]
         estimate = float(np.dot(prior.nodes, post))
-        if method == "posterior-variance":
-            risk += evidence[x] * float(np.dot(post, (prior.nodes - estimate) ** 2))
-        elif method == "estimator-mse":
-            risk += float(np.dot(joint[:, x], (prior.nodes - estimate) ** 2))
-        else:
-            raise ValueError(f"unknown method {method!r}")
+        risk += evidence[x] * float(np.dot(post, (prior.nodes - estimate) ** 2))
     return risk
 
 
@@ -195,7 +186,7 @@ def check_bcrb(prior: PriorGrid, model: UnitaryFamily, povm: Povm) -> BcrbReport
     reads risk >= 1/J; with J at numerical zero it is vacuous and reported
     as such (satisfied trivially, since 1/J is +inf).
     """
-    p, dp, _ = outcome_trajectory(model, povm, prior.nodes)
+    p, dp = outcome_trajectory(model, povm, prior.nodes)
     risk = _risk(prior, p)
     j = float(np.dot(prior.weights,
                      outcome_information(model, prior.nodes, p, dp, lambda: povm.factors)))

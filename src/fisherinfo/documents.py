@@ -150,7 +150,7 @@ def model_from_document(doc: dict, where: str = "model") -> UnitaryFamily:
     if type(passes) is not int or passes < 1:
         raise DocumentError(f"{where}: 'passes' must be a positive integer")
     try:
-        float(passes) ** 2  # the second derivative scales with passes squared
+        float(passes) ** 2  # the information scales with passes squared
     except OverflowError:
         raise DocumentError(f"{where}: 'passes' is too large") from None
     try:

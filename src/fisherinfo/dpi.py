@@ -116,7 +116,7 @@ def _bayesian_pair(model, povm, tmap, nodes, weights):
     """Prior-averaged information before and after post-processing; one node
     of weight 1 gives the pointwise pair.  Pushed outcome y has the effect
     sum_x T_yx E_x, whose factor rows are the sqrt(T_yx) F_x."""
-    before = outcome_trajectory(model, povm, nodes)[:2]
+    before = outcome_trajectory(model, povm, nodes)
     after = _push(tmap, povm, before)
 
     def pushed_factors():

@@ -47,9 +47,7 @@ class InvalidChannel(FisherinfoError):
 
 
 class SingularOutcome(FisherinfoError):
-    """A result is not finite, or an outcome row given without a model has
-    (numerically) zero probability but a nonzero probability derivative, so
-    its information contribution diverges."""
+    """A result is not finite."""
 
 
 class ZeroEvidence(FisherinfoError):

@@ -7,13 +7,8 @@ dp_x loses its digits.  An outcome whose probability is below NEAR_NULL is
 therefore scored from its Born amplitudes a = F_x A, with F_x^dag F_x = E_x
 and A the model's Kraus vectors: dp^2 / p = 4 (Re <a, a'>)^2 / |a|^2, where
 p = |a|^2 is a sum of squares, and the limit 4 |a'|^2 where a = 0.  The
-switch only picks the path; every other outcome keeps dp^2 / p, so no
-package model's outcome raises SingularOutcome.
-
-Rows of probabilities given without a model (``information_from_outcomes``)
-have no amplitudes: an outcome at or below P_FLOOR takes the removable-point
-limit 2 d2p_x if its derivative is at most D_FLOOR and raises
-SingularOutcome otherwise.
+switch only picks the path; every other outcome keeps dp^2 / p.  Every
+functional reads first derivatives only: p and dp, or rho and d rho.
 
 The SLD quantum Fisher information is read from the Kraus vectors too
 (``qfi_from_vectors``): exact, with no eigendecomposition of rho, and
@@ -26,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularOutcome
 from .linalg import adjoint
 from .models import UnitaryFamily
 from .quantum import Povm, born_probabilities, outcome_traces, projective_povm
@@ -41,9 +35,6 @@ NEAR_NULL = 1e-8      # a model's outcome with p below this is scored from its a
 # errors meet near |a| = 1e-11.
 ROUNDED_ZERO = 1e-22
 
-P_FLOOR = 1e-12       # rows without a model: probabilities at or below this count as zero
-D_FLOOR = 1e-9        # and a derivative magnitude above this there is divergent
-
 
 @dataclass
 class SldResult:
@@ -52,38 +43,6 @@ class SldResult:
     sld: np.ndarray
     qfi: float
     support_rank: int
-
-
-def outcome_scores(p, dp, d2p) -> tuple[np.ndarray, np.ndarray]:
-    """Scores of outcome rows given without a model (..., outcomes) and the
-    mask of their singular outcomes.
-
-    ``d2p`` holds d2p_x/dtheta2 and is only read for outcomes at a
-    removable singularity, which score the limit 2 max(d2p_x, 0).  The
-    terms are added in outcome order, as a loop over the outcomes adds them.
-    """
-    p = np.asarray(p, dtype=float)
-    dp = np.asarray(dp, dtype=float)
-    live = p > P_FLOOR
-    curvature = 2.0 * np.asarray(d2p, dtype=float)
-    limit = np.where(curvature > 0.0, curvature, 0.0)
-    terms = np.where(live, dp * dp / np.where(live, p, 1.0), limit)
-    return _summed(terms), ~live & (np.abs(dp) > D_FLOOR)
-
-
-def information_from_outcomes(p, dp, d2p):
-    """Score outcome probabilities and their first two derivatives, one row
-    or a stack (..., outcomes), as ``outcome_scores`` does; a float for one
-    row.  The first singular outcome, in row-major order, raises
-    SingularOutcome."""
-    total, singular = outcome_scores(p, dp, d2p)
-    if singular.any():
-        first = np.unravel_index(np.argmax(singular), singular.shape)
-        raise SingularOutcome(
-            f"outcome {first[-1]} has probability {float(np.asarray(p)[first]):.3e} "
-            f"but derivative {float(np.asarray(dp)[first]):.3e}"
-        )
-    return total if total.ndim else float(total)
 
 
 def _summed(terms: np.ndarray) -> np.ndarray:
@@ -140,9 +99,9 @@ def outcome_information(model: UnitaryFamily, thetas, p, dp, factors) -> np.ndar
 
 
 def outcome_trajectory(model: UnitaryFamily, povm: Povm, thetas):
-    """Born probabilities p and their first two theta-derivatives.
+    """Born probabilities p and their theta-derivatives.
 
-    Returns (p, dp, d2p), each shaped (len(thetas), len(povm)).  Derivatives
+    Returns (p, dp), each shaped (len(thetas), len(povm)).  Derivatives
     are analytic; they are never re-differenced from probabilities.  With
     fewer effects than nodes the effects are pulled back
     (``pulled_back_outcomes``); otherwise the states are pushed forward
@@ -153,28 +112,21 @@ def outcome_trajectory(model: UnitaryFamily, povm: Povm, thetas):
     return outcome_blocks(povm, *model.trajectory(thetas))
 
 
-def outcome_blocks(povm: Povm, rho, drho, d2rho):
-    """(p, dp, d2p) of states and their derivatives, each a stack (..., d, d)."""
-    p = born_probabilities(rho, povm)
-    dp, d2p = outcome_traces(np.stack((drho, d2rho)), povm)
-    return p, dp, d2p
+def outcome_blocks(povm: Povm, rho, drho):
+    """(p, dp) of states and their derivatives, each a stack (..., d, d)."""
+    # einsum rounds a stack by its size, so dp is traced in a stack of two
+    return born_probabilities(rho, povm), outcome_traces(np.stack((rho, drho)), povm)[1]
 
 
 def classical_fisher(model: UnitaryFamily, povm: Povm, theta: float) -> float:
     """Fisher information of the Born distribution at ``theta``."""
-    p, dp, _ = outcome_trajectory(model, povm, [theta])
+    p, dp = outcome_trajectory(model, povm, [theta])
     return float(outcome_information(model, [theta], p, dp, lambda: povm.factors)[0])
-
-
-def averaged_information(weights, p, dp, d2p) -> float:
-    """Weighted sum of the scores of stacked outcome rows given without a
-    model (``information_from_outcomes``), one row per node."""
-    return float(np.dot(weights, information_from_outcomes(p, dp, d2p)))
 
 
 def bayesian_information(model: UnitaryFamily, povm: Povm, prior) -> float:
     """Average Fisher information of the measurement under a prior grid."""
-    p, dp, _ = outcome_trajectory(model, povm, prior.nodes)
+    p, dp = outcome_trajectory(model, povm, prior.nodes)
     return float(np.dot(prior.weights,
                         outcome_information(model, prior.nodes, p, dp, lambda: povm.factors)))
 

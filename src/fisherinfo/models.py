@@ -1,11 +1,11 @@
 """The one model type, ``UnitaryFamily``: theta -> rho(theta).
 
-Its kernel, ``trajectory``, gives the state and its first two
-theta-derivatives, stacked over a vector of theta values; it also gives
-Born probabilities and their derivatives on a theta grid with the effects
-pulled back (``pulled_back_outcomes``), and the Kraus vectors A with
-rho = A A^dag and their derivative (``kraus_vectors``).  Information
-functionals always consume the model's own derivatives; they never
+Its kernel, ``trajectory``, gives the state and its theta-derivative,
+stacked over a vector of theta values; it also gives Born probabilities
+and their derivatives on a theta grid with the effects pulled back
+(``pulled_back_outcomes``), and the Kraus vectors A with rho = A A^dag and
+their derivative (``kraus_vectors``).  Information functionals need first
+derivatives only, and always consume the model's own; they never
 re-difference.
 """
 
@@ -85,8 +85,8 @@ class UnitaryFamily:
         phases = np.exp(-1j * np.asarray(theta, dtype=float)[..., None] * self.passes * w)
         return (v * phases[..., None, :]) @ adjoint(v)
 
-    def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rho, d rho / d theta, d2 rho / d theta2), each shaped (len(thetas), dim, dim)."""
+    def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, d rho / d theta), each shaped (len(thetas), dim, dim)."""
         return self._evolve(self._prepared(), np.asarray(thetas, dtype=float).reshape(-1))
 
     def _prepared(self) -> np.ndarray:
@@ -95,7 +95,7 @@ class UnitaryFamily:
         return self._input
 
     def pulled_back_outcomes(self, povm, thetas):
-        """(p, dp, d2p), each (len(thetas), outcomes), in the Heisenberg picture.
+        """(p, dp), each (len(thetas), outcomes), in the Heisenberg picture.
 
         The effects F_x are pulled back once through the "post" channels'
         duals, last channel first.  In the generator's eigenbasis
@@ -113,9 +113,9 @@ class UnitaryFamily:
         coeffs = (vh @ rho @ v) * np.swapaxes(vh @ effects @ v, -1, -2)
         diffs = (self.passes * (w[:, None] - w[None, :])).reshape(-1)
         phases = np.exp(-1j * np.asarray(thetas, dtype=float).reshape(-1, 1) * diffs)
-        rows = np.concatenate((phases, -1j * diffs * phases, -(diffs * diffs) * phases))
-        p, dp, d2p = (rows @ coeffs.reshape(len(effects), -1).T).real.reshape(3, len(phases), -1)
-        return checked_probabilities(p), dp, d2p
+        rows = np.concatenate((phases, -1j * diffs * phases))
+        p, dp = (rows @ coeffs.reshape(len(effects), -1).T).real.reshape(2, len(phases), -1)
+        return checked_probabilities(p), dp
 
     def vector_map(self, thetas) -> np.ndarray:
         """The linear map from input vectors to Kraus vectors at each theta.
@@ -152,12 +152,12 @@ class UnitaryFamily:
         return kraus_columns(self.vector_map(thetas) @ self.rho0.vectors, self.dim)
 
     def transfer(self, thetas) -> np.ndarray:
-        """The linear map from a prepared input to (rho, d rho, d2 rho) at each theta.
+        """The linear map from a prepared input to (rho, d rho) at each theta.
 
-        A (3 n dim^2, dim^2) matrix for n theta values: applied to the
+        A (2 n dim^2, dim^2) matrix for n theta values: applied to the
         row-major flattening of an input after the "pre" channels
         (``prepare_inputs``), it gives ``trajectory(thetas)`` flattened the
-        same way, so the product reshapes to (3, n, dim, dim).
+        same way, so the product reshapes to (2, n, dim, dim).
         """
         d = self.dim
         units = np.eye(d * d, dtype=complex).reshape(d * d, 1, d, d)
@@ -165,22 +165,19 @@ class UnitaryFamily:
         return np.moveaxis(blocks, 1, -1).reshape(-1, d * d)
 
     def _evolve(self, inputs: np.ndarray, thetas: np.ndarray):
-        """Analytic: d rho = -i k [G, rho], d2 rho = -k^2 [G, [G, rho]], then the post channels.
+        """Analytic: d rho = -i k [G, rho], then the post channels.
 
         ``inputs`` is one prepared input or a stack of them, ``thetas`` a
         vector; the two stacks broadcast against each other.
         """
-        k = self.passes
         u = self.propagator(thetas)
         rho = u @ inputs @ adjoint(u)
         g = self.generator
-        comm = g @ rho - rho @ g
-        drho = -1j * k * comm
-        d2rho = -(k * k) * (g @ comm - comm @ g)
+        drho = -1j * self.passes * (g @ rho - rho @ g)
         for channel, placement in self.channels:
             if placement == "post":
-                rho, drho, d2rho = apply_channel_matrix(channel, np.stack((rho, drho, d2rho)))
-        return rho, drho, d2rho
+                rho, drho = apply_channel_matrix(channel, np.stack((rho, drho)))
+        return rho, drho
 
 
 def kraus_columns(flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:

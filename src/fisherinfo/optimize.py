@@ -20,8 +20,8 @@ problem in lockstep.  Each iteration scores all their candidate points in
 one stacked call.  Each problem's theta is fixed during a search, so the
 dynamics and the channels form one linear map at that theta: from the
 input amplitudes to the Kraus vectors (``UnitaryFamily.vector_map``) for
-the QFI, from the input matrix after the pre channels to (rho, rho',
-rho'') (``UnitaryFamily.transfer``) for the Born rows of a fixed POVM.
+the QFI, from the input matrix after the pre channels to (rho, rho')
+(``UnitaryFamily.transfer``) for the Born rows of a fixed POVM.
 ``context_objective`` builds them once per problem and scores a stack of
 candidate amplitudes, one matrix product per row and the stacked QFI or
 Born kernel, never a rebuilt model.  Each row scores as it would alone, up
@@ -214,9 +214,10 @@ def context_objective(families, thetas):
     maps = {}
     prepared = [(k, family) for k, family in enumerate(families)
                 if any(placement == "pre" for _, placement in family.channels)]
-    # a row holds its (rho, rho', rho'') blocks and the Born kernel a copy of
-    # the derivatives, 6 d^2 numbers, or its vector map and the QFI kernel's
-    # products, about 4 r d^2 for r Kraus vectors
+    # a row holds its (rho, rho') blocks and the Born kernel's stack of them,
+    # 4 d^2 numbers, or its vector map and the QFI kernel's products, about
+    # 4 r d^2 for r Kraus vectors; the floor stays 6, since the chunk size
+    # sets the stacks that the kernels round
     r = max(int(np.prod([len(channel.kraus) for channel, _ in family.channels]))
             for family in families)
     chunk = max(1, SCORE_BYTES // (16 * d * d * max(6, 4 * r)))
@@ -270,12 +271,12 @@ def context_objective(families, thetas):
         if len(ms) == 1:
             flat = ms[0] @ inputs
         else:
-            flat = np.empty((m, 3 * d * d, 1), dtype=complex)
+            flat = np.empty((m, 2 * d * d, 1), dtype=complex)
             order = np.argsort(problems, kind="stable")
             ks, firsts = np.unique(problems[order], return_index=True)
             for k, rows in zip(ks, np.split(order, firsts[1:])):
                 flat[rows] = ms[k] @ inputs[rows]
-        p, dp, _ = outcome_blocks(povm, *np.moveaxis(flat.reshape(m, 3, d, d), 1, 0))
+        p, dp = outcome_blocks(povm, *np.moveaxis(flat.reshape(m, 2, d, d), 1, 0))
 
         def near_terms(near):
             rows, outcomes = np.nonzero(near)

@@ -37,7 +37,7 @@ class KrausFamily:
     def _state(self, theta: float) -> np.ndarray:
         return apply_channel_matrix(self.kraus_at(theta), self.rho0.mat)
 
-    def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         h = FD_STEP
         thetas = np.asarray(thetas, dtype=float).reshape(-1)
         rho = np.stack([self._state(t) for t in thetas])
@@ -45,6 +45,4 @@ class KrausFamily:
         lo = np.stack([self._state(t - h) for t in thetas])
         d = (hi - lo) / (2.0 * h)
         # symmetrize away the last bits of roundoff
-        drho = (d + adjoint(d)) / 2.0
-        d2rho = (hi - 2.0 * rho + lo) / (h * h)
-        return rho, drho, (d2rho + adjoint(d2rho)) / 2.0
+        return rho, (d + adjoint(d)) / 2.0

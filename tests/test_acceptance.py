@@ -44,6 +44,7 @@ from fisherinfo.sampling import (
 )
 
 from finite_difference import KrausFamily, fd_state_derivative
+from risk_reference import estimator_mse
 
 THETAS = (0.0, 0.4, 1.2)
 
@@ -205,8 +206,8 @@ def test_criterion_08_bayesian_layer(acceptance_log, base_model, z_basis_povm):
     min_j = np.inf
     holds = 0
     for model, povm, prior in configs:
-        pv = bayes_risk(prior, model, povm, method="posterior-variance")
-        mse = bayes_risk(prior, model, povm, method="estimator-mse")
+        pv = bayes_risk(prior, model, povm)
+        mse = estimator_mse(prior, model, povm)
         route_dev = max(route_dev, abs(pv - mse))
         report = check_bcrb(prior, model, povm)
         min_j = min(min_j, report.j)

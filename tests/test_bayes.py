@@ -18,6 +18,8 @@ from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import Povm
 from fisherinfo.sampling import random_full_rank_state, random_hermitian, random_projective_povm
 
+from risk_reference import estimator_mse
+
 
 def test_prior_grid_validation():
     with pytest.raises(ValueError):
@@ -147,15 +149,10 @@ def test_risk_routes_agree_and_never_beat_the_prior():
         povm = random_projective_povm(rng, dim)
         a = float(rng.uniform(-1.0, 0.5))
         prior = uniform_prior(a, a + float(rng.uniform(0.5, 2.0)), 61)
-        pv = bayes_risk(prior, model, povm, method="posterior-variance")
-        mse = bayes_risk(prior, model, povm, method="estimator-mse")
+        pv = bayes_risk(prior, model, povm)
+        mse = estimator_mse(prior, model, povm)
         assert abs(pv - mse) < 1e-10
         assert pv <= prior.variance() + 1e-10
-
-
-def test_risk_rejects_unknown_method(base_model, x_basis_povm):
-    with pytest.raises(ValueError):
-        bayes_risk(uniform_prior(0.0, 1.0, 11), base_model, x_basis_povm, method="mode")
 
 
 def test_uninformative_measurement_risk_is_the_prior_variance(base_model, z_basis_povm):

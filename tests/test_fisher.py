@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fisherinfo.errors import DimensionMismatch, SingularOutcome
+from fisherinfo.errors import DimensionMismatch
 from fisherinfo.fisher import (
-    D_FLOOR,
     NEAR_NULL,
-    P_FLOOR,
-    averaged_information,
     bayesian_information,
     classical_fisher,
-    information_from_outcomes,
+    model_scores,
     qfi_from_vectors,
     sld_optimal_povm,
     sld_solve,
@@ -43,75 +40,45 @@ def test_two_passes_quadruple_the_information(multipass_model, x_basis_povm):
 
 
 def test_removable_points_take_the_analytic_limit(base_model, multipass_model, x_basis_povm):
-    # one outcome has p = dp = 0 here; its score is the limit 2 d2p
+    # one outcome has p = dp = 0 here; its score is the amplitude limit 4 |b'|^2
     for model, limit in ((base_model, 4.0), (multipass_model, 16.0)):
         for theta in (0.0, np.pi / 2):
             assert abs(classical_fisher(model, x_basis_povm, theta) - limit) < 1e-12
 
 
-def test_outcome_scoring_without_curvature_drops_flat_outcomes():
-    # both floors satisfied and no second derivative: contributes zero
-    assert information_from_outcomes([1.0, 0.0], [0.0, 0.0], [0.0, 0.0]) == 0.0
-    assert information_from_outcomes([1.0, 0.0], [0.0, 0.0], [-3.0, 2.0]) == 4.0
-
-
-def scalar_information(p, dp, d2p=None):
-    """The outcome score as a loop over one row's outcomes."""
+def scalar_information(p, dp, limits):
+    """The outcome score as a loop over one row's outcomes; an outcome below
+    NEAR_NULL takes its entry of ``limits``."""
     total = 0.0
     for x in range(len(p)):
         px, dx = float(p[x]), float(dp[x])
-        if px > P_FLOOR:
-            total += dx * dx / px
-        elif abs(dx) > D_FLOOR:
-            raise SingularOutcome(f"outcome {x} has probability {px:.3e} but derivative {dx:.3e}")
-        elif d2p is not None:
-            total += max(0.0, 2.0 * float(d2p[x]))
+        total += float(limits[x]) if px < NEAR_NULL else dx * dx / px
     return total
 
 
-# probabilities and derivatives on both sides of the floors, zeros included
-PROBABILITY = st.one_of(st.just(0.0), st.floats(0.0, 2 * P_FLOOR), st.floats(1e-9, 1.0))
-DERIVATIVE = st.one_of(st.just(0.0), st.floats(-D_FLOOR, D_FLOOR), st.floats(-3.0, 3.0))
+# probabilities on both sides of NEAR_NULL, zeros included
+PROBABILITY = st.one_of(st.just(0.0), st.floats(0.0, 2 * NEAR_NULL), st.floats(1e-9, 1.0))
+DERIVATIVE = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
 
 
 @settings(max_examples=300)
-@given(data=st.data(), rows=st.integers(1, 4), outcomes=st.integers(1, 8),
-       with_curvature=st.booleans())
-def test_stacked_outcome_scores_equal_the_outcome_loop(data, rows, outcomes, with_curvature):
+@given(data=st.data(), rows=st.integers(1, 4), outcomes=st.integers(1, 8))
+def test_stacked_outcome_scores_equal_the_outcome_loop(data, rows, outcomes):
     def block(elements):
         return np.array(data.draw(st.lists(st.lists(elements, min_size=outcomes, max_size=outcomes),
                                            min_size=rows, max_size=rows)))
 
-    p, dp = block(PROBABILITY), block(DERIVATIVE)
-    d2p = block(st.floats(-5.0, 5.0)) if with_curvature else None
-    curvature = np.zeros_like(p) if d2p is None else d2p
-    try:
-        expected = [scalar_information(p[r], dp[r], None if d2p is None else d2p[r])
-                    for r in range(rows)]
-    except SingularOutcome as exc:
-        with pytest.raises(SingularOutcome) as raised:
-            information_from_outcomes(p, dp, curvature)
-        assert str(raised.value) == str(exc)
-    else:
-        assert information_from_outcomes(p, dp, curvature).tobytes() == np.array(expected).tobytes()
-        single = information_from_outcomes(p[0], dp[0], curvature[0])
-        assert type(single) is float and single == expected[0]
+    p, dp, limits = block(PROBABILITY), block(DERIVATIVE), block(st.floats(0.0, 5.0))
+    masks = []
 
+    def near_terms(near):
+        masks.append(near)
+        return limits[near]
 
-@pytest.mark.parametrize("outcomes", [2, 3, 8])
-def test_prior_average_weights_the_outcome_loop(outcomes):
-    rng = np.random.default_rng(41 + outcomes)
-    for _ in range(4):
-        p = rng.dirichlet(np.ones(outcomes), size=201)
-        dp = rng.uniform(-1.0, 1.0, size=(201, outcomes))
-        weights = rng.dirichlet(np.ones(201))
-        expected = float(np.dot(weights, [scalar_information(*row) for row in zip(p, dp, dp)]))
-        assert averaged_information(weights, p, dp, dp) == expected
-
-
-def test_outcome_scoring_raises_on_divergent_outcome():
-    with pytest.raises(SingularOutcome):
-        information_from_outcomes([1.0, 1e-13], [0.0, 1e-6], [0.0, 0.0])
+    expected = [scalar_information(p[r], dp[r], limits[r]) for r in range(rows)]
+    assert model_scores(p, dp, near_terms).tobytes() == np.array(expected).tobytes()
+    # the near-null cells are asked for once, and only if there are any
+    assert len(masks) == int(bool(np.any(p < NEAR_NULL)))
 
 
 @pytest.mark.parametrize("offset", [1e-9, 1e-8, 1e-7, 5e-7, 1e-6, 2e-6, 1e-5, 1e-4, 1e-3])

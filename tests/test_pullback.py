@@ -17,8 +17,8 @@ from fisherinfo.errors import DimensionMismatch, InvalidPovm, InvalidState
 from fisherinfo.fisher import (
     bayesian_information,
     classical_fisher,
-    information_from_outcomes,
     outcome_blocks,
+    outcome_information,
 )
 from fisherinfo.linalg import PAULI_Z, adjoint
 from fisherinfo.models import UnitaryFamily
@@ -134,6 +134,6 @@ def test_a_single_theta_keeps_the_state_path_bitwise():
             random_channel(rng, dim, 2), "post")
         povm = random_projective_povm(rng, dim)
         theta = float(rng.uniform(-np.pi, np.pi))
-        p, dp, d2p = outcome_blocks(povm, *model.trajectory([theta]))
-        assert classical_fisher(model, povm, theta) == information_from_outcomes(
-            p[0], dp[0], d2p[0])
+        p, dp = outcome_blocks(povm, *model.trajectory([theta]))
+        scores = outcome_information(model, [theta], p, dp, lambda: povm.factors)
+        assert classical_fisher(model, povm, theta) == float(scores[0])

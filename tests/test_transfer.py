@@ -45,10 +45,12 @@ def test_transfer_map_reproduces_the_rebuilt_model(seed, dim, passes, placements
     rebuilt = family.with_state(state)
 
     maps = family.transfer(thetas)
-    assert maps.shape == (3 * n_nodes * dim * dim, dim * dim)
+    assert maps.shape == (2 * n_nodes * dim * dim, dim * dim)
     prepared = family.prepare_inputs(state.mat).reshape(-1)
-    blocks = (maps @ prepared).reshape(3, n_nodes, dim, dim)
-    for block, rows in zip(blocks, rebuilt.trajectory(thetas)):
+    blocks = (maps @ prepared).reshape(2, n_nodes, dim, dim)
+    trajectory = rebuilt.trajectory(thetas)
+    assert len(trajectory) == len(blocks)
+    for block, rows in zip(blocks, trajectory):
         assert np.max(np.abs(block - rows)) < 1e-12
 
     theta = float(thetas[0])
@@ -72,7 +74,7 @@ def test_kraus_vectors_reproduce_the_trajectory(seed, dim, passes, placements, p
     model = family.with_state(state)
     thetas = rng.uniform(-1.5, 1.5, size=n_nodes)
     a, da = model.kraus_vectors(thetas)
-    rho, drho, _ = model.trajectory(thetas)
+    rho, drho = model.trajectory(thetas)
     slope = da @ np.conj(np.swapaxes(a, -1, -2))
     assert np.max(np.abs(a @ np.conj(np.swapaxes(a, -1, -2)) - rho)) < 1e-12
     assert np.max(np.abs(slope + np.conj(np.swapaxes(slope, -1, -2)) - drho)) < 1e-12

@@ -8,9 +8,11 @@ other trees, run the script from one of them).  The documents are written
 once to a temporary directory; then each tree runs every command in one
 fresh interpreter (``PYTHONPATH=<tree>``, ``PYTHONDONTWRITEBYTECODE=1``) through
 ``fisherinfo.cli.main``.  Exit codes, stderr and stdout with the
-``runtime_ms`` line removed must agree.  The script prints the counts and
-the first differences, each with the largest relative gap between the
-numbers of the two outputs, and exits 1 on any difference.
+``runtime_ms`` line removed must agree.  The script prints the counts; then
+one line per command kind (the command name, ``dpi`` split by ``--mode``)
+with its number of differing commands and the largest relative gap between
+the numbers of the two outputs over all of them; then the first
+differences, each with its own gap.  It exits 1 on any difference.
 
 The command set, 1,291 commands: every ``cli-light`` op and defect-probe
 op of seeds 1-3 and the first 540 ``dpi`` ops of seed 1
@@ -34,6 +36,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +49,7 @@ import workloads  # noqa: E402
 DPI_OPS = 540
 SHOWN = 10      # differences printed
 EXCERPT = 160   # characters printed of a command and of each side
+KIND = 40       # characters printed of a command kind
 
 # Runs inside each tree's interpreter: argv[1] is the command list, argv[2]
 # the result file.
@@ -256,17 +260,63 @@ def run_tree(src: Path, commands_file: Path, out: Path) -> list:
     return json.loads(out.read_text(encoding="utf-8"))
 
 
-def largest_gap(a: str, b: str) -> str:
-    """The largest relative gap between the numbers of two texts, in order."""
+def relative_gap(a: str, b: str) -> float | None:
+    """The largest relative gap between the numbers of two texts, in order;
+    None if they hold different counts of numbers."""
     xs, ys = NUMBER.findall(a), NUMBER.findall(b)
     if len(xs) != len(ys):
-        return f"{len(xs)} against {len(ys)} numbers"
+        return None
     gap = 0.0
     for x, y in zip(xs, ys):
         x, y = float(x), float(y)
         if x != y:
             gap = max(gap, abs(x - y) / max(abs(x), abs(y)))
+    return gap
+
+
+def largest_gap(a: str, b: str) -> str:
+    gap = relative_gap(a, b)
+    if gap is None:
+        return f"{len(NUMBER.findall(a))} against {len(NUMBER.findall(b))} numbers"
     return f"largest relative gap {gap:.3e}"
+
+
+def command_kind(argv: list) -> str:
+    """The command name, with ``dpi`` split by its ``--mode``."""
+    if not argv:
+        return "(no command)"
+    if argv[0] == "dpi":
+        for option, value in zip(argv, argv[1:] + [None]):
+            if option == "--mode" and value is not None:
+                return f"dpi --mode {value}"[:KIND]
+            if option.startswith("--mode="):
+                return f"dpi --mode {option[len('--mode='):]}"[:KIND]
+    return argv[0][:KIND]
+
+
+def kind_summary(commands: list, differing: list) -> list:
+    """One line per command kind, in order of first appearance: how many of
+    its commands differ and the largest relative gap over all of them."""
+    totals = Counter(command_kind(argv) for argv in commands)
+    differ, uneven, gaps = Counter(), Counter(), Counter()
+    for argv, bad in differing:
+        kind = command_kind(argv)
+        differ[kind] += 1
+        for _, x, y in bad:
+            gap = relative_gap(str(x), str(y))
+            if gap is None:
+                uneven[kind] += 1
+            else:
+                gaps[kind] = max(gaps[kind], gap)
+    lines = []
+    for kind, total in totals.items():
+        line = f"  {kind}: {differ[kind]} of {total} differ"
+        if differ[kind]:
+            line += f", largest relative gap {gaps[kind]:.3e}"
+        if uneven[kind]:
+            line += f", {uneven[kind]} outputs with unequal counts of numbers"
+        lines.append(line)
+    return lines
 
 
 def main() -> int:
@@ -288,6 +338,8 @@ def main() -> int:
             differing.append((argv, bad))
     print(f"{len(commands)} commands, {len(commands) - len(differing)} identical, "
           f"{len(differing)} differ")
+    for line in kind_summary(commands, differing):
+        print(line)
     for argv, bad in differing[:SHOWN]:
         print(" ".join(argv)[:EXCERPT])
         for name, x, y in bad:
