@@ -31,7 +31,7 @@ from .documents import (
 )
 from .errors import DimensionMismatch, DocumentError, FisherinfoError, SingularOutcome, _cut
 from .fisher import classical_fisher, sld_solve
-from .optimize import (DEFAULT_RESTARTS, VALUE_SPREAD_TOL, ContextSpace, circumvention_report,
+from .optimize import (ASCENT_TOL, DEFAULT_RESTARTS, ContextSpace, circumvention_report,
                        maximize_fisher)
 
 EXIT_OK = 0
@@ -114,7 +114,7 @@ def cmd_optimize(args):
             "povm": povm_to_document(result.best_povm),
         },
         "seed": args.seed,
-        "tolerances": {"value_spread": VALUE_SPREAD_TOL},
+        "tolerances": {"relative_step": ASCENT_TOL},
     }, EXIT_OK
 
 
@@ -151,7 +151,7 @@ def cmd_paper_example(args):
                                         "without raising the unrestricted maximum",
         },
         "seed": 0,
-        "tolerances": {"value_spread": VALUE_SPREAD_TOL},
+        "tolerances": {"relative_step": ASCENT_TOL},
     }, EXIT_OK
 
 

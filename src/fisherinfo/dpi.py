@@ -17,7 +17,7 @@ import numpy as np
 
 from .fisher import outcome_information, outcome_trajectory, sld_solve
 from .models import UnitaryFamily
-from .optimize import ContextSpace, _maximize_fisher_many
+from .optimize import MAX_ITER, ContextSpace, _maximize_fisher_many
 from .quantum import Povm, apply_channel_matrix, apply_dual_matrix
 from .sampling import (
     random_channel,
@@ -38,14 +38,7 @@ J_GRID = 31             # quadrature nodes for per-trial Bayesian checks
 J_RANGE = (0.2, 1.2)    # uniform prior window for per-trial Bayesian checks
 CLASSICAL_DIMS = (2, 3)  # model dimensions drawn by the classical suite
 
-# Nelder-Mead budget for the noisy model's state search: as in scipy, a run
-# makes at most OPT_MAXITER - 1 iterations.  The bare model takes the
-# closed-form optimum and is never searched.  Runs that stop at this budget
-# end near states whose channel output is close to pure, where the QFI has
-# a kink.  A truncated search can only under-report i_after, which keeps
-# the inequality check conservative.
-OPT_MAXITER = 100
-OPT_RESTARTS = 3
+OPT_RESTARTS = 3        # random starts per noisy search, besides the structured one
 SEARCH_TRIALS = 256     # quantum trials drawn and searched together
 
 
@@ -194,7 +187,7 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2,
         # searched, the restarts of every trial in the block together
         problems = ([(family, theta, opt_seed) for family, _, _, theta, opt_seed in draws]
                     + [(noisy, theta, opt_seed + 1) for _, _, noisy, theta, opt_seed in draws])
-        results = _maximize_fisher_many(space, problems, OPT_RESTARTS, OPT_MAXITER)
+        results = _maximize_fisher_many(space, problems, OPT_RESTARTS, MAX_ITER)
         for trial, draw, before, after in zip(block, draws, results, results[len(draws):]):
             reports.append(_quantum_report(trial, int(seeds[trial]), draw, before, after))
     return reports

@@ -38,11 +38,14 @@ ROUNDED_ZERO = 1e-22
 
 @dataclass
 class SldResult:
-    """Symmetric logarithmic derivative and the quantum Fisher information."""
+    """Symmetric logarithmic derivative and the quantum Fisher information;
+    ``basis``, if set, a measurement basis that attains the QFI where the
+    SLD's eigenbasis does not (``sld_solve``)."""
 
     sld: np.ndarray
     qfi: float
     support_rank: int
+    basis: np.ndarray | None = None
 
 
 def _summed(terms: np.ndarray) -> np.ndarray:
@@ -134,42 +137,55 @@ def bayesian_information(model: UnitaryFamily, povm: Povm, prior) -> float:
 def sld_solve(model: UnitaryFamily, theta: float) -> SldResult:
     """The SLD L, with rho' = (rho L + L rho) / 2, and the QFI, from the
     model's Kraus vectors, both from their singular-value form at every
-    dimension.
+    dimension; the support rank counts the nonzero singular values.  Where
+    one is 0, the rank of rho drops at theta, and the QFI's limit counts how
+    fast the null space fills.  The SLD's eigenbasis mixes that space with
+    the support and misses the term, so ``basis`` is then the eigenbasis of
+    the SLD's block on the support and a basis of the null space."""
+    a, da = model.kraus_vectors([theta])
+    blocks = _singular_blocks(a, da)
+    sld, rank = _singular_sld(*blocks)[0], int(np.count_nonzero(blocks[1][0]))
+    result = SldResult(sld, float(_singular_qfi(*blocks[1:])[0]), rank)
+    if rank < blocks[1].shape[-1]:
+        result.basis = u = np.linalg.svd(a[0])[0]
+        u[:, :rank] = u[:, :rank] @ np.linalg.eigh(adjoint(u[:, :rank]) @ sld @ u[:, :rank])[1]
+    return result
 
-    With A = V S W^dag, B = V^dag dA W and N = dA W - V B, the part of dA W
-    off the span of V: L = V L_B V^dag + X + X^dag, where (L_B)_ij =
+
+def _singular_sld(v, sigma, b, n) -> np.ndarray:
+    """The SLD of each stacked row from its singular-value blocks: with
+    A = V S W^dag, B = V^dag dA W and N = dA W - V B, the part of dA W off
+    the span of V, L = V L_B V^dag + X + X^dag, where (L_B)_ij =
     2 (B_ij s_j + s_i B*_ji) / (s_i^2 + s_j^2), 0 where both singular values
-    are 0, and X = N diag(2 / s) V^dag over the nonzero s.  The support rank
-    counts the nonzero singular values.
-    """
-    blocks = _singular_blocks(*model.kraus_vectors([theta]))
-    qfi = float(_singular_qfi(*blocks[1:])[0])
-    v, sigma, b, n = (block[0] for block in blocks)
+    are 0, and X = N diag(2 / s) V^dag over the nonzero s."""
     pair_sums, r = _pairs(sigma, b)
     inner = np.where(pair_sums > 0.0, 2.0 * r / np.where(pair_sums > 0.0, pair_sums, 1.0), 0.0)
-    x = (n * np.where(sigma > 0.0, 2.0 / np.where(sigma > 0.0, sigma, 1.0), 0.0)) @ adjoint(v)
+    x = (n * np.where(sigma > 0.0, 2.0 / np.where(sigma > 0.0, sigma, 1.0), 0.0)[..., None, :]
+         ) @ adjoint(v)
     sld = v @ inner @ adjoint(v) + x + adjoint(x)
-    return SldResult(sld=(sld + adjoint(sld)) / 2.0, qfi=qfi,
-                     support_rank=int(np.count_nonzero(sigma)))
+    return (sld + adjoint(sld)) / 2.0
 
 
-def qfi_from_vectors(a, da) -> np.ndarray:
+def qfi_from_vectors(a, da, sld: bool = False):
     """SLD quantum Fisher information of rho = A A^dag with rho' = dA A^dag
     + A dA^dag, for the Kraus vectors A and dA (m, d, r) of m unit-trace
-    states; at a drop in rank the value is its limit (Safranek, PRA 95,
-    052320, 2017).
+    states, and with ``sld`` also the SLDs; at a drop in rank the value is
+    its limit (Safranek, PRA 95, 052320, 2017).
 
     A qubit takes the closed form 2 tr(rho'^2) + 4 (sum Re m* m')^2 / sum |m|^2
     over the 2x2 minors m of A (det rho = sum |m|^2, Cauchy-Binet), and the
-    limit 4 sum |m'|^2 where the determinant is 0 (ROUNDED_ZERO).  A larger
-    dimension takes the singular-value form (``_singular_qfi``).
+    limit 4 sum |m'|^2 where the determinant is 0 (ROUNDED_ZERO), with the
+    SLD 2 rho' + (det' / det)(I - rho), as rho^2 = rho - det I (2 rho' where
+    det is 0).  A larger dimension takes the singular-value form.
     """
     if a.shape[-2] == 2:
-        return _qubit_qfi(a, da)
-    return _singular_qfi(*_singular_blocks(a, da)[1:])
+        return _qubit_qfi(a, da, sld)
+    blocks = _singular_blocks(a, da)
+    qfi = _singular_qfi(*blocks[1:])
+    return (qfi, _singular_sld(*blocks)) if sld else qfi
 
 
-def _qubit_qfi(a, da) -> np.ndarray:
+def _qubit_qfi(a, da, sld: bool):
     # the minors m_ij = a0_i a1_j - a0_j a1_i as an antisymmetric matrix, so
     # each sum over i < j is half the sum over all i, j
     a0, a1 = a[:, 0, :, None], a[:, 1, None, :]
@@ -179,10 +195,16 @@ def _qubit_qfi(a, da) -> np.ndarray:
     dm = _real_rows(dm - np.swapaxes(dm, 1, 2))
     det, slope = _dots(m, m), _dots(m, dm)
     drho = da @ adjoint(a)
-    drho = _real_rows(drho + adjoint(drho))
+    drho = drho + adjoint(drho)
+    rows = _real_rows(drho)
     zero = det <= 2.0 * ROUNDED_ZERO
-    return 2.0 * (_dots(drho, drho)
-                  + np.where(zero, _dots(dm, dm), slope * slope / np.where(zero, 1.0, det)))
+    det = np.where(zero, 1.0, det)
+    qfi = 2.0 * (_dots(rows, rows) + np.where(zero, _dots(dm, dm), slope * slope / det))
+    if not sld:
+        return qfi
+    # det' / det is 2 slope / det, each sum taken over all i, j
+    ratio = np.where(zero, 0.0, 2.0 * slope / det)[:, None, None]
+    return qfi, 2.0 * drho + ratio * (np.eye(2) - a @ adjoint(a))
 
 
 def _singular_blocks(a, da):
@@ -218,10 +240,13 @@ def _singular_qfi(sigma, b, n) -> np.ndarray:
 
 
 def sld_optimal_povm(result: SldResult) -> Povm:
-    """Projective measurement in the SLD eigenbasis.
+    """Projective measurement in the SLD eigenbasis, or in the result's
+    ``basis`` where the rank of rho drops.
 
     For a scalar parameter this measurement's classical Fisher information
     equals the QFI.
     """
+    if result.basis is not None:
+        return projective_povm(result.basis)
     _, v = np.linalg.eigh((result.sld + adjoint(result.sld)) / 2.0)
     return projective_povm(v)

@@ -51,25 +51,20 @@ class UnitaryFamily:
         self.channels = tuple(channels)
         self._gen_eig = _gen_eig if _gen_eig is not None else eig_hermitian(self.generator)
         self.rho0 = rho0
-        self._input = None  # rho0 after the "pre" channels
+        self._input = None  # rho0 after the "pre" channels, each output validated
         if rho0 is not None:
             if not isinstance(rho0, DensityMatrix):
                 raise InvalidState("rho0 must be a DensityMatrix")
             if rho0.dim != dim:
                 raise DimensionMismatch("generator and initial state dimensions differ")
-            self._input = self.prepare_inputs(rho0.mat)
+            self._input = rho0.mat
+            for channel, placement in self.channels:
+                if placement == "pre":
+                    self._input = checked_states(apply_channel_matrix(channel, self._input))
 
     @property
     def dim(self) -> int:
         return self.generator.shape[0]
-
-    def prepare_inputs(self, states: np.ndarray) -> np.ndarray:
-        """Input matrices, one or a stack (..., d, d), after the "pre"
-        channels in list order, each output validated (``checked_states``)."""
-        for channel, placement in self.channels:
-            if placement == "pre":
-                states = checked_states(apply_channel_matrix(channel, states))
-        return states
 
     def with_state(self, rho0: DensityMatrix) -> "UnitaryFamily":
         return UnitaryFamily(self.generator, rho0, self.passes, self.channels,
@@ -86,8 +81,17 @@ class UnitaryFamily:
         return (v * phases[..., None, :]) @ adjoint(v)
 
     def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, d rho / d theta), each shaped (len(thetas), dim, dim)."""
-        return self._evolve(self._prepared(), np.asarray(thetas, dtype=float).reshape(-1))
+        """(rho, d rho / d theta), each shaped (len(thetas), dim, dim).
+
+        Analytic: d rho = -i k [G, rho], then the post channels."""
+        u = self.propagator(np.asarray(thetas, dtype=float).reshape(-1))
+        rho = u @ self._prepared() @ adjoint(u)
+        g = self.generator
+        drho = -1j * self.passes * (g @ rho - rho @ g)
+        for channel, placement in self.channels:
+            if placement == "post":
+                rho, drho = apply_channel_matrix(channel, np.stack((rho, drho)))
+        return rho, drho
 
     def _prepared(self) -> np.ndarray:
         if self._input is None:
@@ -150,34 +154,6 @@ class UnitaryFamily:
         """
         self._prepared()
         return kraus_columns(self.vector_map(thetas) @ self.rho0.vectors, self.dim)
-
-    def transfer(self, thetas) -> np.ndarray:
-        """The linear map from a prepared input to (rho, d rho) at each theta.
-
-        A (2 n dim^2, dim^2) matrix for n theta values: applied to the
-        row-major flattening of an input after the "pre" channels
-        (``prepare_inputs``), it gives ``trajectory(thetas)`` flattened the
-        same way, so the product reshapes to (2, n, dim, dim).
-        """
-        d = self.dim
-        units = np.eye(d * d, dtype=complex).reshape(d * d, 1, d, d)
-        blocks = np.stack(self._evolve(units, np.asarray(thetas, dtype=float).reshape(-1)))
-        return np.moveaxis(blocks, 1, -1).reshape(-1, d * d)
-
-    def _evolve(self, inputs: np.ndarray, thetas: np.ndarray):
-        """Analytic: d rho = -i k [G, rho], then the post channels.
-
-        ``inputs`` is one prepared input or a stack of them, ``thetas`` a
-        vector; the two stacks broadcast against each other.
-        """
-        u = self.propagator(thetas)
-        rho = u @ inputs @ adjoint(u)
-        g = self.generator
-        drho = -1j * self.passes * (g @ rho - rho @ g)
-        for channel, placement in self.channels:
-            if placement == "post":
-                rho, drho = apply_channel_matrix(channel, np.stack((rho, drho)))
-        return rho, drho
 
 
 def kraus_columns(flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,23 +9,9 @@ Without channels, the best state for a free POVM is the equal
 superposition of the generator's extreme eigenvectors, worth
 k^2 (lmax - lmin)^2 (Giovannetti, Lloyd & Maccone 2006); a post channel
 with one Kraus operator, a unitary, leaves the QFI unchanged and so keeps
-that state.  Otherwise the
-2(dim-1) state parameters are searched with multi-start Nelder-Mead,
-scored by the QFI for a free POVM or by the classical Fisher information
-for a fixed one.
-
-The search is the package's own (``nelder_mead``): scipy's Nelder-Mead,
-step for step, run on many simplices at once, every restart of every
-problem in lockstep.  Each iteration scores all their candidate points in
-one stacked call.  Each problem's theta is fixed during a search, so the
-dynamics and the channels form one linear map at that theta: from the
-input amplitudes to the Kraus vectors (``UnitaryFamily.vector_map``) for
-the QFI, from the input matrix after the pre channels to (rho, rho')
-(``UnitaryFamily.transfer``) for the Born rows of a fixed POVM.
-``context_objective`` builds them once per problem and scores a stack of
-candidate amplitudes, one matrix product per row and the stacked QFI or
-Born kernel, never a rebuilt model.  Each row scores as it would alone, up
-to rounding.
+that state.  Otherwise the input amplitudes psi are searched by a BFGS
+ascent (``_search``), scored by the QFI for a free POVM or by the
+classical Fisher information for a fixed one (``ContextObjective``).
 """
 
 from __future__ import annotations
@@ -39,103 +25,22 @@ from .fisher import (
     amplitude_scores,
     classical_fisher,
     model_scores,
-    outcome_blocks,
     qfi_from_vectors,
     sld_optimal_povm,
     sld_solve,
 )
-from .linalg import PAULI_X, PAULI_Z, unitary_exp
+from .linalg import PAULI_X, PAULI_Z, adjoint, unitary_exp
 from .models import UnitaryFamily, kraus_columns
-from .quantum import DensityMatrix, Povm, projective_povm, projectors, pure_state, unitary_channel
+from .quantum import DensityMatrix, Povm, projective_povm, pure_state, unitary_channel
 
 MAX_OPT_DIM = 8          # larger searches are out of scope
-VALUE_SPREAD_TOL = 1e-10  # simplex value spread at termination
-MAX_ITER = 2000
+ASCENT_TOL = 1e-12       # relative step in the value at which an ascent stops
+MAX_ITER = 2000          # evaluations per start
 DEFAULT_RESTARTS = 32
 SCORE_BYTES = 1 << 24     # per-row arrays one scoring step holds at once
-
-# Nelder-Mead as scipy sets it up: the initial simplex steps a nonzero
-# coordinate by NONZDELT of itself and a zero one to ZDELT; reflection,
-# expansion, contraction and shrink coefficients
-NONZDELT = 0.05
-ZDELT = 0.00025
-RHO, CHI, PSI, SIGMA = 1, 2, 0.5, 0.5
-# the reflection, expansion, outside and inside contraction of a simplex
-# are TRIAL_A * xbar - TRIAL_B * worst, the products scipy forms
-TRIAL_A = np.array([1 + RHO, 1 + RHO * CHI, 1 + PSI * RHO, 1 - PSI])[:, None, None]
-TRIAL_B = np.array([RHO, RHO * CHI, PSI * RHO, -PSI])[:, None, None]
-
-
-def nelder_mead(objective, x0s, maxiter: int):
-    """Minimize from each row of ``x0s``, all simplices in lockstep.
-
-    Each start follows scipy's ``minimize(method="Nelder-Mead")`` step for
-    step, with its default simplex and coefficients, ``xatol=inf``,
-    ``fatol=VALUE_SPREAD_TOL`` and ``maxiter`` with no ``maxfev``: it stops
-    once its simplex's value spread is at most VALUE_SPREAD_TOL, or after
-    ``maxiter - 1`` iterations.  ``objective(x, rows)`` returns the values
-    at the points ``x`` (m, n); ``rows[i]`` is the start whose simplex point
-    i belongs to.  Each iteration scores the reflection, the expansion and
-    both contractions of every live simplex in one call, then takes each
-    simplex's branch as scipy's if-chain does; without an evaluation budget
-    the points a branch does not use change nothing.  A shrink takes one
-    more call.
-
-    Returns (x, nit): each start's best vertex and its iteration count.
-    """
-    x0s = np.asarray(x0s, dtype=float)
-    k, n = x0s.shape
-    sim = np.repeat(x0s[:, None, :], n + 1, axis=1)
-    for j in range(n):
-        step = sim[:, j + 1, j]
-        sim[:, j + 1, j] = np.where(step != 0, (1 + NONZDELT) * step, ZDELT)
-    live = np.arange(k)
-    fsim = objective(sim.reshape(-1, n), np.repeat(live, n + 1)).reshape(k, n + 1)
-    # scipy sorts twice before its first iteration
-    sim, fsim = _sorted(*_sorted(sim, fsim))
-    x = np.empty_like(x0s)
-    nit = np.empty(k, dtype=int)
-    iterations = 1
-    while True:
-        done = ((np.abs(fsim[:, :1] - fsim[:, 1:]).max(axis=1) <= VALUE_SPREAD_TOL)
-                | (iterations >= maxiter))
-        if done.any():
-            x[live[done]] = sim[done, 0]
-            nit[live[done]] = iterations
-            live, sim, fsim = live[~done], sim[~done], fsim[~done]
-            if not len(live):
-                return x, nit
-
-        xbar = np.add.reduce(sim[:, :-1], 1) / n
-        points = TRIAL_A * xbar - TRIAL_B * sim[:, -1]
-        values = objective(points.reshape(-1, n), np.concatenate((live,) * 4)).reshape(4, -1)
-        fr, fe, fc, fcc = values
-        # scipy's if-chain on the reflection value fr: the trial point that
-        # replaces the worst vertex (0 reflection, 1 expansion, 2 outside and
-        # 3 inside contraction), or -1 to shrink
-        choice = np.where(
-            fr < fsim[:, 0], np.where(fe < fr, 1, 0), np.where(
-                fr < fsim[:, -2], 0, np.where(
-                    fr < fsim[:, -1], np.where(fc <= fr, 2, -1),
-                    np.where(fcc < fsim[:, -1], 3, -1))))
-        rows = np.flatnonzero(choice >= 0)
-        sim[rows, -1] = points[choice[rows], rows]
-        fsim[rows, -1] = values[choice[rows], rows]
-        shrink = choice < 0
-        if shrink.any():
-            kept = sim[shrink, :1]
-            sim[shrink, 1:] = kept + SIGMA * (sim[shrink, 1:] - kept)
-            fsim[shrink, 1:] = objective(sim[shrink, 1:].reshape(-1, n),
-                                         np.repeat(live[shrink], n)).reshape(-1, n)
-        iterations += 1
-        sim, fsim = _sorted(sim, fsim)
-
-
-def _sorted(sim, fsim):
-    """Each simplex's vertices in ascending order of value."""
-    order = np.argsort(fsim, axis=1)
-    at = np.arange(len(fsim))[:, None]
-    return sim[at, order], fsim[at, order]
+ARMIJO = 1e-4            # share of the slope's predicted rise a step must reach
+MAX_STEP = 0.5           # longest step along the sphere
+KINK_OVERLAP = 1e-4      # 1 - |<c, psi>|^2 at which a row is at kink input c
 
 
 class ContextSpace:
@@ -197,129 +102,230 @@ def _extreme_superposition(family: UnitaryFamily) -> np.ndarray:
     return (v[:, 0] + v[:, -1]) / np.sqrt(2.0)
 
 
-def context_objective(families, thetas):
-    """Scores of stacked contexts, each row against its own problem.
+class ContextObjective:
+    """Scores of stacked inputs, each row against its own problem, by one
+    measurement: ``povm``, or the SLD measurement where it is None.
 
-    Problem k is ``families[k]`` at ``thetas[k]``; its maps there are built
-    once, here, when a score first needs them.  ``score(problems,
-    amplitudes, povm)`` takes each row's problem index, its input state's
-    amplitudes before the pre channels (m, d), and its measurement: None
-    for the SLD measurement, else a Povm for every row.  It returns each
-    row's QFI (``qfi_from_vectors``) or classical Fisher information
-    (``model_scores``, a near-null outcome scored from its amplitudes), a
-    float.  Rows are scored SCORE_BYTES at a time, so memory does not grow
-    with m.
+    Problem k is ``families[k]`` at ``thetas[k]``, where its dynamics and
+    channels are one linear map from the input amplitudes to the Kraus
+    vectors (``UnitaryFamily.vector_map``), built once, as are a POVM's
+    effects pulled back through it.  A call ``(problems, amplitudes)``, with
+    unit amplitudes before the pre channels (m, d), returns each row's QFI
+    or classical Fisher information (``model_scores``), as it would score
+    alone up to rounding, and with ``gradient`` also its gradient on the
+    sphere.  Each is the maximum of a form linear in the output:
+    2 tr(rho' L) - tr(rho L^2) at the SLD L (Braunstein & Caves), and
+    sum_x 2 l_x p'_x - l_x^2 p_x at l_x = p'_x / p_x.  With the maximizer
+    held it is <psi|Q|psi>, so the gradient is 2 (Q - F) psi.  Rows are
+    scored SCORE_BYTES at a time, so memory does not grow with m.
     """
-    d = families[0].dim
-    maps = {}
-    prepared = [(k, family) for k, family in enumerate(families)
-                if any(placement == "pre" for _, placement in family.channels)]
-    # a row holds its (rho, rho') blocks and the Born kernel's stack of them,
-    # 4 d^2 numbers, or its vector map and the QFI kernel's products, about
-    # 4 r d^2 for r Kraus vectors; the floor stays 6, since the chunk size
-    # sets the stacks that the kernels round
-    r = max(int(np.prod([len(channel.kraus) for channel, _ in family.channels]))
-            for family in families)
-    chunk = max(1, SCORE_BYTES // (16 * d * d * max(6, 4 * r)))
 
-    def transfer_maps():
-        if "transfer" not in maps:
-            maps["transfer"] = [family.transfer(theta) for family, theta in zip(families, thetas)]
-        return maps["transfer"]
+    def __init__(self, families, thetas, povm: Povm | None = None):
+        d = self.dim = families[0].dim
+        self.povm = povm
+        # the vector maps stacked by shape: each problem's group and its place in it
+        maps = [family.vector_map(theta)[0] for family, theta in zip(families, thetas)]
+        shapes = sorted({m.shape for m in maps})
+        group = np.array([shapes.index(m.shape) for m in maps])
+        place = np.array([np.count_nonzero(group[:k] == g) for k, g in enumerate(group)], dtype=int)
+        stacks = [np.stack([m for m, h in zip(maps, group) if h == g]) for g in range(len(shapes))]
+        self.vector = (stacks, group, place)
+        if povm is not None:
+            # for the map's blocks B_j and their derivatives dB_j, each effect's
+            # M_x = sum_j B_j^dag E_x B_j, then each M'_x = sum_j dB_j^dag E_x B_j + h.c.
+            self.pulled = np.empty((len(group), 2 * len(povm) * d, d), dtype=complex)
+            for g, stack in enumerate(stacks):
+                b = stack.reshape(len(stack), 1, 2, -1, d, d)
+                eb = povm.effects[:, None] @ b[:, :, 0]
+                m, dm = (sum(adjoint(b[:, :, half, j]) @ eb[:, :, j] for j in range(eb.shape[2]))
+                         for half in (0, 1))
+                self.pulled[group == g] = np.concatenate((m, dm + adjoint(dm)), axis=1).reshape(
+                    len(stack), -1, d)
+        # a row holds its map (2 r d^2 numbers for r Kraus products, 2 x d^2 for x
+        # effects) and the kernels' products; the floor 6 stays, as chunks set the stacks
+        width = max([6, 2 * len(povm) if povm else 0] + [2 * s.shape[1] // d for s in stacks])
+        self.chunk = max(1, SCORE_BYTES // (16 * d * d * width))
 
-    def vector_maps():
-        """The problems' vector maps stacked by shape, each problem's stack
-        and its place in it."""
-        if "vector" not in maps:
-            each = [family.vector_map(theta)[0] for family, theta in zip(families, thetas)]
-            shapes = sorted({m.shape for m in each})
-            group = np.array([shapes.index(m.shape) for m in each])
-            place = np.zeros(len(each), dtype=int)
-            for g in range(len(shapes)):
-                place[group == g] = np.arange(np.count_nonzero(group == g))
-            maps["vector"] = ([np.stack([m for m, h in zip(each, group) if h == g])
-                               for g in range(len(shapes))], group, place)
-        return maps["vector"]
+    def __call__(self, problems, amplitudes, gradient=False):
+        c = self.chunk
+        parts = [self._score(problems[at:at + c], amplitudes[at:at + c], gradient)
+                 for at in range(0, len(problems), c)]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
 
-    def kraus_rows(problems, amplitudes):
-        """(rows, A, dA) for each group of rows whose problems' vector maps
-        have one shape: one map-vector product per row, bitwise the row's
-        alone."""
-        stacks, group, place = vector_maps()
+    def _score(self, problems, amplitudes, gradient):
+        if self.povm is not None:
+            return self._born_rows(problems, amplitudes, gradient)
+        values, grads = np.empty(len(problems)), np.empty_like(amplitudes)
+        for rows, maps, a, da in self._kraus_rows(problems, amplitudes):
+            if not gradient:
+                values[rows] = qfi_from_vectors(a, da)
+                continue
+            f, sld = qfi_from_vectors(a, da, sld=True)
+            # Q psi = M^dag w for the map M: w is 2 L dA - L^2 A on the rows of
+            # the Kraus products, 2 L A on the rows of their derivatives
+            r = a.shape[-1]
+            la = sld @ np.concatenate((a, da), axis=-1)
+            w = np.stack((2.0 * la[..., r:] - sld @ la[..., :r], 2.0 * la[..., :r]), axis=1)
+            q = np.conj(np.conj(np.swapaxes(w, -1, -2).reshape(len(f), 1, -1)) @ maps)[:, 0]
+            values[rows], grads[rows] = f, 2.0 * (q - f[:, None] * amplitudes[rows])
+        return (values, grads) if gradient else values
+
+    def _kraus_rows(self, problems, amplitudes):
+        """(rows, maps, A, dA) for each group of rows whose maps share one
+        shape; a row's product with its map is bitwise the row's alone."""
+        stacks, group, place = self.vector
         for g, stack in enumerate(stacks):
             rows = slice(None) if len(stacks) == 1 else np.flatnonzero(group[problems] == g)
             if len(stacks) > 1 and not len(rows):
                 continue
-            at = stack[0] if len(stack) == 1 else stack[place[problems[rows]]]
-            yield (rows, *kraus_columns(at @ amplitudes[rows, :, None], d))
+            maps = stack[0] if len(stack) == 1 else stack[place[problems[rows]]]
+            yield rows, maps, *kraus_columns(maps @ amplitudes[rows, :, None], self.dim)
 
-    def score_rows(problems, amplitudes, povm):
-        if povm is None:
-            values = np.empty(len(problems))
-            for rows, a, da in kraus_rows(problems, amplitudes):
-                values[rows] = qfi_from_vectors(a, da)
-            return values
-        m = len(problems)
-        states = projectors(amplitudes)
-        for k, family in prepared:
-            rows = problems == k
-            states[rows] = family.prepare_inputs(states[rows])
-        # one gemv per row, bitwise the product of the row's map with its
-        # input; each map serves its own rows, uncopied
-        ms = transfer_maps()
-        inputs = np.reshape(states, (m, -1, 1))
-        if len(ms) == 1:
-            flat = ms[0] @ inputs
-        else:
-            flat = np.empty((m, 2 * d * d, 1), dtype=complex)
-            order = np.argsort(problems, kind="stable")
-            ks, firsts = np.unique(problems[order], return_index=True)
-            for k, rows in zip(ks, np.split(order, firsts[1:])):
-                flat[rows] = ms[k] @ inputs[rows]
-        p, dp = outcome_blocks(povm, *np.moveaxis(flat.reshape(m, 2, d, d), 1, 0))
+    def _born_rows(self, problems, amplitudes, gradient):
+        m, x, povm = len(problems), len(self.povm), self.povm
+        maps = self.pulled[0] if len(self.pulled) == 1 else self.pulled[problems]
+        # M_x psi, then M'_x psi, for each outcome x
+        ys = (maps @ amplitudes[:, :, None]).reshape(m, 2 * x, self.dim)
+        p, dp = np.moveaxis((ys @ np.conj(amplitudes)[:, :, None]).real.reshape(m, 2, x), 1, 0)
 
         def near_terms(near):
             rows, outcomes = np.nonzero(near)
             terms = np.empty(len(rows))
-            for at, a, da in kraus_rows(problems[rows], amplitudes[rows]):
+            for at, _, a, da in self._kraus_rows(problems[rows], amplitudes[rows]):
                 terms[at] = amplitude_scores(povm.factors[outcomes[at]], a, da)
             return terms
 
-        return model_scores(p, dp, near_terms)
+        values = model_scores(p, dp, near_terms)
+        if not gradient:
+            return values
+        # Q psi = sum_x 2 l_x M'_x psi - l_x^2 M_x psi, with l_x = p'_x / p_x
+        positive = p > 0.0
+        slope = np.where(positive, dp / np.where(positive, p, 1.0), 0.0)
+        q = (np.concatenate((-slope * slope, 2.0 * slope), axis=1)[:, None, :] @ ys)[:, 0]
+        return values, 2.0 * (q - values[:, None] * amplitudes)
 
-    def score(problems, amplitudes, povm):
-        if len(problems) <= chunk:
-            return score_rows(problems, amplitudes, povm)
-        return np.concatenate([score_rows(problems[at:at + chunk], amplitudes[at:at + chunk], povm)
-                               for at in range(0, len(problems), chunk)])
+    def kinks(self):
+        """(inputs, values), (problems, d, d) and (problems, d): for the SLD
+        measurement and exactly two Kraus products B_1, B_2, the unit inputs
+        psi with B_1 psi = lambda B_2 psi, whose output is pure, and their
+        QFI; zero inputs valued -inf for every other problem."""
+        d, (stacks, group, _) = self.dim, self.vector
+        inputs = np.zeros((len(group), d, d), dtype=complex)
+        paired = np.array([stacks[g].shape[1] == 4 * d and self.povm is None for g in group])
+        for g, stack in enumerate(stacks):
+            if paired[group == g].all():
+                pair = stack[:, :2 * d].reshape(-1, 2, d, d)
+                # the better conditioned block divides; pinv keeps a singular
+                # pair finite, and its inputs are then scored like any other
+                lowest = np.linalg.svd(pair, compute_uv=False)[..., -1]
+                swap = (lowest[:, :1] > lowest[:, 1:])[..., None]
+                den, num = (np.where(swap, pair[:, k], pair[:, 1 - k]) for k in (0, 1))
+                inputs[group == g] = np.swapaxes(np.linalg.eig(np.linalg.pinv(den) @ num)[1], 1, 2)
+        values = np.full((len(group), d), -np.inf)
+        if paired.any():
+            problems = np.repeat(np.flatnonzero(paired), d)
+            values[paired] = self(problems, inputs[paired].reshape(-1, d)).reshape(-1, d)
+        return inputs, values
 
-    return score
 
-
-def _search(score, decode, n_params: int, start, restarts: int, seeds, maxiter: int):
-    """Each problem's best context among its start and its restarts' ends.
-
-    Problem k's restarts run Nelder-Mead on -score from uniform points in
-    [-pi, pi]^n_params drawn from ``default_rng(seeds[k])``; the restarts
-    of every problem advance together (``nelder_mead``).  ``decode`` turns
-    stacked parameters into contexts for ``score``, and ``start`` holds one
-    start context per problem in the same form.  An end wins only by a
-    strictly greater score, so of equal scores the earliest wins, the start
-    first.  Returns each problem's winning parameters, or None where its
-    start won.
+def _ascend(objective, psi, maxiter: int, stop=None):
+    """Maximize from each unit row of ``psi`` (m, d), all rows in lockstep:
+    dense BFGS with Armijo backtracking (Nocedal & Wright, ch. 6) on the
+    unit sphere of x, the real and imaginary parts of psi.  A direction
+    drops its parts along x and i x (F depends on neither the norm nor the
+    global phase), a step is at most MAX_STEP long, and its end is scaled
+    back to unit length.  ``objective(rows, u)`` gives (F, G) at the unit
+    rows u of the starts ``rows``, G the gradient on the sphere; each
+    iteration scores one trial point of every live row in one call.  A row
+    stops once a step changes its value by at most ASCENT_TOL relative (a
+    backtracked one to first order), once ``stop(rows, u, F)`` holds, or
+    after ``maxiter`` evaluations.  Returns each row's end and its value.
     """
-    problems = np.arange(len(seeds))
-    best = score(problems, *start)
-    winners = [None] * len(seeds)
-    if n_params > 0 and restarts > 0:
-        x0s = np.concatenate([np.random.default_rng(s).uniform(-np.pi, np.pi, (restarts, n_params))
-                              for s in seeds])
-        owner = np.repeat(problems, restarts)
-        ends, _ = nelder_mead(lambda x, rows: -score(owner[rows], *decode(x)), x0s, maxiter)
-        for end, k, value in zip(ends, owner, score(owner, *decode(ends))):
-            if value > best[k]:
-                best[k], winners[k] = value, end
-    return winners
+    m, eye = len(psi), np.eye(2 * psi.shape[1])
+
+    def evaluate(rows, x):
+        x = x / np.linalg.norm(x, axis=1, keepdims=True)
+        f, g = objective(rows, x.view(complex))
+        return x, f, g.view(float)
+
+    def along_the_sphere(p, x):
+        # p - <u, p> u drops the parts along u and i u for u = x as a complex row
+        u, p = x.view(complex), p.view(complex)
+        p = (p - np.sum(np.conj(u) * p, axis=1)[:, None] * u).view(float)
+        return p * (MAX_STEP / np.maximum(np.linalg.norm(p, axis=1), MAX_STEP))[:, None]
+
+    live = np.arange(m)
+    x, f, g = evaluate(live, np.ascontiguousarray(psi, dtype=complex).view(float))
+    ends, values = np.empty_like(psi, dtype=complex), np.empty(m)
+    inverse = np.broadcast_to(eye, (m,) + eye.shape)
+    fresh, settled = np.ones(m, dtype=bool), np.zeros(m, dtype=bool)  # fresh: H not yet scaled
+    direction, step = along_the_sphere(g, x), np.ones(m)
+    for _ in range(maxiter - 1):
+        slope = np.sum(g * direction, axis=1)
+        done = settled | (step * slope <= ASCENT_TOL * np.abs(f))
+        if stop is not None:
+            done |= stop(live, x.view(complex), f)
+        if done.any():
+            ends[live[done]], values[live[done]] = x[done].view(complex), f[done]
+            keep = ~done
+            live, x, f, g, inverse, fresh, settled, direction, step, slope = (
+                a[keep] for a in (live, x, f, g, inverse, fresh, settled, direction, step, slope))
+            if not len(live):
+                return ends, values
+        trial, ft, gt = evaluate(live, x + step[:, None] * direction)
+        ok = ft >= f + ARMIJO * step * slope
+        settled = ok & (ft - f <= ASCENT_TOL * np.abs(ft))
+        # BFGS update of the inverse Hessian H of -F where a step is taken
+        # with positive curvature (rho 0 keeps H), H first scaled by s.y / y.y
+        # (N&W 6.20)
+        s, y = trial - x, g - gt
+        sy = np.sum(s * y, axis=1)
+        curved = ok & (sy > 0.0)
+        rho = curved / np.where(curved, sy, 1.0)
+        scale = sy / np.where(curved, np.sum(y * y, axis=1), 1.0)
+        h = np.where((fresh & curved)[:, None, None], scale[:, None, None] * eye, inverse)
+        hy = (h @ y[:, :, None])[..., 0]
+        cross = rho[:, None, None] * s[:, :, None] * hy[:, None, :]
+        outer = rho * (1.0 + rho * np.sum(y * hy, axis=1))
+        inverse = (h - cross - np.swapaxes(cross, 1, 2)
+                   + outer[:, None, None] * s[:, :, None] * s[:, None, :])
+        fresh &= ~curved
+        x, g, f = np.where(ok[:, None], trial, x), np.where(ok[:, None], gt, g), np.where(ok, ft, f)
+        direction = np.where(ok[:, None], along_the_sphere((inverse @ g[:, :, None])[..., 0], x),
+                             direction)
+        step = np.where(ok, 1.0, 0.5 * step)
+    ends[live], values[live] = x.view(complex), f
+    return ends, values
+
+
+def _search(objective: ContextObjective, space: ContextSpace, start, restarts: int, seeds,
+            maxiter: int) -> np.ndarray:
+    """Each problem's best input, the earliest of equal scores: the ends of
+    its ascents (``_ascend``) from ``start[k]`` and from ``restarts`` inputs
+    decoded from uniform points in [-pi, pi]^n_params drawn from
+    ``default_rng(seeds[k])``, then its kink inputs.  At a kink input the
+    QFI has a kink, which an ascent only creeps towards, so a row that comes
+    within KINK_OVERLAP of one that scores as high stops there.
+    """
+    count = len(seeds)
+    draws = np.stack([np.random.default_rng(s).uniform(-np.pi, np.pi, (restarts, space.n_params))
+                      for s in seeds])
+    starts = np.concatenate((start[:, None], space.decode_amplitudes(draws)), axis=1)
+    owner = np.repeat(np.arange(count), restarts + 1)
+    kinks, kink_values = objective.kinks()
+    stop = None
+    if np.isfinite(kink_values).any():
+        def stop(rows, u, f):
+            k = owner[rows]
+            overlap = np.abs(np.conj(kinks[k]) @ u[:, :, None])[..., 0] ** 2
+            return np.any((1.0 - overlap <= KINK_OVERLAP) & (kink_values[k] >= f[:, None]), axis=1)
+    ends, values = _ascend(lambda rows, u: objective(owner[rows], u, gradient=True),
+                           starts.reshape(-1, space.dim), maxiter, stop)
+    ends = np.concatenate((ends.reshape(starts.shape), kinks), axis=1)
+    values = np.concatenate((values.reshape(count, -1), kink_values), axis=1)
+    return ends[np.arange(count), np.argmax(values, axis=1)]
 
 
 def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
@@ -344,15 +350,12 @@ def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
     searched = [k for k, (family, _, _) in enumerate(problems)
                 if space.state is None and (space.povm is not None or _changes_the_qfi(family))]
     if searched:
-        score = context_objective([problems[k][0] for k in searched],
-                                  [problems[k][1] for k in searched])
-        winners = _search(
-            score, lambda x: (space.decode_amplitudes(x), space.povm), space.n_params,
-            (np.stack([states[k].vectors[:, 0] for k in searched]), space.povm),
-            restarts, [problems[k][2] for k in searched], maxiter)
-        for k, params in zip(searched, winners):
-            if params is not None:
-                states[k] = pure_state(space.decode_amplitudes(params))
+        families, thetas, seeds = zip(*(problems[k] for k in searched))
+        ends = _search(ContextObjective(families, thetas, space.povm), space,
+                       np.stack([states[k].vectors[:, 0] for k in searched]), restarts, seeds,
+                       maxiter)
+        for k, psi in zip(searched, ends):
+            states[k] = pure_state(psi)
     results = []
     for (family, theta, _), state in zip(problems, states):
         chosen = family.with_state(state)

@@ -1,4 +1,5 @@
-"""Finite-difference references for the analytic model derivatives.
+"""Finite-difference references for the analytic model derivatives and the
+search's gradients.
 
 ``KrausFamily`` has no analytic rule: it differences its own states, so it
 checks the derivatives that ``UnitaryFamily`` computes in closed form.
@@ -11,6 +12,12 @@ from fisherinfo.linalg import adjoint
 from fisherinfo.quantum import DensityMatrix, apply_channel_matrix
 
 FD_STEP = 1e-5  # central-difference step
+
+
+def fd_gradient(f, x: np.ndarray, h: float = FD_STEP) -> np.ndarray:
+    """Central differences of a scalar function ``f`` along each coordinate of ``x``."""
+    steps = h * np.eye(len(x))
+    return np.array([(f(x + e) - f(x - e)) / (2.0 * h) for e in steps])
 
 
 def fd_state_derivative(model, theta: float, h: float = FD_STEP) -> np.ndarray:

@@ -126,6 +126,13 @@ def test_quantum_suite_reports_no_violations():
         assert r.extra["dual_defect"] <= DUAL_TOL
 
 
+def test_the_sld_measurement_never_reads_above_the_qfi():
+    # Braunstein-Caves: the classical information of the SLD measurement at
+    # the searched state is the QFI there, and never more
+    for r in quantum_dpi_suite(200, seed=11, dim=2, kraus_count=2):
+        assert r.i_after <= r.extra["sld_after"] * (1.0 + 1e-12)
+
+
 def test_sld_information_is_monotone_under_channels():
     # direct check at fixed states, independent of any optimizer
     rng = np.random.default_rng(89)

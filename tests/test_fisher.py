@@ -199,6 +199,19 @@ def test_sld_value_is_continuous_across_a_pure_output(dim, seed):
             result.qfi, rel=1e-8)
 
 
+@pytest.mark.parametrize("dim, seed", [(2, 3), (2, 5), (3, 3), (4, 3)])
+def test_the_sld_measurement_attains_the_limit_where_the_output_is_pure(dim, seed):
+    model = output_pure_at(dim, seed)[0]
+    result = sld_solve(model, 0.7)
+    assert result.support_rank == 1 and result.basis is not None
+    assert classical_fisher(model, sld_optimal_povm(result), 0.7) == pytest.approx(
+        result.qfi, rel=1e-12)
+    # the SLD's own eigenbasis mixes the null space with the support and
+    # misses how fast the null space fills
+    _, v = np.linalg.eigh(result.sld)
+    assert classical_fisher(model, projective_povm(v), 0.7) < result.qfi * (1 - 1e-6)
+
+
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), kraus=st.integers(1, 4),
        offset_exponent=st.integers(3, 9), side=st.sampled_from([-1, 1]))

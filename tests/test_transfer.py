@@ -1,11 +1,11 @@
-"""The transfer and vector maps at theta nodes and the context objective built on them."""
+"""The vector map at theta nodes and the context objective built on it."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fisherinfo.fisher import classical_fisher, sld_solve
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.optimize import context_objective
+from fisherinfo.optimize import ContextObjective
 from fisherinfo.quantum import pure_state
 from fisherinfo.sampling import (
     random_channel,
@@ -22,7 +22,7 @@ def random_amplitudes(rng, dim):
 
 def score_one(family, theta, state, povm):
     """The context objective on a one-problem, one-row stack."""
-    values = context_objective([family], [theta])(np.array([0]), state.vectors.T, povm)
+    values = ContextObjective([family], [theta], povm)(np.array([0]), state.vectors.T)
     return float(values[0])
 
 
@@ -35,25 +35,14 @@ def random_family(rng, dim, passes, placements):
 
 @settings(max_examples=60)
 @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 4), passes=st.integers(1, 3),
-       placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3),
-       n_nodes=st.integers(1, 5))
-def test_transfer_map_reproduces_the_rebuilt_model(seed, dim, passes, placements, n_nodes):
+       placements=st.lists(st.sampled_from(["pre", "post"]), max_size=3))
+def test_context_objective_reproduces_the_public_path(seed, dim, passes, placements):
     rng = np.random.default_rng(seed)
     family = random_family(rng, dim, passes, placements)
-    thetas = rng.uniform(-1.5, 1.5, size=n_nodes)
+    theta = float(rng.uniform(-1.5, 1.5))
     state = pure_state(random_amplitudes(rng, dim))
     rebuilt = family.with_state(state)
 
-    maps = family.transfer(thetas)
-    assert maps.shape == (2 * n_nodes * dim * dim, dim * dim)
-    prepared = family.prepare_inputs(state.mat).reshape(-1)
-    blocks = (maps @ prepared).reshape(2, n_nodes, dim, dim)
-    trajectory = rebuilt.trajectory(thetas)
-    assert len(trajectory) == len(blocks)
-    for block, rows in zip(blocks, trajectory):
-        assert np.max(np.abs(block - rows)) < 1e-12
-
-    theta = float(thetas[0])
     qfi = sld_solve(rebuilt, theta).qfi
     assert abs(score_one(family, theta, state, None) - qfi) <= 1e-12 * qfi
 

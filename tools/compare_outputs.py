@@ -11,8 +11,9 @@ fresh interpreter (``PYTHONPATH=<tree>``, ``PYTHONDONTWRITEBYTECODE=1``) through
 ``runtime_ms`` line removed must agree.  The script prints the counts; then
 one line per command kind (the command name, ``dpi`` split by ``--mode``)
 with its number of differing commands and the largest relative gap between
-the numbers of the two outputs over all of them; then the first
-differences, each with its own gap.  It exits 1 on any difference.
+the numbers of the two outputs over all of them (``relative_gap``); then
+the first differences, each with its own gap.  It exits 1 on any
+difference.
 
 The command set, 1,291 commands: every ``cli-light`` op and defect-probe
 op of seeds 1-3 and the first 540 ``dpi`` ops of seed 1
@@ -50,6 +51,7 @@ DPI_OPS = 540
 SHOWN = 10      # differences printed
 EXCERPT = 160   # characters printed of a command and of each side
 KIND = 40       # characters printed of a command kind
+GAP_FLOOR = 1.0  # a gap is relative above this magnitude, absolute below it
 
 # Runs inside each tree's interpreter: argv[1] is the command list, argv[2]
 # the result file.
@@ -261,8 +263,11 @@ def run_tree(src: Path, commands_file: Path, out: Path) -> list:
 
 
 def relative_gap(a: str, b: str) -> float | None:
-    """The largest relative gap between the numbers of two texts, in order;
-    None if they hold different counts of numbers."""
+    """The largest gap |x - y| / max(|x|, |y|, GAP_FLOOR) between the
+    numbers of two texts, in order; None if they hold different counts of
+    numbers.  The floor keeps a near-zero number, such as a DPI trial's
+    ``gap`` (a difference of nearly equal values), that flips its sign by
+    rounding from reading as large as a real move."""
     xs, ys = NUMBER.findall(a), NUMBER.findall(b)
     if len(xs) != len(ys):
         return None
@@ -270,7 +275,7 @@ def relative_gap(a: str, b: str) -> float | None:
     for x, y in zip(xs, ys):
         x, y = float(x), float(y)
         if x != y:
-            gap = max(gap, abs(x - y) / max(abs(x), abs(y)))
+            gap = max(gap, abs(x - y) / max(abs(x), abs(y), GAP_FLOOR))
     return gap
 
 
