@@ -166,10 +166,10 @@ def _singular_sld(v, sigma, b, n) -> np.ndarray:
     return (sld + adjoint(sld)) / 2.0
 
 
-def qfi_from_vectors(a, da, sld: bool = False):
+def qfi_from_vectors(a, da):
     """SLD quantum Fisher information of rho = A A^dag with rho' = dA A^dag
     + A dA^dag, for the Kraus vectors A and dA (m, d, r) of m unit-trace
-    states, and with ``sld`` also the SLDs; at a drop in rank the value is
+    states, and the SLDs, as (values, SLDs); at a drop in rank the value is
     its limit (Safranek, PRA 95, 052320, 2017).
 
     A qubit takes the closed form 2 tr(rho'^2) + 4 (sum Re m* m')^2 / sum |m|^2
@@ -179,13 +179,12 @@ def qfi_from_vectors(a, da, sld: bool = False):
     det is 0).  A larger dimension takes the singular-value form.
     """
     if a.shape[-2] == 2:
-        return _qubit_qfi(a, da, sld)
+        return _qubit_qfi(a, da)
     blocks = _singular_blocks(a, da)
-    qfi = _singular_qfi(*blocks[1:])
-    return (qfi, _singular_sld(*blocks)) if sld else qfi
+    return _singular_qfi(*blocks[1:]), _singular_sld(*blocks)
 
 
-def _qubit_qfi(a, da, sld: bool):
+def _qubit_qfi(a, da):
     # the minors m_ij = a0_i a1_j - a0_j a1_i as an antisymmetric matrix, so
     # each sum over i < j is half the sum over all i, j
     a0, a1 = a[:, 0, :, None], a[:, 1, None, :]
@@ -200,8 +199,6 @@ def _qubit_qfi(a, da, sld: bool):
     zero = det <= 2.0 * ROUNDED_ZERO
     det = np.where(zero, 1.0, det)
     qfi = 2.0 * (_dots(rows, rows) + np.where(zero, _dots(dm, dm), slope * slope / det))
-    if not sld:
-        return qfi
     # det' / det is 2 slope / det, each sum taken over all i, j
     ratio = np.where(zero, 0.0, 2.0 * slope / det)[:, None, None]
     return qfi, 2.0 * drho + ratio * (np.eye(2) - a @ adjoint(a))

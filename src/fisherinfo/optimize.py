@@ -110,19 +110,20 @@ class ContextObjective:
     channels are one linear map from the input amplitudes to the Kraus
     vectors (``UnitaryFamily.vector_map``), built once, as are a POVM's
     effects pulled back through it.  A call ``(problems, amplitudes)``, with
-    unit amplitudes before the pre channels (m, d), returns each row's QFI
-    or classical Fisher information (``model_scores``), as it would score
-    alone up to rounding, and with ``gradient`` also its gradient on the
-    sphere.  Each is the maximum of a form linear in the output:
-    2 tr(rho' L) - tr(rho L^2) at the SLD L (Braunstein & Caves), and
-    sum_x 2 l_x p'_x - l_x^2 p_x at l_x = p'_x / p_x.  With the maximizer
-    held it is <psi|Q|psi>, so the gradient is 2 (Q - F) psi.  Rows are
-    scored SCORE_BYTES at a time, so memory does not grow with m.
+    unit amplitudes before the pre channels (m, d), returns (F, G): each
+    row's QFI or classical Fisher information (``model_scores``), as it
+    would score alone up to rounding, and its gradient on the sphere.  Each
+    is the maximum of a form linear in the output: 2 tr(rho' L) - tr(rho L^2)
+    at the SLD L (Braunstein & Caves), and sum_x 2 l_x p'_x - l_x^2 p_x at
+    l_x = p'_x / p_x.  With the maximizer held it is <psi|Q|psi>, so the
+    gradient is 2 (Q - F) psi.  Rows are scored SCORE_BYTES at a time, so
+    memory does not grow with m.  ``extremes`` (problems, n, d) holds extra
+    starts: for a fixed POVM, the eigenvectors of each pulled-back M_x.
     """
 
     def __init__(self, families, thetas, povm: Povm | None = None):
         d = self.dim = families[0].dim
-        self.povm = povm
+        self.povm, self.extremes = povm, np.zeros((len(families), 0, d), dtype=complex)
         # the vector maps stacked by shape: each problem's group and its place in it
         maps = [family.vector_map(theta)[0] for family, theta in zip(families, thetas)]
         shapes = sorted({m.shape for m in maps})
@@ -141,28 +142,27 @@ class ContextObjective:
                          for half in (0, 1))
                 self.pulled[group == g] = np.concatenate((m, dm + adjoint(dm)), axis=1).reshape(
                     len(stack), -1, d)
+            # the eigenvectors of each M_x: the inputs that make an outcome's probability extreme
+            effects = self.pulled[:, :len(povm) * d].reshape(len(group), -1, d, d)
+            self.extremes = np.swapaxes(np.linalg.eigh(effects)[1], -1, -2).reshape(
+                len(group), -1, d)
         # a row holds its map (2 r d^2 numbers for r Kraus products, 2 x d^2 for x
         # effects) and the kernels' products; the floor 6 stays, as chunks set the stacks
         width = max([6, 2 * len(povm) if povm else 0] + [2 * s.shape[1] // d for s in stacks])
         self.chunk = max(1, SCORE_BYTES // (16 * d * d * width))
 
-    def __call__(self, problems, amplitudes, gradient=False):
+    def __call__(self, problems, amplitudes):
         c = self.chunk
-        parts = [self._score(problems[at:at + c], amplitudes[at:at + c], gradient)
+        parts = [self._score(problems[at:at + c], amplitudes[at:at + c])
                  for at in range(0, len(problems), c)]
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(map(np.concatenate, zip(*parts))) if gradient else np.concatenate(parts)
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
 
-    def _score(self, problems, amplitudes, gradient):
+    def _score(self, problems, amplitudes):
         if self.povm is not None:
-            return self._born_rows(problems, amplitudes, gradient)
+            return self._born_rows(problems, amplitudes)
         values, grads = np.empty(len(problems)), np.empty_like(amplitudes)
         for rows, maps, a, da in self._kraus_rows(problems, amplitudes):
-            if not gradient:
-                values[rows] = qfi_from_vectors(a, da)
-                continue
-            f, sld = qfi_from_vectors(a, da, sld=True)
+            f, sld = qfi_from_vectors(a, da)
             # Q psi = M^dag w for the map M: w is 2 L dA - L^2 A on the rows of
             # the Kraus products, 2 L A on the rows of their derivatives
             r = a.shape[-1]
@@ -170,7 +170,7 @@ class ContextObjective:
             w = np.stack((2.0 * la[..., r:] - sld @ la[..., :r], 2.0 * la[..., :r]), axis=1)
             q = np.conj(np.conj(np.swapaxes(w, -1, -2).reshape(len(f), 1, -1)) @ maps)[:, 0]
             values[rows], grads[rows] = f, 2.0 * (q - f[:, None] * amplitudes[rows])
-        return (values, grads) if gradient else values
+        return values, grads
 
     def _kraus_rows(self, problems, amplitudes):
         """(rows, maps, A, dA) for each group of rows whose maps share one
@@ -183,7 +183,7 @@ class ContextObjective:
             maps = stack[0] if len(stack) == 1 else stack[place[problems[rows]]]
             yield rows, maps, *kraus_columns(maps @ amplitudes[rows, :, None], self.dim)
 
-    def _born_rows(self, problems, amplitudes, gradient):
+    def _born_rows(self, problems, amplitudes):
         m, x, povm = len(problems), len(self.povm), self.povm
         maps = self.pulled[0] if len(self.pulled) == 1 else self.pulled[problems]
         # M_x psi, then M'_x psi, for each outcome x
@@ -198,8 +198,6 @@ class ContextObjective:
             return terms
 
         values = model_scores(p, dp, near_terms)
-        if not gradient:
-            return values
         # Q psi = sum_x 2 l_x M'_x psi - l_x^2 M_x psi, with l_x = p'_x / p_x
         positive = p > 0.0
         slope = np.where(positive, dp / np.where(positive, p, 1.0), 0.0)
@@ -226,7 +224,7 @@ class ContextObjective:
         values = np.full((len(group), d), -np.inf)
         if paired.any():
             problems = np.repeat(np.flatnonzero(paired), d)
-            values[paired] = self(problems, inputs[paired].reshape(-1, d)).reshape(-1, d)
+            values[paired] = self(problems, inputs[paired].reshape(-1, d))[0].reshape(-1, d)
         return inputs, values
 
 
@@ -303,17 +301,21 @@ def _ascend(objective, psi, maxiter: int, stop=None):
 def _search(objective: ContextObjective, space: ContextSpace, start, restarts: int, seeds,
             maxiter: int) -> np.ndarray:
     """Each problem's best input, the earliest of equal scores: the ends of
-    its ascents (``_ascend``) from ``start[k]`` and from ``restarts`` inputs
+    its ascents (``_ascend``) from ``start[k]``, from ``restarts`` inputs
     decoded from uniform points in [-pi, pi]^n_params drawn from
-    ``default_rng(seeds[k])``, then its kink inputs.  At a kink input the
-    QFI has a kink, which an ascent only creeps towards, so a row that comes
-    within KINK_OVERLAP of one that scores as high stops there.
+    ``default_rng(seeds[k])`` and from its ``objective.extremes``, then its
+    kink inputs.  A fixed POVM's information has maxima that few random
+    starts reach, where an outcome's probability nears 0; the eigenvectors
+    of the pulled-back effects reach them.  At a kink input the QFI has a
+    kink, which an ascent only creeps towards, so a row that comes within
+    KINK_OVERLAP of one that scores as high stops there.
     """
     count = len(seeds)
     draws = np.stack([np.random.default_rng(s).uniform(-np.pi, np.pi, (restarts, space.n_params))
                       for s in seeds])
-    starts = np.concatenate((start[:, None], space.decode_amplitudes(draws)), axis=1)
-    owner = np.repeat(np.arange(count), restarts + 1)
+    starts = np.concatenate((start[:, None], space.decode_amplitudes(draws),
+                             objective.extremes), axis=1)
+    owner = np.repeat(np.arange(count), starts.shape[1])
     kinks, kink_values = objective.kinks()
     stop = None
     if np.isfinite(kink_values).any():
@@ -321,7 +323,7 @@ def _search(objective: ContextObjective, space: ContextSpace, start, restarts: i
             k = owner[rows]
             overlap = np.abs(np.conj(kinks[k]) @ u[:, :, None])[..., 0] ** 2
             return np.any((1.0 - overlap <= KINK_OVERLAP) & (kink_values[k] >= f[:, None]), axis=1)
-    ends, values = _ascend(lambda rows, u: objective(owner[rows], u, gradient=True),
+    ends, values = _ascend(lambda rows, u: objective(owner[rows], u),
                            starts.reshape(-1, space.dim), maxiter, stop)
     ends = np.concatenate((ends.reshape(starts.shape), kinks), axis=1)
     values = np.concatenate((values.reshape(count, -1), kink_values), axis=1)
@@ -336,7 +338,7 @@ def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
     Each candidate state replaces the family's own rho0, if it has one.  A
     free POVM is the SLD eigenbasis of the chosen state, so only the state
     is searched, and only when neither a fixed state nor the channel-free
-    closed form settles it.
+    closed form settles it, and never with no restarts (the start is kept).
     """
     return _maximize_fisher_many(space, [(family, theta, seed)], restarts, maxiter)[0]
 
@@ -347,8 +349,8 @@ def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
     problems that need a search are searched together."""
     states = [space.state if space.state is not None
               else pure_state(_extreme_superposition(family)) for family, _, _ in problems]
-    searched = [k for k, (family, _, _) in enumerate(problems)
-                if space.state is None and (space.povm is not None or _changes_the_qfi(family))]
+    searched = [k for k, (family, _, _) in enumerate(problems) if restarts > 0
+                and space.state is None and (space.povm is not None or _changes_the_qfi(family))]
     if searched:
         families, thetas, seeds = zip(*(problems[k] for k in searched))
         ends = _search(ContextObjective(families, thetas, space.povm), space,

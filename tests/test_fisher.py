@@ -166,7 +166,7 @@ def check_against_the_reference(dim, seed, offset):
     reference = _qfi_reference(mpmath, generator, psi, channel.kraus, theta)
     assert sld_solve(model, theta).qfi == pytest.approx(reference, rel=1e-8)
     # the search's kernel: the qubit closed form, or the singular-value form
-    assert qfi_from_vectors(*model.kraus_vectors([theta]))[0] == pytest.approx(reference, rel=1e-8)
+    assert qfi_from_vectors(*model.kraus_vectors([theta]))[0][0] == pytest.approx(reference, rel=1e-8)
 
 
 # a qubit whose output is pure at theta0 = 0.7; the reference is

@@ -22,7 +22,7 @@ def random_amplitudes(rng, dim):
 
 def score_one(family, theta, state, povm):
     """The context objective on a one-problem, one-row stack."""
-    values = ContextObjective([family], [theta], povm)(np.array([0]), state.vectors.T)
+    values = ContextObjective([family], [theta], povm)(np.array([0]), state.vectors.T)[0]
     return float(values[0])
 
 
