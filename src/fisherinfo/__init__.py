@@ -1,27 +1,22 @@
 """Fisher information for small parameterized quantum models.
 
 Classical, Bayesian and quantum (SLD and context-maximized) information
-measures, grid-based Bayesian estimation, and randomized checks of the
+measures, the Bayes risk on a prior grid, and randomized checks of the
 classical and quantum data-processing inequalities.
 """
 
 from .bayes import (
     BcrbReport,
-    PosteriorGrid,
     PriorGrid,
-    bayes_estimator,
-    bayes_risk,
     check_bcrb,
     gaussian_prior,
     parse_prior_spec,
-    posterior,
     uniform_prior,
 )
 from .dpi import (
     DpiTrialReport,
     StochasticMap,
     classical_dpi_suite,
-    postprocess_likelihood,
     quantum_dpi_suite,
 )
 from .errors import (
@@ -35,7 +30,6 @@ from .errors import (
     NotNormalized,
     NotUnitary,
     SingularOutcome,
-    ZeroEvidence,
 )
 from .fisher import (
     SldResult,
@@ -56,11 +50,9 @@ from .quantum import (
     DensityMatrix,
     KrausChannel,
     Povm,
-    apply_channel,
     apply_dual_matrix,
     born_probabilities,
     depolarizing_channel,
-    maximally_mixed,
     projective_povm,
     pure_state,
     unitary_channel,

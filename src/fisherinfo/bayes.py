@@ -1,5 +1,5 @@
-"""Grid-based Bayesian estimation: priors, posteriors, risk, and the
-Bayesian Cramer-Rao bound.
+"""Grid priors, the Bayes risk and its comparison with the inverse of the
+prior-averaged Fisher information.
 
 Priors live on a fixed quadrature grid (trapezoid weights times density,
 normalized).  All downstream quantities are finite sums over that grid.
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DocumentError, ZeroEvidence, _cut, _shown
+from .errors import DocumentError, _cut, _shown
 from .fisher import outcome_information, outcome_trajectory
 from .models import UnitaryFamily
 from .quantum import Povm
@@ -52,19 +52,6 @@ class PriorGrid:
     def variance(self) -> float:
         m = self.mean()
         return float(np.dot(self.weights, (self.nodes - m) ** 2))
-
-
-class PosteriorGrid(PriorGrid):
-    """Posterior over the prior's nodes for one observed outcome."""
-
-    __slots__ = ("outcome", "evidence")
-
-    def __init__(self, nodes, weights, outcome: int, evidence: float):
-        super().__init__(nodes, weights)
-        if evidence <= 0:
-            raise ZeroEvidence(f"evidence {evidence!r} is not positive")
-        self.outcome = int(outcome)
-        self.evidence = float(evidence)
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -125,38 +112,10 @@ def parse_prior_spec(spec: str, n: int = DEFAULT_GRID) -> PriorGrid:
                         "expected uniform:a,b or gauss:mu,sigma,a,b")
 
 
-def likelihood_table(model: UnitaryFamily, povm: Povm, nodes) -> np.ndarray:
-    """Pr(x | theta_i) with rows indexed by grid node, columns by outcome."""
-    return outcome_trajectory(model, povm, nodes)[0]
-
-
-def posterior(prior: PriorGrid, model: UnitaryFamily, povm: Povm, outcome: int) -> PosteriorGrid:
-    """Bayes rule on the grid for one outcome (by position in the POVM)."""
-    like = likelihood_table(model, povm, prior.nodes)[:, outcome]
-    raw = prior.weights * like
-    evidence = float(np.sum(raw))
-    if evidence <= EVIDENCE_FLOOR:
-        raise ZeroEvidence(f"outcome {outcome} has evidence {evidence!r}")
-    return PosteriorGrid(prior.nodes, raw / evidence, outcome, evidence)
-
-
-def bayes_estimator(post: PosteriorGrid) -> float:
-    """Posterior mean, the Bayes estimator for squared error."""
-    return post.mean()
-
-
-def bayes_risk(prior: PriorGrid, model: UnitaryFamily, povm: Povm) -> float:
-    """Expected squared error of the posterior-mean estimator: the sum of
-    Pr(x) * Var(theta | x) over the outcomes.
-
-    Outcomes with zero evidence are skipped: they occur with probability
-    zero and contribute nothing to the risk.
-    """
-    return _risk(prior, likelihood_table(model, povm, prior.nodes))
-
-
 def _risk(prior: PriorGrid, like: np.ndarray) -> float:
-    """bayes_risk from the likelihood table ``like``."""
+    """The Bayes risk, the expected squared error of E[theta | x], as the sum
+    of Pr(x) Var(theta | x) over the outcomes of ``like``, Pr(x | theta_i) by
+    node; an outcome of zero evidence occurs with probability 0 and is skipped."""
     joint = prior.weights[:, None] * like            # Pr(theta_i, x)
     evidence = joint.sum(axis=0)                     # Pr(x)
     risk = 0.0

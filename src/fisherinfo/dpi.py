@@ -17,7 +17,7 @@ import numpy as np
 
 from .fisher import outcome_information, outcome_trajectory, sld_solve
 from .models import UnitaryFamily
-from .optimize import MAX_ITER, ContextSpace, _maximize_fisher_many
+from .optimize import ContextSpace, _maximize_fisher_many
 from .quantum import Povm, apply_channel_matrix, apply_dual_matrix
 from .sampling import (
     random_channel,
@@ -83,7 +83,7 @@ class DpiTrialReport:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """The fields in order, with ``extra``'s entries in place of ``extra``."""
+        """The fields in order, with ``extra``'s entries instead of ``extra``."""
         out = dict(vars(self))
         out.update(out.pop("extra"))
         return out
@@ -97,12 +97,6 @@ def _push(tmap: StochasticMap, povm: Povm, blocks) -> tuple:
             f"map expects {tmap.in_count} outcomes, POVM has {len(povm)}"
         )
     return tuple(tmap.push(block) for block in blocks)
-
-
-def postprocess_likelihood(model: UnitaryFamily, povm: Povm,
-                           tmap: StochasticMap, theta: float) -> tuple[float, float]:
-    """Fisher information before and after post-processing, as (i_x, i_y)."""
-    return _bayesian_pair(model, povm, tmap, [theta], [1.0])
 
 
 def _bayesian_pair(model, povm, tmap, nodes, weights):
@@ -145,7 +139,7 @@ def classical_dpi_suite(trials: int, seed: int) -> list[DpiTrialReport]:
         tmap = StochasticMap(random_stochastic_map(rng, int(rng.integers(2, 5)), dim))
         theta = float(rng.uniform(lo, hi))
 
-        i_before, i_after = postprocess_likelihood(model, povm, tmap, theta)
+        i_before, i_after = _bayesian_pair(model, povm, tmap, [theta], [1.0])
         j_before, j_after = _bayesian_pair(model, povm, tmap, nodes, weights)
         violated = bool(i_after > i_before + CLASSICAL_TOL
                         or j_after > j_before + CLASSICAL_TOL)
@@ -187,7 +181,7 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2,
         # searched, the restarts of every trial in the block together
         problems = ([(family, theta, opt_seed) for family, _, _, theta, opt_seed in draws]
                     + [(noisy, theta, opt_seed + 1) for _, _, noisy, theta, opt_seed in draws])
-        results = _maximize_fisher_many(space, problems, OPT_RESTARTS, MAX_ITER)
+        results = _maximize_fisher_many(space, problems, OPT_RESTARTS)
         for trial, draw, before, after in zip(block, draws, results, results[len(draws):]):
             reports.append(_quantum_report(trial, int(seeds[trial]), draw, before, after))
     return reports
@@ -195,10 +189,10 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2,
 
 def _quantum_report(trial: int, seed: int, draw, before, after) -> DpiTrialReport:
     """The checks of one quantum trial at its searched optima."""
-    family, channel, noisy, theta, _ = draw
+    family, channel, _, theta, _ = draw
     bare = family.with_state(after.best_state)
     sld_before = sld_solve(bare, theta).qfi
-    sld_after = sld_solve(noisy.with_state(after.best_state), theta).qfi
+    sld_after = after.sld.qfi
 
     rho = bare.trajectory([theta])[0][0]
     pushed = apply_channel_matrix(channel, rho)

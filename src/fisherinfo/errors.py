@@ -1,4 +1,5 @@
-"""Exception types raised across the toolkit, and how their messages show a bad value."""
+"""Exception types raised across the toolkit, and how their messages show a
+bad value.  The command line maps each to its exit code (``cli.main``)."""
 
 import reprlib
 
@@ -48,11 +49,6 @@ class InvalidChannel(FisherinfoError):
 
 class SingularOutcome(FisherinfoError):
     """A result is not finite."""
-
-
-class ZeroEvidence(FisherinfoError):
-    """An outcome has zero probability under the prior predictive, so it
-    admits no posterior."""
 
 
 class DocumentError(FisherinfoError):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidChannel, InvalidState, _shown
+from .errors import DimensionMismatch, InvalidChannel, InvalidState, SingularOutcome, _shown
 from .linalg import adjoint, eig_hermitian, require_hermitian
 from .quantum import (CHANNEL_ATOL, DensityMatrix, KrausChannel, _completeness_defect,
                       _effect_stack, apply_channel_matrix, apply_dual_matrix,
@@ -77,8 +77,8 @@ class UnitaryFamily:
     def propagator(self, theta) -> np.ndarray:
         """exp(-i theta passes G); a vector of theta values gives a stack."""
         w, v = self._gen_eig
-        phases = np.exp(-1j * np.asarray(theta, dtype=float)[..., None] * self.passes * w)
-        return (v * phases[..., None, :]) @ adjoint(v)
+        thetas = np.asarray(theta, dtype=float)[..., None]
+        return (v * _phases(thetas, thetas * self.passes * w)[..., None, :]) @ adjoint(v)
 
     def trajectory(self, thetas) -> tuple[np.ndarray, np.ndarray]:
         """(rho, d rho / d theta), each shaped (len(thetas), dim, dim).
@@ -116,7 +116,8 @@ class UnitaryFamily:
         vh = adjoint(v)
         coeffs = (vh @ rho @ v) * np.swapaxes(vh @ effects @ v, -1, -2)
         diffs = (self.passes * (w[:, None] - w[None, :])).reshape(-1)
-        phases = np.exp(-1j * np.asarray(thetas, dtype=float).reshape(-1, 1) * diffs)
+        thetas = np.asarray(thetas, dtype=float).reshape(-1, 1)
+        phases = _phases(thetas, thetas * diffs)
         rows = np.concatenate((phases, -1j * diffs * phases))
         p, dp = (rows @ coeffs.reshape(len(effects), -1).T).real.reshape(2, len(phases), -1)
         return checked_probabilities(p), dp
@@ -154,6 +155,16 @@ class UnitaryFamily:
         """
         self._prepared()
         return kraus_columns(self.vector_map(thetas) @ self.rho0.vectors, self.dim)
+
+
+def _phases(thetas, angles) -> np.ndarray:
+    """exp(-i angles) for the phase angles of the thetas (..., 1);
+    SingularOutcome, naming a theta, where an angle overflows."""
+    finite = np.isfinite(angles)
+    if not finite.all():
+        theta = float(np.broadcast_to(thetas, angles.shape)[~finite][0])
+        raise SingularOutcome(f"the phases overflow at theta = {theta!r}")
+    return np.exp(-1j * angles)
 
 
 def kraus_columns(flat: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, _cut
 from .fisher import (
+    SldResult,
     amplitude_scores,
     classical_fisher,
     model_scores,
@@ -91,9 +92,13 @@ class ContextSpace:
 
 @dataclass
 class OptimizationResult:
+    """The best context and its value; ``sld``, the chosen state's SLD
+    solve, which gave a free POVM (None for a fixed one)."""
+
     best_value: float
     best_state: DensityMatrix
     best_povm: Povm
+    sld: SldResult | None
 
 
 def _extreme_superposition(family: UnitaryFamily) -> np.ndarray:
@@ -124,31 +129,23 @@ class ContextObjective:
     def __init__(self, families, thetas, povm: Povm | None = None):
         d = self.dim = families[0].dim
         self.povm, self.extremes = povm, np.zeros((len(families), 0, d), dtype=complex)
-        # the vector maps stacked by shape: each problem's group and its place in it
-        maps = [family.vector_map(theta)[0] for family, theta in zip(families, thetas)]
-        shapes = sorted({m.shape for m in maps})
-        group = np.array([shapes.index(m.shape) for m in maps])
-        place = np.array([np.count_nonzero(group[:k] == g) for k, g in enumerate(group)], dtype=int)
-        stacks = [np.stack([m for m, h in zip(maps, group) if h == g]) for g in range(len(shapes))]
-        self.vector = (stacks, group, place)
+        # one stack of vector maps: the problems of one search share its shape
+        self.maps = np.stack([family.vector_map(theta)[0]
+                              for family, theta in zip(families, thetas)])
         if povm is not None:
             # for the map's blocks B_j and their derivatives dB_j, each effect's
             # M_x = sum_j B_j^dag E_x B_j, then each M'_x = sum_j dB_j^dag E_x B_j + h.c.
-            self.pulled = np.empty((len(group), 2 * len(povm) * d, d), dtype=complex)
-            for g, stack in enumerate(stacks):
-                b = stack.reshape(len(stack), 1, 2, -1, d, d)
-                eb = povm.effects[:, None] @ b[:, :, 0]
-                m, dm = (sum(adjoint(b[:, :, half, j]) @ eb[:, :, j] for j in range(eb.shape[2]))
-                         for half in (0, 1))
-                self.pulled[group == g] = np.concatenate((m, dm + adjoint(dm)), axis=1).reshape(
-                    len(stack), -1, d)
+            b = self.maps.reshape(len(self.maps), 1, 2, -1, d, d)
+            eb = povm.effects[:, None] @ b[:, :, 0]
+            m, dm = (sum(adjoint(b[:, :, half, j]) @ eb[:, :, j] for j in range(eb.shape[2]))
+                     for half in (0, 1))
+            self.pulled = np.concatenate((m, dm + adjoint(dm)), axis=1).reshape(len(b), -1, d)
             # the eigenvectors of each M_x: the inputs that make an outcome's probability extreme
-            effects = self.pulled[:, :len(povm) * d].reshape(len(group), -1, d, d)
-            self.extremes = np.swapaxes(np.linalg.eigh(effects)[1], -1, -2).reshape(
-                len(group), -1, d)
+            effects = self.pulled[:, :len(povm) * d].reshape(len(b), -1, d, d)
+            self.extremes = np.swapaxes(np.linalg.eigh(effects)[1], -1, -2).reshape(len(b), -1, d)
         # a row holds its map (2 r d^2 numbers for r Kraus products, 2 x d^2 for x
         # effects) and the kernels' products; the floor 6 stays, as chunks set the stacks
-        width = max([6, 2 * len(povm) if povm else 0] + [2 * s.shape[1] // d for s in stacks])
+        width = max(6, 2 * len(povm) if povm else 0, 2 * self.maps.shape[1] // d)
         self.chunk = max(1, SCORE_BYTES // (16 * d * d * width))
 
     def __call__(self, problems, amplitudes):
@@ -160,28 +157,20 @@ class ContextObjective:
     def _score(self, problems, amplitudes):
         if self.povm is not None:
             return self._born_rows(problems, amplitudes)
-        values, grads = np.empty(len(problems)), np.empty_like(amplitudes)
-        for rows, maps, a, da in self._kraus_rows(problems, amplitudes):
-            f, sld = qfi_from_vectors(a, da)
-            # Q psi = M^dag w for the map M: w is 2 L dA - L^2 A on the rows of
-            # the Kraus products, 2 L A on the rows of their derivatives
-            r = a.shape[-1]
-            la = sld @ np.concatenate((a, da), axis=-1)
-            w = np.stack((2.0 * la[..., r:] - sld @ la[..., :r], 2.0 * la[..., :r]), axis=1)
-            q = np.conj(np.conj(np.swapaxes(w, -1, -2).reshape(len(f), 1, -1)) @ maps)[:, 0]
-            values[rows], grads[rows] = f, 2.0 * (q - f[:, None] * amplitudes[rows])
-        return values, grads
+        maps, a, da = self._kraus(problems, amplitudes)
+        f, sld = qfi_from_vectors(a, da)
+        # Q psi = M^dag w for the map M: w is 2 L dA - L^2 A on the rows of
+        # the Kraus products, 2 L A on the rows of their derivatives
+        r = a.shape[-1]
+        la = sld @ np.concatenate((a, da), axis=-1)
+        w = np.stack((2.0 * la[..., r:] - sld @ la[..., :r], 2.0 * la[..., :r]), axis=1)
+        q = np.conj(np.conj(np.swapaxes(w, -1, -2).reshape(len(f), 1, -1)) @ maps)[:, 0]
+        return f, 2.0 * (q - f[:, None] * amplitudes)
 
-    def _kraus_rows(self, problems, amplitudes):
-        """(rows, maps, A, dA) for each group of rows whose maps share one
-        shape; a row's product with its map is bitwise the row's alone."""
-        stacks, group, place = self.vector
-        for g, stack in enumerate(stacks):
-            rows = slice(None) if len(stacks) == 1 else np.flatnonzero(group[problems] == g)
-            if len(stacks) > 1 and not len(rows):
-                continue
-            maps = stack[0] if len(stack) == 1 else stack[place[problems[rows]]]
-            yield rows, maps, *kraus_columns(maps @ amplitudes[rows, :, None], self.dim)
+    def _kraus(self, problems, amplitudes):
+        """(maps, A, dA) of the rows; a row's product with its map is bitwise the row's alone."""
+        maps = self.maps[0] if len(self.maps) == 1 else self.maps[problems]
+        return maps, *kraus_columns(maps @ amplitudes[:, :, None], self.dim)
 
     def _born_rows(self, problems, amplitudes):
         m, x, povm = len(problems), len(self.povm), self.povm
@@ -192,10 +181,8 @@ class ContextObjective:
 
         def near_terms(near):
             rows, outcomes = np.nonzero(near)
-            terms = np.empty(len(rows))
-            for at, _, a, da in self._kraus_rows(problems[rows], amplitudes[rows]):
-                terms[at] = amplitude_scores(povm.factors[outcomes[at]], a, da)
-            return terms
+            return amplitude_scores(povm.factors[outcomes],
+                                    *self._kraus(problems[rows], amplitudes[rows])[1:])
 
         values = model_scores(p, dp, near_terms)
         # Q psi = sum_x 2 l_x M'_x psi - l_x^2 M_x psi, with l_x = p'_x / p_x
@@ -209,23 +196,18 @@ class ContextObjective:
         measurement and exactly two Kraus products B_1, B_2, the unit inputs
         psi with B_1 psi = lambda B_2 psi, whose output is pure, and their
         QFI; zero inputs valued -inf for every other problem."""
-        d, (stacks, group, _) = self.dim, self.vector
-        inputs = np.zeros((len(group), d, d), dtype=complex)
-        paired = np.array([stacks[g].shape[1] == 4 * d and self.povm is None for g in group])
-        for g, stack in enumerate(stacks):
-            if paired[group == g].all():
-                pair = stack[:, :2 * d].reshape(-1, 2, d, d)
-                # the better conditioned block divides; pinv keeps a singular
-                # pair finite, and its inputs are then scored like any other
-                lowest = np.linalg.svd(pair, compute_uv=False)[..., -1]
-                swap = (lowest[:, :1] > lowest[:, 1:])[..., None]
-                den, num = (np.where(swap, pair[:, k], pair[:, 1 - k]) for k in (0, 1))
-                inputs[group == g] = np.swapaxes(np.linalg.eig(np.linalg.pinv(den) @ num)[1], 1, 2)
-        values = np.full((len(group), d), -np.inf)
-        if paired.any():
-            problems = np.repeat(np.flatnonzero(paired), d)
-            values[paired] = self(problems, inputs[paired].reshape(-1, d))[0].reshape(-1, d)
-        return inputs, values
+        d, maps = self.dim, self.maps
+        if maps.shape[1] != 4 * d or self.povm is not None:
+            return np.zeros((len(maps), d, d), dtype=complex), np.full((len(maps), d), -np.inf)
+        pair = maps[:, :2 * d].reshape(-1, 2, d, d)
+        # the better conditioned block divides; pinv keeps a singular
+        # pair finite, and its inputs are then scored like any other
+        lowest = np.linalg.svd(pair, compute_uv=False)[..., -1]
+        swap = (lowest[:, :1] > lowest[:, 1:])[..., None]
+        den, num = (np.where(swap, pair[:, k], pair[:, 1 - k]) for k in (0, 1))
+        inputs = np.swapaxes(np.linalg.eig(np.linalg.pinv(den) @ num)[1], 1, 2)
+        values = self(np.repeat(np.arange(len(maps)), d), inputs.reshape(-1, d))[0]
+        return inputs, values.reshape(-1, d)
 
 
 def _ascend(objective, psi, maxiter: int, stop=None):
@@ -298,8 +280,8 @@ def _ascend(objective, psi, maxiter: int, stop=None):
     return ends, values
 
 
-def _search(objective: ContextObjective, space: ContextSpace, start, restarts: int, seeds,
-            maxiter: int) -> np.ndarray:
+def _search(objective: ContextObjective, space: ContextSpace, start, restarts: int,
+            seeds) -> np.ndarray:
     """Each problem's best input, the earliest of equal scores: the ends of
     its ascents (``_ascend``) from ``start[k]``, from ``restarts`` inputs
     decoded from uniform points in [-pi, pi]^n_params drawn from
@@ -324,15 +306,14 @@ def _search(objective: ContextObjective, space: ContextSpace, start, restarts: i
             overlap = np.abs(np.conj(kinks[k]) @ u[:, :, None])[..., 0] ** 2
             return np.any((1.0 - overlap <= KINK_OVERLAP) & (kink_values[k] >= f[:, None]), axis=1)
     ends, values = _ascend(lambda rows, u: objective(owner[rows], u),
-                           starts.reshape(-1, space.dim), maxiter, stop)
+                           starts.reshape(-1, space.dim), MAX_ITER, stop)
     ends = np.concatenate((ends.reshape(starts.shape), kinks), axis=1)
     values = np.concatenate((values.reshape(count, -1), kink_values), axis=1)
     return ends[np.arange(count), np.argmax(values, axis=1)]
 
 
 def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
-                    restarts: int = DEFAULT_RESTARTS, seed: int = 0,
-                    maxiter: int = MAX_ITER) -> OptimizationResult:
+                    restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> OptimizationResult:
     """Largest classical Fisher information over the context space.
 
     Each candidate state replaces the family's own rho0, if it has one.  A
@@ -340,11 +321,10 @@ def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
     is searched, and only when neither a fixed state nor the channel-free
     closed form settles it, and never with no restarts (the start is kept).
     """
-    return _maximize_fisher_many(space, [(family, theta, seed)], restarts, maxiter)[0]
+    return _maximize_fisher_many(space, [(family, theta, seed)], restarts)[0]
 
 
-def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
-                          maxiter: int) -> list[OptimizationResult]:
+def _maximize_fisher_many(space: ContextSpace, problems, restarts: int) -> list[OptimizationResult]:
     """``maximize_fisher`` for each (family, theta, seed) problem; the
     problems that need a search are searched together."""
     states = [space.state if space.state is not None
@@ -354,18 +334,18 @@ def _maximize_fisher_many(space: ContextSpace, problems, restarts: int,
     if searched:
         families, thetas, seeds = zip(*(problems[k] for k in searched))
         ends = _search(ContextObjective(families, thetas, space.povm), space,
-                       np.stack([states[k].vectors[:, 0] for k in searched]), restarts, seeds,
-                       maxiter)
+                       np.stack([states[k].vectors[:, 0] for k in searched]), restarts, seeds)
         for k, psi in zip(searched, ends):
             states[k] = pure_state(psi)
     results = []
     for (family, theta, _), state in zip(problems, states):
         chosen = family.with_state(state)
-        povm = space.povm
+        povm, sld = space.povm, None
         if povm is None:
-            povm = sld_optimal_povm(sld_solve(chosen, theta))
+            sld = sld_solve(chosen, theta)
+            povm = sld_optimal_povm(sld)
         # report the value computed through the public scoring path
-        results.append(OptimizationResult(classical_fisher(chosen, povm, theta), state, povm))
+        results.append(OptimizationResult(classical_fisher(chosen, povm, theta), state, povm, sld))
     return results
 
 

@@ -247,11 +247,6 @@ def _channel_operand(channel: KrausChannel, a) -> np.ndarray:
     return m
 
 
-def apply_channel(channel: KrausChannel, rho: DensityMatrix) -> DensityMatrix:
-    """Apply a channel to a state, returning a validated state."""
-    return DensityMatrix(apply_channel_matrix(channel, rho.mat))
-
-
 def _effect_stack(povm: Povm, dim: int) -> np.ndarray:
     if povm.dim != dim:
         raise DimensionMismatch("state and POVM dimensions differ")
@@ -299,10 +294,6 @@ def pure_state(amplitudes) -> DensityMatrix:
     if abs(norm * norm - 1.0) > NORMALIZATION_ATOL:
         raise NotNormalized(f"state vector has norm {norm!r}")
     return DensityMatrix(projectors(psi), validate=False, vectors=psi[:, None])
-
-
-def maximally_mixed(dim: int) -> DensityMatrix:
-    return DensityMatrix(identity(dim) / dim, validate=False)
 
 
 def require_unitary(u, name: str = "matrix") -> np.ndarray:

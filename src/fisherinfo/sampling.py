@@ -12,8 +12,6 @@ from .errors import DimensionMismatch, _cut
 from .linalg import MAX_DIM, adjoint
 from .quantum import DensityMatrix, KrausChannel, Povm, projective_povm, pure_state
 
-FULL_RANK_FLOOR = 0.05  # eigenvalue floor of random_full_rank_state
-
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
@@ -27,15 +25,6 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_pure_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
     psi = _ginibre(rng, dim, 1).reshape(-1)
     return pure_state(psi / np.linalg.norm(psi))
-
-
-def random_full_rank_state(rng: np.random.Generator, dim: int) -> DensityMatrix:
-    """Random mixed state with every eigenvalue at least FULL_RANK_FLOOR-ish."""
-    g = _ginibre(rng, dim, dim)
-    rho = g @ adjoint(g)
-    rho = rho / np.trace(rho).real
-    rho = (1.0 - FULL_RANK_FLOOR * dim) * rho + FULL_RANK_FLOOR * np.eye(dim)
-    return DensityMatrix(rho)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

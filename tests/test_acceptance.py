@@ -8,15 +8,15 @@ import json
 
 import numpy as np
 
-from fisherinfo.bayes import bayes_risk, check_bcrb, uniform_prior
+from fisherinfo.bayes import check_bcrb, uniform_prior
 from fisherinfo.cli import main
 from fisherinfo.dpi import (
     CLASSICAL_TOL,
     QUANTUM_TOL,
     SLD_TOL,
     StochasticMap,
+    _bayesian_pair,
     classical_dpi_suite,
-    postprocess_likelihood,
     quantum_dpi_suite,
 )
 from fisherinfo.documents import pairs_from_matrix
@@ -37,13 +37,13 @@ from fisherinfo.quantum import (
 )
 from fisherinfo.sampling import (
     random_channel,
-    random_full_rank_state,
     random_hermitian,
     random_projective_povm,
     random_pure_state,
 )
 
 from finite_difference import KrausFamily, fd_state_derivative
+from mixed_states import random_full_rank_state
 from risk_reference import estimator_mse
 
 THETAS = (0.0, 0.4, 1.2)
@@ -133,7 +133,7 @@ def test_criterion_06_classical_dpi_suite(acceptance_log):
         model = UnitaryFamily(random_hermitian(rng, dim), random_pure_state(rng, dim), 1)
         povm = random_projective_povm(rng, dim)
         perm = StochasticMap(np.eye(dim)[rng.permutation(dim)])
-        i_x, i_y = postprocess_likelihood(model, povm, perm, float(rng.uniform(0.2, 1.2)))
+        i_x, i_y = _bayesian_pair(model, povm, perm, [float(rng.uniform(0.2, 1.2))], [1.0])
         worst_eq = max(worst_eq, abs(i_x - i_y))
 
     ok = violations == 0 and worst_eq < CLASSICAL_TOL
@@ -196,7 +196,7 @@ def bcrb_configurations(target: int = 500, attempts: int = 5000):
 
 def test_criterion_08_bayesian_layer(acceptance_log, base_model, z_basis_povm):
     prior01 = uniform_prior(0.0, 1.0, 1001)
-    flat_risk = bayes_risk(prior01, base_model, z_basis_povm)
+    flat_risk = check_bcrb(prior01, base_model, z_basis_povm).risk
     var_dev = abs(flat_risk - prior01.variance())
     twelfth_dev = abs(flat_risk - 1.0 / 12.0)
 
@@ -206,10 +206,8 @@ def test_criterion_08_bayesian_layer(acceptance_log, base_model, z_basis_povm):
     min_j = np.inf
     holds = 0
     for model, povm, prior in configs:
-        pv = bayes_risk(prior, model, povm)
-        mse = estimator_mse(prior, model, povm)
-        route_dev = max(route_dev, abs(pv - mse))
         report = check_bcrb(prior, model, povm)
+        route_dev = max(route_dev, abs(report.risk - estimator_mse(prior, model, povm)))
         min_j = min(min_j, report.j)
         min_margin = min(min_margin, report.risk - 1.0 / report.j)
         if report.satisfied and not report.vacuous and report.j > 1e-6:

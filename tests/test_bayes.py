@@ -3,22 +3,23 @@ import pytest
 
 from fisherinfo.bayes import (
     PriorGrid,
-    bayes_estimator,
-    bayes_risk,
     check_bcrb,
     gaussian_prior,
     grid_prior,
-    likelihood_table,
     parse_prior_spec,
-    posterior,
     uniform_prior,
 )
-from fisherinfo.errors import DocumentError, ZeroEvidence
+from fisherinfo.errors import DocumentError
+from fisherinfo.fisher import outcome_trajectory
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.quantum import Povm
-from fisherinfo.sampling import random_full_rank_state, random_hermitian, random_projective_povm
+from fisherinfo.sampling import random_hermitian, random_projective_povm
 
+from mixed_states import random_full_rank_state
 from risk_reference import estimator_mse
+
+
+def risk(prior, model, povm) -> float:
+    return check_bcrb(prior, model, povm).risk
 
 
 def test_prior_grid_validation():
@@ -83,62 +84,14 @@ def test_parse_prior_spec_rejects_malformed_input(spec):
 
 def test_likelihood_table_rows_are_normalized(base_model, x_basis_povm):
     prior = uniform_prior(0.0, np.pi, 31)
-    table = likelihood_table(base_model, x_basis_povm, prior.nodes)
+    table = outcome_trajectory(base_model, x_basis_povm, prior.nodes)[0]
     assert table.shape == (31, 2)
     assert np.allclose(table.sum(axis=1), 1.0, atol=1e-12)
 
 
-def test_uninformative_outcome_leaves_the_prior_unchanged(base_model, z_basis_povm):
-    prior = uniform_prior(0.2, 1.2, 51)
-    post = posterior(prior, base_model, z_basis_povm, 0)
-    assert np.max(np.abs(post.weights - prior.weights)) < 1e-12
-    assert post.evidence == pytest.approx(0.5, abs=1e-12)
-
-
-def test_posterior_weights_track_the_likelihood(base_model, x_basis_povm):
-    prior = uniform_prior(0.0, np.pi / 2, 101)
-    post = posterior(prior, base_model, x_basis_povm, 0)
-    raw = prior.weights * np.cos(prior.nodes) ** 2
-    assert np.max(np.abs(post.weights - raw / raw.sum())) < 1e-8
-    assert post.outcome == 0
-
-
-def test_impossible_outcome_raises_zero_evidence(base_model):
-    povm = Povm([np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)])
-    prior = uniform_prior(0.0, 1.0, 11)
-    with pytest.raises(ZeroEvidence):
-        posterior(prior, base_model, povm, 1)
-
-
 def test_point_mass_prior_pins_the_estimate(base_model, x_basis_povm):
     prior = PriorGrid([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-    post = posterior(prior, base_model, x_basis_povm, 0)
-    assert bayes_estimator(post) == pytest.approx(0.5, abs=1e-12)
-    assert bayes_risk(prior, base_model, x_basis_povm) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_estimator_under_uninformative_data_is_the_prior_mean(base_model, z_basis_povm):
-    prior = uniform_prior(0.0, 1.0, 101)
-    for outcome in range(2):
-        post = posterior(prior, base_model, z_basis_povm, outcome)
-        assert bayes_estimator(post) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_estimator_matches_closed_form_posterior_mean(base_model, x_basis_povm):
-    # mean of theta under cos^2 on [0, pi/2] is (pi^2 - 4) / (4 pi)
-    exact = (np.pi ** 2 - 4.0) / (4.0 * np.pi)
-    coarse = posterior(uniform_prior(0.0, np.pi / 2, 201), base_model, x_basis_povm, 0)
-    assert abs(bayes_estimator(coarse) - exact) < 1e-5
-    fine = posterior(uniform_prior(0.0, np.pi / 2, 20001), base_model, x_basis_povm, 0)
-    assert abs(bayes_estimator(fine) - exact) < 1e-8
-
-
-def test_symmetric_interval_centers_both_posteriors(base_model, x_basis_povm):
-    # on [0, pi] the cos^2 and sin^2 likelihoods are both symmetric about pi/2
-    prior = uniform_prior(0.0, np.pi, 201)
-    for outcome in range(2):
-        post = posterior(prior, base_model, x_basis_povm, outcome)
-        assert bayes_estimator(post) == pytest.approx(np.pi / 2, abs=1e-12)
+    assert risk(prior, base_model, x_basis_povm) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_risk_routes_agree_and_never_beat_the_prior():
@@ -149,7 +102,7 @@ def test_risk_routes_agree_and_never_beat_the_prior():
         povm = random_projective_povm(rng, dim)
         a = float(rng.uniform(-1.0, 0.5))
         prior = uniform_prior(a, a + float(rng.uniform(0.5, 2.0)), 61)
-        pv = bayes_risk(prior, model, povm)
+        pv = risk(prior, model, povm)
         mse = estimator_mse(prior, model, povm)
         assert abs(pv - mse) < 1e-10
         assert pv <= prior.variance() + 1e-10
@@ -157,35 +110,32 @@ def test_risk_routes_agree_and_never_beat_the_prior():
 
 def test_uninformative_measurement_risk_is_the_prior_variance(base_model, z_basis_povm):
     prior = uniform_prior(0.1, 1.4, 87)
-    risk = bayes_risk(prior, base_model, z_basis_povm)
-    assert risk == pytest.approx(prior.variance(), abs=1e-12)
+    assert risk(prior, base_model, z_basis_povm) == pytest.approx(prior.variance(), abs=1e-12)
 
 
 def test_symmetric_interval_risk_saturates_the_prior_variance(base_model, x_basis_povm):
     # both posterior means sit at pi/2, so conditioning removes no variance
     prior = uniform_prior(0.0, np.pi, 201)
-    risk = bayes_risk(prior, base_model, x_basis_povm)
-    assert risk == pytest.approx(prior.variance(), abs=1e-12)
+    assert risk(prior, base_model, x_basis_povm) == pytest.approx(prior.variance(), abs=1e-12)
 
 
 def test_half_interval_risk_is_strictly_below_the_prior_variance(base_model, x_basis_povm):
     prior = uniform_prior(0.0, np.pi / 2, 201)
-    risk = bayes_risk(prior, base_model, x_basis_povm)
-    assert risk < prior.variance() - 0.09
+    assert risk(prior, base_model, x_basis_povm) < prior.variance() - 0.09
 
 
 def test_risk_matches_monte_carlo_simulation(base_model, x_basis_povm):
     prior = uniform_prior(0.0, np.pi / 2, 201)
-    risk = bayes_risk(prior, base_model, x_basis_povm)
-    estimates = np.array([
-        bayes_estimator(posterior(prior, base_model, x_basis_povm, x)) for x in range(2)
-    ])
+    value = risk(prior, base_model, x_basis_povm)
+    # each outcome's posterior mean on the grid
+    joint = prior.weights[:, None] * outcome_trajectory(base_model, x_basis_povm, prior.nodes)[0]
+    estimates = prior.nodes @ joint / joint.sum(axis=0)
     rng = np.random.default_rng(2024)
     thetas = rng.uniform(0.0, np.pi / 2, 100_000)
     outcomes = (rng.uniform(size=thetas.size) > np.cos(thetas) ** 2).astype(int)
     errors = (thetas - estimates[outcomes]) ** 2
     se = errors.std(ddof=1) / np.sqrt(errors.size)
-    assert abs(risk - errors.mean()) < 3.0 * se
+    assert abs(value - errors.mean()) < 3.0 * se
 
 
 def test_posterior_mean_minimizes_the_quadratic_risk():
@@ -196,7 +146,7 @@ def test_posterior_mean_minimizes_the_quadratic_risk():
         model = UnitaryFamily(random_hermitian(rng, dim), random_full_rank_state(rng, dim), 1)
         povm = random_projective_povm(rng, dim)
         prior = uniform_prior(0.0, float(rng.uniform(0.5, 2.0)), 41)
-        table = likelihood_table(model, povm, prior.nodes)
+        table = outcome_trajectory(model, povm, prior.nodes)[0]
         joint = prior.weights[:, None] * table
         evidence = joint.sum(axis=0)
         keep = evidence > 1e-300
@@ -206,7 +156,7 @@ def test_posterior_mean_minimizes_the_quadratic_risk():
             return float(np.sum(joint * (prior.nodes[:, None] - est[None, :]) ** 2))
 
         base = total_risk(estimates)
-        assert base == pytest.approx(bayes_risk(prior, model, povm), abs=1e-10)
+        assert base == pytest.approx(risk(prior, model, povm), abs=1e-10)
         for x in range(len(evidence)):
             if not keep[x]:
                 continue

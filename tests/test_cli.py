@@ -591,6 +591,26 @@ def test_a_non_finite_result_exits_4(capsys, tmp_path):
     assert err.startswith("error:4:the result is not finite") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command,generator,passes,theta", [
+    (["paper-example"], None, 1, "1e308"),
+    (["qfi"], PAULI_Z, 3, "1e308"),
+    (["optimize"], PAULI_Z, 3, "1e308"),
+    (["qfi"], np.diag([1e200, -1e200]), 1, "1e109"),
+])
+def test_an_overflowing_phase_exits_4(capsys, tmp_path, command, generator, passes, theta):
+    # theta passes w overflows to infinity, which leaves the propagator's
+    # phases undefined; the paper example's multipass variant doubles theta
+    if generator is not None:
+        doc = {"dim": 2, "kind": "unitary", "generator": pairs_from_matrix(generator),
+               "initial_state": [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]], "passes": passes}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        command = command + ["--model", str(path)]
+    code, out, err = run_cli(capsys, command + ["--theta", theta])
+    assert code == 4 and out == ""
+    assert err == f"error:4:the phases overflow at theta = {float(theta)!r}\n"
+
+
 def strip_runtime(text: str) -> list:
     docs = []
     lines = text.splitlines()

@@ -23,8 +23,10 @@ from fisherinfo.errors import DocumentError, _cut
 from fisherinfo.fisher import classical_fisher, sld_solve
 from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.quantum import KrausChannel, Povm, apply_channel, projective_povm, pure_state
+from fisherinfo.quantum import KrausChannel, Povm, projective_povm, pure_state
 from fisherinfo.sampling import random_channel, random_hermitian, random_unitary
+
+from mixed_states import apply_channel
 
 
 def model_doc(**overrides):

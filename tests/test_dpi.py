@@ -10,8 +10,8 @@ from fisherinfo.dpi import (
     SLD_TOL,
     DpiTrialReport,
     StochasticMap,
+    _bayesian_pair,
     classical_dpi_suite,
-    postprocess_likelihood,
     quantum_dpi_suite,
 )
 from fisherinfo.fisher import sld_solve
@@ -19,11 +19,12 @@ from fisherinfo.linalg import adjoint
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.sampling import (
     random_channel,
-    random_full_rank_state,
     random_hermitian,
     random_stochastic_map,
     trial_seeds,
 )
+
+from mixed_states import random_full_rank_state
 
 
 def test_stochastic_map_validation():
@@ -41,7 +42,7 @@ def test_stochastic_map_validation():
 def test_pushforward_is_linear_in_both_arrays(base_model, x_basis_povm):
     theta = 0.4
     t = np.array([[0.7, 0.1], [0.2, 0.6], [0.1, 0.3]])
-    _, i_y = postprocess_likelihood(base_model, x_basis_povm, StochasticMap(t), theta)
+    _, i_y = _bayesian_pair(base_model, x_basis_povm, StochasticMap(t), [theta], [1.0])
     p = np.array([np.cos(theta) ** 2, np.sin(theta) ** 2])
     dp = np.array([-np.sin(2 * theta), np.sin(2 * theta)])
     q, dq = t @ p, t @ dp
@@ -53,11 +54,11 @@ def test_pushforward_is_linear_in_both_arrays(base_model, x_basis_povm):
 def test_pushforward_rejects_mismatched_outcome_counts(base_model, x_basis_povm):
     threemap = StochasticMap(np.full((2, 3), 1.0 / 2.0))
     with pytest.raises(ValueError):
-        postprocess_likelihood(base_model, x_basis_povm, threemap, 0.4)
+        _bayesian_pair(base_model, x_basis_povm, threemap, [0.4], [1.0])
 
 
 def test_identity_map_preserves_information(base_model, x_basis_povm):
-    i_x, i_y = postprocess_likelihood(base_model, x_basis_povm, StochasticMap(np.eye(2)), 0.4)
+    i_x, i_y = _bayesian_pair(base_model, x_basis_povm, StochasticMap(np.eye(2)), [0.4], [1.0])
     assert i_x == pytest.approx(4.0, abs=1e-8)
     assert i_y == pytest.approx(i_x, abs=1e-12)
 
@@ -65,20 +66,20 @@ def test_identity_map_preserves_information(base_model, x_basis_povm):
 def test_identity_map_preserves_the_flat_outcome_score(base_model, x_basis_povm):
     # theta = 0 puts one outcome on the probability floor; the curvature
     # fallback must survive the pushforward
-    i_x, i_y = postprocess_likelihood(base_model, x_basis_povm, StochasticMap(np.eye(2)), 0.0)
+    i_x, i_y = _bayesian_pair(base_model, x_basis_povm, StochasticMap(np.eye(2)), [0.0], [1.0])
     assert i_x == pytest.approx(4.0, abs=1e-6)
     assert i_y == pytest.approx(i_x, abs=1e-6)
 
 
 def test_relabeling_outcomes_changes_nothing(base_model, x_basis_povm):
     swap = StochasticMap([[0.0, 1.0], [1.0, 0.0]])
-    i_x, i_y = postprocess_likelihood(base_model, x_basis_povm, swap, 0.7)
+    i_x, i_y = _bayesian_pair(base_model, x_basis_povm, swap, [0.7], [1.0])
     assert i_y == pytest.approx(i_x, abs=1e-12)
 
 
 def test_merging_all_outcomes_discards_everything(base_model, x_basis_povm):
     merge = StochasticMap(np.ones((1, 2)))
-    i_x, i_y = postprocess_likelihood(base_model, x_basis_povm, merge, 0.4)
+    i_x, i_y = _bayesian_pair(base_model, x_basis_povm, merge, [0.4], [1.0])
     assert i_x == pytest.approx(4.0, abs=1e-8)
     assert i_y == 0.0
 
@@ -88,7 +89,7 @@ def test_symmetric_noise_degrades_information_monotonically(base_model, x_basis_
     last = np.inf
     for eps in np.linspace(0.0, 0.5, 11):
         flip = StochasticMap([[1.0 - eps, eps], [eps, 1.0 - eps]])
-        i_x, i_y = postprocess_likelihood(base_model, x_basis_povm, flip, theta)
+        i_x, i_y = _bayesian_pair(base_model, x_basis_povm, flip, [theta], [1.0])
         assert i_y <= i_x + 1e-12
         assert i_y <= last + 1e-12
         last = i_y

@@ -15,10 +15,11 @@ from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import DensityMatrix, apply_channel_matrix, apply_dual_matrix
 from fisherinfo.sampling import (
     random_channel,
-    random_full_rank_state,
     random_hermitian,
     random_pure_state,
 )
+
+from mixed_states import random_full_rank_state
 
 seeds = st.integers(0, 2 ** 32 - 1)
 

@@ -18,10 +18,11 @@ from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import DensityMatrix, Povm, projective_povm, pure_state
 from fisherinfo.sampling import (
     random_channel,
-    random_full_rank_state,
     random_hermitian,
     random_projective_povm,
 )
+
+from mixed_states import random_full_rank_state
 
 
 def test_base_information_is_four_at_all_angles(base_model, x_basis_povm):

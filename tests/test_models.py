@@ -8,7 +8,6 @@ from fisherinfo.linalg import PAULI_X, PAULI_Z, adjoint
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import (
     KrausChannel,
-    apply_channel,
     depolarizing_channel,
     pure_state,
     unitary_channel,
@@ -16,12 +15,12 @@ from fisherinfo.quantum import (
 from fisherinfo.linalg import unitary_exp
 from fisherinfo.sampling import (
     random_channel,
-    random_full_rank_state,
     random_hermitian,
     random_projective_povm,
 )
 
 from finite_difference import KrausFamily, fd_state_derivative
+from mixed_states import apply_channel, random_full_rank_state
 
 
 def test_base_state_closed_form(base_model):

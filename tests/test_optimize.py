@@ -72,6 +72,15 @@ def test_amplitude_damping_caps_the_maximum_at_the_damped_bloch_speed():
     assert replay == pytest.approx(result.best_value, abs=1e-12)
 
 
+def test_a_free_measurement_keeps_the_sld_solve_of_the_chosen_state(z_basis_povm):
+    rng = np.random.default_rng(7)
+    family = UnitaryFamily(PAULI_Z).with_channel(random_channel(rng, 2, 2), "post")
+    result = maximize_fisher(family, ContextSpace(2), 0.3, restarts=2)
+    assert result.sld.qfi == sld_solve(family.with_state(result.best_state), 0.3).qfi
+    assert maximize_fisher(family, ContextSpace(2, povm=z_basis_povm), 0.3,
+                           restarts=2).sld is None
+
+
 def test_channel_free_maximum_is_the_closed_form_without_a_search(monkeypatch):
     import fisherinfo.optimize
 

@@ -22,13 +22,15 @@ from fisherinfo.fisher import (
 )
 from fisherinfo.linalg import PAULI_Z, adjoint
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.quantum import Povm, maximally_mixed, pure_state
+from fisherinfo.quantum import Povm, pure_state
 from fisherinfo.sampling import (
     random_channel,
     random_hermitian,
     random_projective_povm,
     random_pure_state,
 )
+
+from mixed_states import maximally_mixed
 
 EPS = np.finfo(float).eps
 

@@ -28,23 +28,22 @@ from fisherinfo.quantum import (
     DensityMatrix,
     KrausChannel,
     Povm,
-    apply_channel,
     apply_dual_matrix,
     born_probabilities,
     depolarizing_channel,
-    maximally_mixed,
     projective_povm,
     pure_state,
     unitary_channel,
 )
 from fisherinfo.sampling import (
     random_channel,
-    random_full_rank_state,
     random_hermitian,
     random_projective_povm,
     random_pure_state,
     random_unitary,
 )
+
+from mixed_states import apply_channel, maximally_mixed, random_full_rank_state
 
 
 def test_density_matrix_rejects_non_hermitian():
@@ -379,4 +378,4 @@ def test_inputs_within_the_load_bounds_pass_every_later_check(seed, dim, signs, 
     theta = float(rng.uniform(-1.0, 1.0))
     classical_fisher(family, povm, theta)
     bayesian_information(family, povm, uniform_prior(-0.5, 0.5, 21))
-    maximize_fisher(family, ContextSpace(dim, povm=povm), theta, restarts=2, maxiter=60)
+    maximize_fisher(family, ContextSpace(dim, povm=povm), theta, restarts=2)

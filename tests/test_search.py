@@ -94,16 +94,13 @@ def test_a_lockstep_batch_of_problems_solves_each_as_alone(seed, dim, n_problems
                                                           placements):
     rng = np.random.default_rng(seed)
     space = ContextSpace(dim, povm=random_projective_povm(rng, dim) if fixed_povm else None)
-    problems = []
-    for _ in range(n_problems):
-        family = UnitaryFamily(random_hermitian(rng, dim))
-        for placement in placements:
-            family = family.with_channel(random_channel(rng, dim, int(rng.integers(1, 3))),
-                                         placement)
-        problems.append((family, float(rng.uniform(-1.0, 1.0)), int(rng.integers(1000))))
-    together = _maximize_fisher_many(space, problems, 2, 60)
+    # one Kraus count, so that every problem's map has one shape, as in a suite
+    kraus = int(rng.integers(1, 3))
+    problems = [(random_problem(rng, dim, placements, kraus), float(rng.uniform(-1.0, 1.0)),
+                 int(rng.integers(1000))) for _ in range(n_problems)]
+    together = _maximize_fisher_many(space, problems, 2)
     for (family, theta, opt_seed), result in zip(problems, together):
-        alone = maximize_fisher(family, space, theta, restarts=2, seed=opt_seed, maxiter=60)
+        alone = maximize_fisher(family, space, theta, restarts=2, seed=opt_seed)
         assert result.best_value == alone.best_value
         assert result.best_state.mat.tobytes() == alone.best_state.mat.tobytes()
 
@@ -228,7 +225,7 @@ def bloch_grid(n):
 @pytest.mark.parametrize("kraus", [2, 3])
 def test_the_qubit_search_reaches_the_grid_maximum(kraus):
     problems = suite_problems(2, kraus, 6)
-    results = _maximize_fisher_many(ContextSpace(2), problems, dpi.OPT_RESTARTS, dpi.MAX_ITER)
+    results = _maximize_fisher_many(ContextSpace(2), problems, dpi.OPT_RESTARTS)
     grid = bloch_grid(181)
     for (family, theta, _), result in zip(problems, results):
         score = ContextObjective([family], [theta])
@@ -256,7 +253,7 @@ DEEP_REFERENCE = {
 @pytest.mark.parametrize("dim,kraus", sorted(DEEP_REFERENCE))
 def test_the_search_reaches_a_deep_search_above_the_qubit(dim, kraus):
     problems = suite_problems(dim, kraus, len(DEEP_REFERENCE[dim, kraus]))
-    results = _maximize_fisher_many(ContextSpace(dim), problems, dpi.OPT_RESTARTS, dpi.MAX_ITER)
+    results = _maximize_fisher_many(ContextSpace(dim), problems, dpi.OPT_RESTARTS)
     for (family, theta, _), result, reference in zip(problems, results,
                                                     DEEP_REFERENCE[dim, kraus]):
         found = sld_solve(family.with_state(result.best_state), theta).qfi
@@ -307,7 +304,7 @@ class Synthetic:
 
 def search_one(score, start):
     """``_search`` of one qubit problem from ``start``."""
-    return _search(Synthetic(score), ContextSpace(2), start[None], 3, [7], 200)[0]
+    return _search(Synthetic(score), ContextSpace(2), start[None], 3, [7])[0]
 
 
 def test_a_search_scores_floats_and_keeps_the_earliest_best():

@@ -9,10 +9,11 @@ from fisherinfo.optimize import ContextObjective
 from fisherinfo.quantum import pure_state
 from fisherinfo.sampling import (
     random_channel,
-    random_full_rank_state,
     random_hermitian,
     random_projective_povm,
 )
+
+from mixed_states import random_full_rank_state
 
 
 def random_amplitudes(rng, dim):
