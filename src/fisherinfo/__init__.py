@@ -41,7 +41,6 @@ from .fisher import (
 from .linalg import PAULI_X, PAULI_Y, PAULI_Z, eig_hermitian, unitary_exp
 from .models import UnitaryFamily
 from .optimize import (
-    ContextSpace,
     OptimizationResult,
     circumvention_report,
     maximize_fisher,

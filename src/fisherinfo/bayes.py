@@ -46,13 +46,6 @@ class PriorGrid:
         self.nodes = nodes
         self.weights = weights
 
-    def mean(self) -> float:
-        return float(np.dot(self.nodes, self.weights))
-
-    def variance(self) -> float:
-        m = self.mean()
-        return float(np.dot(self.weights, (self.nodes - m) ** 2))
-
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     h = np.diff(nodes)
@@ -73,10 +66,17 @@ def grid_prior(nodes, density) -> PriorGrid:
     return PriorGrid(nodes, raw / total)
 
 
-def uniform_prior(a: float, b: float, n: int = DEFAULT_GRID) -> PriorGrid:
+def _window_nodes(a: float, b: float, n: int) -> np.ndarray:
+    """n equally spaced nodes on [a, b], a window whose width b - a is a finite float."""
     if not b > a:
         raise ValueError(f"need b > a, got [{a!r}, {b!r}]")
-    nodes = np.linspace(a, b, int(n))
+    if not np.isfinite(b - a):
+        raise ValueError(f"the width of [{a!r}, {b!r}] overflows a float")
+    return np.linspace(a, b, int(n))
+
+
+def uniform_prior(a: float, b: float, n: int = DEFAULT_GRID) -> PriorGrid:
+    nodes = _window_nodes(a, b, n)
     return grid_prior(nodes, np.ones_like(nodes))
 
 
@@ -84,9 +84,7 @@ def gaussian_prior(mu: float, sigma: float, a: float, b: float, n: int = DEFAULT
     """Gaussian truncated to [a, b] and renormalized on the grid."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma!r}")
-    if not b > a:
-        raise ValueError(f"need b > a, got [{a!r}, {b!r}]")
-    nodes = np.linspace(a, b, int(n))
+    nodes = _window_nodes(a, b, n)
     density = np.exp(-0.5 * ((nodes - mu) / sigma) ** 2)
     return grid_prior(nodes, density)
 

@@ -31,8 +31,7 @@ from .documents import (
 )
 from .errors import DimensionMismatch, DocumentError, FisherinfoError, SingularOutcome, _cut
 from .fisher import classical_fisher, sld_solve
-from .optimize import (ASCENT_TOL, DEFAULT_RESTARTS, ContextSpace, circumvention_report,
-                       maximize_fisher)
+from .optimize import ASCENT_TOL, DEFAULT_RESTARTS, circumvention_report, maximize_fisher
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -103,8 +102,7 @@ def cmd_optimize(args):
         label_bits.append("fixed state")
     if fixed_povm is not None:
         label_bits.append("fixed povm")
-    space = ContextSpace(model.dim, state=fixed_state, povm=fixed_povm)
-    result = maximize_fisher(model, space, args.theta,
+    result = maximize_fisher(model, args.theta, state=fixed_state, povm=fixed_povm,
                              restarts=args.restarts, seed=args.seed)
     return {
         "value": result.best_value,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .fisher import outcome_information, outcome_trajectory, sld_solve
 from .models import UnitaryFamily
-from .optimize import ContextSpace, _maximize_fisher_many
+from .optimize import _check_dims, _maximize_fisher_many
 from .quantum import Povm, apply_channel_matrix, apply_dual_matrix
 from .sampling import (
     random_channel,
@@ -164,7 +164,7 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2,
     holds.
     """
     seeds = trial_seeds(seed, trials)
-    space = ContextSpace(dim)
+    _check_dims(dim)
     reports = []
     for first in range(0, trials, SEARCH_TRIALS):
         block = range(first, min(first + SEARCH_TRIALS, trials))
@@ -181,7 +181,7 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2,
         # searched, the restarts of every trial in the block together
         problems = ([(family, theta, opt_seed) for family, _, _, theta, opt_seed in draws]
                     + [(noisy, theta, opt_seed + 1) for _, _, noisy, theta, opt_seed in draws])
-        results = _maximize_fisher_many(space, problems, OPT_RESTARTS)
+        results = _maximize_fisher_many(problems, OPT_RESTARTS)
         for trial, draw, before, after in zip(block, draws, results, results[len(draws):]):
             reports.append(_quantum_report(trial, int(seeds[trial]), draw, before, after))
     return reports

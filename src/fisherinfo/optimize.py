@@ -44,50 +44,34 @@ MAX_STEP = 0.5           # longest step along the sphere
 KINK_OVERLAP = 1e-4      # 1 - |<c, psi>|^2 at which a row is at kink input c
 
 
-class ContextSpace:
-    """The search space of contexts for one optimization.
+def _check_dims(dim: int, povm: Povm | None = None) -> None:
+    """A search's dimension is 2..MAX_OPT_DIM, and a fixed POVM's is the model's."""
+    if dim < 2 or dim > MAX_OPT_DIM:
+        raise DimensionMismatch(
+            f"optimization supports dimensions 2..{MAX_OPT_DIM}, got {_cut(str(dim))}")
+    if povm is not None and povm.dim != dim:
+        raise DimensionMismatch("fixed POVM dimension differs from the space")
 
-    A None state (or POVM) means that side is free: a pure state carries
-    2(dim-1) real parameters (hyperspherical angles and relative phases), a
-    free POVM none, since it is read off the chosen state's SLD.
-    """
 
-    __slots__ = ("dim", "state", "povm", "n_params")
-
-    def __init__(self, dim: int, state: DensityMatrix | None = None,
-                 povm: Povm | None = None):
-        if dim < 2 or dim > MAX_OPT_DIM:
-            raise DimensionMismatch(
-                f"optimization supports dimensions 2..{MAX_OPT_DIM}, got {_cut(str(dim))}")
-        if state is not None and state.dim != dim:
-            raise DimensionMismatch("fixed state dimension differs from the space")
-        if povm is not None and povm.dim != dim:
-            raise DimensionMismatch("fixed POVM dimension differs from the space")
-        self.dim = dim
-        self.state = state
-        self.povm = povm
-        self.n_params = 0 if state is not None else 2 * (dim - 1)
-
-    def decode_amplitudes(self, params: np.ndarray) -> np.ndarray:
-        """Hyperspherical angles and relative phases to unit vectors, for one
-        parameter vector or a stack (..., n_params)."""
-        d = self.dim
-        params = np.asarray(params, dtype=float)
-        amps = np.zeros(params.shape[:-1] + (d,), dtype=complex)
-        if d == 2:
-            amps[..., 0] = np.cos(params[..., 0])
-            amps[..., 1] = np.sin(params[..., 0]) * np.exp(1j * params[..., 1])
-            return amps
-        angles = params[..., :d - 1]
-        phases = params[..., d - 1:2 * (d - 1)]
-        sine_product = 1.0
-        for k in range(d - 1):
-            amps[..., k] = sine_product * np.cos(angles[..., k])
-            sine_product = sine_product * np.sin(angles[..., k])
-        amps[..., d - 1] = sine_product
-        amps[..., 1:] *= np.exp(1j * phases)
-        # one vector takes the whole-vector norm, a stack the norm of each row
-        return amps / np.linalg.norm(amps, axis=None if amps.ndim == 1 else -1, keepdims=True)
+def _decode_amplitudes(params: np.ndarray, d: int) -> np.ndarray:
+    """Unit vectors in C^d from 2(d-1) hyperspherical angles and relative
+    phases, for one parameter vector or a stack (..., 2(d-1))."""
+    params = np.asarray(params, dtype=float)
+    amps = np.zeros(params.shape[:-1] + (d,), dtype=complex)
+    if d == 2:
+        amps[..., 0] = np.cos(params[..., 0])
+        amps[..., 1] = np.sin(params[..., 0]) * np.exp(1j * params[..., 1])
+        return amps
+    angles = params[..., :d - 1]
+    phases = params[..., d - 1:2 * (d - 1)]
+    sine_product = 1.0
+    for k in range(d - 1):
+        amps[..., k] = sine_product * np.cos(angles[..., k])
+        sine_product = sine_product * np.sin(angles[..., k])
+    amps[..., d - 1] = sine_product
+    amps[..., 1:] *= np.exp(1j * phases)
+    # one vector takes the whole-vector norm, a stack the norm of each row
+    return amps / np.linalg.norm(amps, axis=None if amps.ndim == 1 else -1, keepdims=True)
 
 
 @dataclass
@@ -280,11 +264,10 @@ def _ascend(objective, psi, maxiter: int, stop=None):
     return ends, values
 
 
-def _search(objective: ContextObjective, space: ContextSpace, start, restarts: int,
-            seeds) -> np.ndarray:
+def _search(objective: ContextObjective, start, restarts: int, seeds) -> np.ndarray:
     """Each problem's best input, the earliest of equal scores: the ends of
     its ascents (``_ascend``) from ``start[k]``, from ``restarts`` inputs
-    decoded from uniform points in [-pi, pi]^n_params drawn from
+    decoded from uniform points in [-pi, pi]^(2(d-1)) drawn from
     ``default_rng(seeds[k])`` and from its ``objective.extremes``, then its
     kink inputs.  A fixed POVM's information has maxima that few random
     starts reach, where an outcome's probability nears 0; the eigenvectors
@@ -292,10 +275,10 @@ def _search(objective: ContextObjective, space: ContextSpace, start, restarts: i
     kink, which an ascent only creeps towards, so a row that comes within
     KINK_OVERLAP of one that scores as high stops there.
     """
-    count = len(seeds)
-    draws = np.stack([np.random.default_rng(s).uniform(-np.pi, np.pi, (restarts, space.n_params))
+    count, d = len(seeds), objective.dim
+    draws = np.stack([np.random.default_rng(s).uniform(-np.pi, np.pi, (restarts, 2 * (d - 1)))
                       for s in seeds])
-    starts = np.concatenate((start[:, None], space.decode_amplitudes(draws),
+    starts = np.concatenate((start[:, None], _decode_amplitudes(draws, d),
                              objective.extremes), axis=1)
     owner = np.repeat(np.arange(count), starts.shape[1])
     kinks, kink_values = objective.kinks()
@@ -306,46 +289,49 @@ def _search(objective: ContextObjective, space: ContextSpace, start, restarts: i
             overlap = np.abs(np.conj(kinks[k]) @ u[:, :, None])[..., 0] ** 2
             return np.any((1.0 - overlap <= KINK_OVERLAP) & (kink_values[k] >= f[:, None]), axis=1)
     ends, values = _ascend(lambda rows, u: objective(owner[rows], u),
-                           starts.reshape(-1, space.dim), MAX_ITER, stop)
+                           starts.reshape(-1, d), MAX_ITER, stop)
     ends = np.concatenate((ends.reshape(starts.shape), kinks), axis=1)
     values = np.concatenate((values.reshape(count, -1), kink_values), axis=1)
     return ends[np.arange(count), np.argmax(values, axis=1)]
 
 
-def maximize_fisher(family: UnitaryFamily, space: ContextSpace, theta: float, *,
-                    restarts: int = DEFAULT_RESTARTS, seed: int = 0) -> OptimizationResult:
-    """Largest classical Fisher information over the context space.
+def maximize_fisher(family: UnitaryFamily, theta: float, *, state: DensityMatrix | None = None,
+                    povm: Povm | None = None, restarts: int = DEFAULT_RESTARTS,
+                    seed: int = 0) -> OptimizationResult:
+    """Largest classical Fisher information over the contexts of ``family``,
+    in its own dimension, with the state or the POVM fixed where given.
 
     Each candidate state replaces the family's own rho0, if it has one.  A
     free POVM is the SLD eigenbasis of the chosen state, so only the state
     is searched, and only when neither a fixed state nor the channel-free
     closed form settles it, and never with no restarts (the start is kept).
     """
-    return _maximize_fisher_many(space, [(family, theta, seed)], restarts)[0]
+    _check_dims(family.dim, povm)
+    return _maximize_fisher_many([(family, theta, seed)], restarts, state, povm)[0]
 
 
-def _maximize_fisher_many(space: ContextSpace, problems, restarts: int) -> list[OptimizationResult]:
-    """``maximize_fisher`` for each (family, theta, seed) problem; the
-    problems that need a search are searched together."""
-    states = [space.state if space.state is not None
+def _maximize_fisher_many(problems, restarts: int, state: DensityMatrix | None = None,
+                          povm: Povm | None = None) -> list[OptimizationResult]:
+    """``maximize_fisher`` for each (family, theta, seed) problem, all of one
+    dimension; the problems that need a search are searched together."""
+    states = [state if state is not None
               else pure_state(_extreme_superposition(family)) for family, _, _ in problems]
     searched = [k for k, (family, _, _) in enumerate(problems) if restarts > 0
-                and space.state is None and (space.povm is not None or _changes_the_qfi(family))]
+                and state is None and (povm is not None or _changes_the_qfi(family))]
     if searched:
         families, thetas, seeds = zip(*(problems[k] for k in searched))
-        ends = _search(ContextObjective(families, thetas, space.povm), space,
+        ends = _search(ContextObjective(families, thetas, povm),
                        np.stack([states[k].vectors[:, 0] for k in searched]), restarts, seeds)
         for k, psi in zip(searched, ends):
             states[k] = pure_state(psi)
     results = []
-    for (family, theta, _), state in zip(problems, states):
-        chosen = family.with_state(state)
-        povm, sld = space.povm, None
-        if povm is None:
-            sld = sld_solve(chosen, theta)
-            povm = sld_optimal_povm(sld)
+    for (family, theta, _), best in zip(problems, states):
+        chosen = family.with_state(best)
+        sld = sld_solve(chosen, theta) if povm is None else None
+        measured = povm if sld is None else sld_optimal_povm(sld)
         # report the value computed through the public scoring path
-        results.append(OptimizationResult(classical_fisher(chosen, povm, theta), state, povm, sld))
+        results.append(OptimizationResult(classical_fisher(chosen, measured, theta),
+                                          best, measured, sld))
     return results
 
 
@@ -371,13 +357,11 @@ def circumvention_report(theta: float) -> dict:
     rotation = unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0))
 
     base_family = UnitaryFamily(PAULI_Z)
-    free = ContextSpace(2)
-    frozen = ContextSpace(2, state=plus, povm=z_basis)
-
-    base = maximize_fisher(base_family, free, theta)
-    multipass = maximize_fisher(UnitaryFamily(PAULI_Z, passes=2), free, theta)
-    restricted = maximize_fisher(base_family, frozen, theta)
-    rotated = maximize_fisher(base_family.with_channel(rotation, "post"), frozen, theta)
+    base = maximize_fisher(base_family, theta)
+    multipass = maximize_fisher(UnitaryFamily(PAULI_Z, passes=2), theta)
+    restricted = maximize_fisher(base_family, theta, state=plus, povm=z_basis)
+    rotated = maximize_fisher(base_family.with_channel(rotation, "post"), theta,
+                              state=plus, povm=z_basis)
     return {
         "base": base.best_value,
         "multipass": multipass.best_value,

@@ -3,6 +3,7 @@
 That sums Pr(x) Var(theta | x) over the outcomes; this averages the
 posterior mean's squared error over the prior and the likelihood instead.
 The two are the same finite sum reorganized, so they agree to rounding.
+Also the mean and variance of a prior grid, the risk with no data.
 """
 
 import numpy as np
@@ -21,3 +22,11 @@ def estimator_mse(prior, model, povm) -> float:
         estimate = float(np.dot(prior.nodes, joint[:, x] / evidence[x]))
         risk += float(np.dot(joint[:, x], (prior.nodes - estimate) ** 2))
     return risk
+
+
+def grid_mean(prior) -> float:
+    return float(np.dot(prior.nodes, prior.weights))
+
+
+def grid_variance(prior) -> float:
+    return float(np.dot(prior.weights, (prior.nodes - grid_mean(prior)) ** 2))

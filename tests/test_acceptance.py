@@ -44,7 +44,7 @@ from fisherinfo.sampling import (
 
 from finite_difference import KrausFamily, fd_state_derivative
 from mixed_states import random_full_rank_state
-from risk_reference import estimator_mse
+from risk_reference import estimator_mse, grid_mean, grid_variance
 
 THETAS = (0.0, 0.4, 1.2)
 
@@ -184,11 +184,11 @@ def bcrb_configurations(target: int = 500, attempts: int = 5000):
         width = float(rng.uniform(0.8, 1.6))
         prior = uniform_prior(a, a + width, 41)
         model = UnitaryFamily(g, state, passes)
-        quick = classical_fisher(model, povm, prior.mean())
-        if quick * prior.variance() < 2.0:
+        quick = classical_fisher(model, povm, grid_mean(prior))
+        if quick * grid_variance(prior) < 2.0:
             continue
         j = bayesian_information(model, povm, prior)
-        if j * prior.variance() < 5.0:
+        if j * grid_variance(prior) < 5.0:
             continue
         configs.append((model, povm, prior))
     return configs
@@ -197,7 +197,7 @@ def bcrb_configurations(target: int = 500, attempts: int = 5000):
 def test_criterion_08_bayesian_layer(acceptance_log, base_model, z_basis_povm):
     prior01 = uniform_prior(0.0, 1.0, 1001)
     flat_risk = check_bcrb(prior01, base_model, z_basis_povm).risk
-    var_dev = abs(flat_risk - prior01.variance())
+    var_dev = abs(flat_risk - grid_variance(prior01))
     twelfth_dev = abs(flat_risk - 1.0 / 12.0)
 
     configs = bcrb_configurations()

@@ -15,7 +15,7 @@ from fisherinfo.models import UnitaryFamily
 from fisherinfo.sampling import random_hermitian, random_projective_povm
 
 from mixed_states import random_full_rank_state
-from risk_reference import estimator_mse
+from risk_reference import estimator_mse, grid_mean, grid_variance
 
 
 def risk(prior, model, povm) -> float:
@@ -42,19 +42,19 @@ def test_uniform_grid_moments_follow_the_quadrature_law():
         prior = uniform_prior(a, b, n)
         w = b - a
         h = w / (n - 1)
-        assert prior.mean() == pytest.approx((a + b) / 2, abs=1e-12)
-        assert prior.variance() == pytest.approx(w * w / 12 + h * h / 6, abs=1e-12)
+        assert grid_mean(prior) == pytest.approx((a + b) / 2, abs=1e-12)
+        assert grid_variance(prior) == pytest.approx(w * w / 12 + h * h / 6, abs=1e-12)
 
 
 def test_fine_uniform_grid_variance_approaches_the_continuum():
-    assert abs(uniform_prior(0.0, 1.0, 1001).variance() - 1.0 / 12.0) < 1e-6
+    assert abs(grid_variance(uniform_prior(0.0, 1.0, 1001)) - 1.0 / 12.0) < 1e-6
 
 
 def test_gaussian_prior_is_symmetric_and_tightens_with_sigma():
     prior = gaussian_prior(0.5, 0.2, 0.0, 1.0, 201)
-    assert prior.mean() == pytest.approx(0.5, abs=1e-12)
+    assert grid_mean(prior) == pytest.approx(0.5, abs=1e-12)
     tighter = gaussian_prior(0.5, 0.05, 0.0, 1.0, 201)
-    assert tighter.variance() < prior.variance()
+    assert grid_variance(tighter) < grid_variance(prior)
     with pytest.raises(ValueError):
         gaussian_prior(0.5, 0.0, 0.0, 1.0)
     with pytest.raises(ValueError):
@@ -72,7 +72,7 @@ def test_parse_prior_spec_round_trips():
     assert np.array_equal(parsed.nodes, direct.nodes)
     assert np.array_equal(parsed.weights, direct.weights)
     gauss = parse_prior_spec("gauss:0.5,0.2,0,1", n=101)
-    assert gauss.mean() == pytest.approx(0.5, abs=1e-12)
+    assert grid_mean(gauss) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("spec", ["uniform:0", "uniform:zero,one", "tri:0,1", "gauss:1,2", "",
@@ -105,23 +105,23 @@ def test_risk_routes_agree_and_never_beat_the_prior():
         pv = risk(prior, model, povm)
         mse = estimator_mse(prior, model, povm)
         assert abs(pv - mse) < 1e-10
-        assert pv <= prior.variance() + 1e-10
+        assert pv <= grid_variance(prior) + 1e-10
 
 
 def test_uninformative_measurement_risk_is_the_prior_variance(base_model, z_basis_povm):
     prior = uniform_prior(0.1, 1.4, 87)
-    assert risk(prior, base_model, z_basis_povm) == pytest.approx(prior.variance(), abs=1e-12)
+    assert risk(prior, base_model, z_basis_povm) == pytest.approx(grid_variance(prior), abs=1e-12)
 
 
 def test_symmetric_interval_risk_saturates_the_prior_variance(base_model, x_basis_povm):
     # both posterior means sit at pi/2, so conditioning removes no variance
     prior = uniform_prior(0.0, np.pi, 201)
-    assert risk(prior, base_model, x_basis_povm) == pytest.approx(prior.variance(), abs=1e-12)
+    assert risk(prior, base_model, x_basis_povm) == pytest.approx(grid_variance(prior), abs=1e-12)
 
 
 def test_half_interval_risk_is_strictly_below_the_prior_variance(base_model, x_basis_povm):
     prior = uniform_prior(0.0, np.pi / 2, 201)
-    assert risk(prior, base_model, x_basis_povm) < prior.variance() - 0.09
+    assert risk(prior, base_model, x_basis_povm) < grid_variance(prior) - 0.09
 
 
 def test_risk_matches_monte_carlo_simulation(base_model, x_basis_povm):
@@ -186,4 +186,4 @@ def test_bcrb_reports_vacuous_when_information_vanishes(base_model, z_basis_povm
     assert report.vacuous
     assert report.satisfied
     assert report.j <= 1e-12
-    assert report.risk == pytest.approx(uniform_prior(0.2, 1.2, 51).variance(), abs=1e-12)
+    assert report.risk == pytest.approx(grid_variance(uniform_prior(0.2, 1.2, 51)), abs=1e-12)

@@ -341,6 +341,17 @@ def test_bad_prior_spec_exits_2(capsys, model_file, x_povm_file):
         assert err.count("\n") == 1 and len(err.encode()) <= 200
 
 
+@pytest.mark.parametrize("spec", ["uniform:-1e308,1e308", "gauss:0,1e308,-1e308,1e308"])
+def test_a_prior_window_wider_than_a_float_exits_2(capsys, model_file, x_povm_file, spec):
+    # b - a overflows, so the grid's nodes could not be spaced; the error
+    # names the width rather than the non-finite nodes it would give
+    code, out, err = run_cli(capsys, [
+        "bayes", "--model", model_file, "--povm", x_povm_file, "--prior", spec,
+    ])
+    assert (code, out) == (2, "")
+    assert err == f"error:2:bad prior spec '{spec}': the width of [-1e+308, 1e+308] overflows a float\n"
+
+
 @pytest.mark.parametrize("command", ["fisher", "qfi"])
 @pytest.mark.parametrize("excess, code", [(0.9e-10, 2), (0.4e-10, 2), (0.2e-10, 0)],
                          ids=["trace-off-by-1.8e-10", "trace-off-by-0.8e-10",

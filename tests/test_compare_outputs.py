@@ -32,3 +32,14 @@ def test_a_relative_move_reads_as_its_size(compare):
     assert compare.relative_gap('"value": -250.0', '"value": -250.00025') == pytest.approx(
         1e-6, rel=1e-5)
     assert compare.relative_gap("1 2", "1") is None
+
+
+def test_a_directory_is_the_parent_as_given(compare, tmp_path):
+    assert compare.parent_source(str(tmp_path), tmp_path / "unused") == tmp_path.resolve()
+
+
+@pytest.mark.skipif(not (TOOL.parent.parent / ".git").exists(), reason="needs a git checkout")
+def test_a_revision_is_extracted_from_git(compare, tmp_path):
+    src = compare.parent_source("HEAD", tmp_path)
+    assert src == tmp_path / "revision" / "src"
+    assert (src / "fisherinfo" / "cli.py").is_file()

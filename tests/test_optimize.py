@@ -6,8 +6,8 @@ from fisherinfo.fisher import classical_fisher, sld_solve
 from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import (
-    ContextSpace,
     OptimizationResult,
+    _decode_amplitudes,
     circumvention_report,
     maximize_fisher,
 )
@@ -20,39 +20,31 @@ from fisherinfo.sampling import (
 )
 
 
-def test_context_space_parameter_counts(plus_state, z_basis_povm):
-    # a free POVM is read off the state's SLD, so it carries no parameters
-    assert ContextSpace(2).n_params == 2
-    assert ContextSpace(3).n_params == 4
-    assert ContextSpace(2, state=plus_state).n_params == 0
-    assert ContextSpace(2, povm=z_basis_povm).n_params == 2
-    frozen = ContextSpace(2, state=plus_state, povm=z_basis_povm)
-    assert frozen.n_params == 0
-
-
-def test_context_space_rejects_bad_dimensions(plus_state, z_basis_povm):
+def test_the_search_rejects_dimensions_it_cannot_take(plus_state, z_basis_povm):
+    # the search reads its dimension from the model, which must be 2..MAX_OPT_DIM
+    # and agree with a fixed side
+    rng = np.random.default_rng(59)
+    for dim in (1, 9):
+        with pytest.raises(DimensionMismatch, match="dimensions 2..8"):
+            maximize_fisher(UnitaryFamily(random_hermitian(rng, dim)), 0.3, restarts=1)
+    qutrit = UnitaryFamily(random_hermitian(rng, 3)).with_channel(random_channel(rng, 3, 2))
+    with pytest.raises(DimensionMismatch, match="fixed POVM"):
+        maximize_fisher(qutrit, 0.3, povm=z_basis_povm, restarts=1)
     with pytest.raises(DimensionMismatch):
-        ContextSpace(1)
-    with pytest.raises(DimensionMismatch):
-        ContextSpace(9)
-    with pytest.raises(DimensionMismatch):
-        ContextSpace(3, state=plus_state)
-    with pytest.raises(DimensionMismatch):
-        ContextSpace(3, povm=z_basis_povm)
+        maximize_fisher(qutrit, 0.3, state=plus_state, restarts=1)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_decoded_contexts_are_always_valid(dim):
     rng = np.random.default_rng(61)
-    space = ContextSpace(dim)
     for _ in range(50):
-        params = rng.uniform(-4.0, 4.0, size=space.n_params)
-        amps = space.decode_amplitudes(params)
+        params = rng.uniform(-4.0, 4.0, size=2 * (dim - 1))
+        amps = _decode_amplitudes(params, dim)
         assert np.linalg.norm(amps) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_unrestricted_maximum_for_one_pass():
-    result = maximize_fisher(UnitaryFamily(PAULI_Z), ContextSpace(2), 0.3, restarts=4)
+    result = maximize_fisher(UnitaryFamily(PAULI_Z), 0.3, restarts=4)
     assert result.best_value == pytest.approx(4.0, abs=1e-8)
     assert isinstance(result, OptimizationResult)
 
@@ -66,7 +58,7 @@ def test_amplitude_damping_caps_the_maximum_at_the_damped_bloch_speed():
         np.array([[0.0, np.sqrt(gamma)], [0.0, 0.0]]),
     ])
     family = UnitaryFamily(PAULI_Z).with_channel(damping, "post")
-    result = maximize_fisher(family, ContextSpace(2), 0.3, restarts=4, seed=5)
+    result = maximize_fisher(family, 0.3, restarts=4, seed=5)
     assert result.best_value == pytest.approx(4.0 * (1.0 - gamma), abs=1e-8)
     replay = classical_fisher(family.with_state(result.best_state), result.best_povm, 0.3)
     assert replay == pytest.approx(result.best_value, abs=1e-12)
@@ -75,10 +67,9 @@ def test_amplitude_damping_caps_the_maximum_at_the_damped_bloch_speed():
 def test_a_free_measurement_keeps_the_sld_solve_of_the_chosen_state(z_basis_povm):
     rng = np.random.default_rng(7)
     family = UnitaryFamily(PAULI_Z).with_channel(random_channel(rng, 2, 2), "post")
-    result = maximize_fisher(family, ContextSpace(2), 0.3, restarts=2)
+    result = maximize_fisher(family, 0.3, restarts=2)
     assert result.sld.qfi == sld_solve(family.with_state(result.best_state), 0.3).qfi
-    assert maximize_fisher(family, ContextSpace(2, povm=z_basis_povm), 0.3,
-                           restarts=2).sld is None
+    assert maximize_fisher(family, 0.3, povm=z_basis_povm, restarts=2).sld is None
 
 
 def test_channel_free_maximum_is_the_closed_form_without_a_search(monkeypatch):
@@ -92,7 +83,7 @@ def test_channel_free_maximum_is_the_closed_form_without_a_search(monkeypatch):
     for dim, passes in [(2, 1), (3, 2), (4, 3)]:
         generator = random_hermitian(rng, dim)
         w = np.linalg.eigvalsh(generator)
-        result = maximize_fisher(UnitaryFamily(generator, passes=passes), ContextSpace(dim),
+        result = maximize_fisher(UnitaryFamily(generator, passes=passes),
                                  float(rng.uniform(-1, 1)), restarts=4)
         assert result.best_value == pytest.approx((passes * (w[-1] - w[0])) ** 2, abs=1e-12)
 
@@ -111,19 +102,19 @@ def test_unitary_post_channels_keep_the_closed_form_without_a_search(monkeypatch
         family = UnitaryFamily(generator, passes=passes)
         for _ in range(count):
             family = family.with_channel(random_channel(rng, dim, 1), "post")
-        result = maximize_fisher(family, ContextSpace(dim), float(rng.uniform(-1, 1)), restarts=4)
+        result = maximize_fisher(family, float(rng.uniform(-1, 1)), restarts=4)
         assert result.best_value == pytest.approx((passes * (w[-1] - w[0])) ** 2, rel=1e-12)
     # a unitary before the dynamics moves the best state, so it is searched
     family = UnitaryFamily(PAULI_Z).with_channel(random_channel(rng, 2, 1), "pre")
     with pytest.raises(AssertionError, match="no search"):
-        maximize_fisher(family, ContextSpace(2), 0.3, restarts=1)
+        maximize_fisher(family, 0.3, restarts=1)
 
 
 @pytest.mark.parametrize("fixed_povm", [False, True])
 def test_state_search_builds_no_model_per_candidate(monkeypatch, fixed_povm):
     rng = np.random.default_rng(101)
     family = UnitaryFamily(random_hermitian(rng, 2)).with_channel(random_channel(rng, 2, 2))
-    space = ContextSpace(2, povm=random_projective_povm(rng, 2) if fixed_povm else None)
+    povm = random_projective_povm(rng, 2) if fixed_povm else None
     built = []
     init = UnitaryFamily.__init__
 
@@ -135,7 +126,7 @@ def test_state_search_builds_no_model_per_candidate(monkeypatch, fixed_povm):
     counts = []
     for restarts in (1, 8):
         built.clear()
-        maximize_fisher(family, space, 0.4, restarts=restarts, seed=3)
+        maximize_fisher(family, 0.4, povm=povm, restarts=restarts, seed=3)
         counts.append(len(built))
     assert counts[0] == counts[1] <= 3
 
@@ -144,20 +135,20 @@ def test_fixed_state_with_a_free_measurement_attains_the_qfi():
     rng = np.random.default_rng(97)
     family = UnitaryFamily(random_hermitian(rng, 3)).with_channel(random_channel(rng, 3, 2))
     state = random_pure_state(rng, 3)
-    result = maximize_fisher(family, ContextSpace(3, state=state), 0.5, restarts=4)
+    result = maximize_fisher(family, 0.5, state=state, restarts=4)
     assert result.best_state is state
     qfi = sld_solve(family.with_state(state), 0.5).qfi
     assert result.best_value == pytest.approx(qfi, abs=1e-7)
 
 
 def test_unrestricted_maximum_scales_with_passes_squared():
-    result = maximize_fisher(UnitaryFamily(PAULI_Z, passes=2), ContextSpace(2), 0.3, restarts=4)
+    result = maximize_fisher(UnitaryFamily(PAULI_Z, passes=2), 0.3, restarts=4)
     assert result.best_value == pytest.approx(16.0, abs=1e-8)
 
 
 def test_frozen_context_is_scored_not_searched(plus_state, z_basis_povm):
-    frozen = ContextSpace(2, state=plus_state, povm=z_basis_povm)
-    result = maximize_fisher(UnitaryFamily(PAULI_Z), frozen, 0.3, restarts=4)
+    result = maximize_fisher(UnitaryFamily(PAULI_Z), 0.3, state=plus_state, povm=z_basis_povm,
+                             restarts=4)
     assert result.best_value == pytest.approx(0.0, abs=1e-12)
     assert result.best_state is plus_state
     assert result.best_povm is z_basis_povm
@@ -169,21 +160,20 @@ def test_fixed_rotation_revives_a_frozen_context(plus_state, z_basis_povm):
     family = UnitaryFamily(PAULI_Z).with_channel(
         unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post"
     )
-    frozen = ContextSpace(2, state=plus_state, povm=z_basis_povm)
-    result = maximize_fisher(family, frozen, 0.3, restarts=4)
+    result = maximize_fisher(family, 0.3, state=plus_state, povm=z_basis_povm, restarts=4)
     assert result.best_value == pytest.approx(4.0, abs=1e-8)
 
 
 def test_reported_value_reproduces_through_the_public_path():
     family = UnitaryFamily(PAULI_Z, passes=2)
-    result = maximize_fisher(family, ContextSpace(2), 0.7, restarts=4)
+    result = maximize_fisher(family, 0.7, restarts=4)
     replay = classical_fisher(family.with_state(result.best_state), result.best_povm, 0.7)
     assert replay == pytest.approx(result.best_value, abs=1e-12)
 
 
 def test_optimization_is_deterministic_for_a_fixed_seed():
     family = UnitaryFamily(random_hermitian(np.random.default_rng(3), 2))
-    runs = [maximize_fisher(family, ContextSpace(2), 0.5, restarts=6, seed=42) for _ in range(2)]
+    runs = [maximize_fisher(family, 0.5, restarts=6, seed=42) for _ in range(2)]
     assert runs[0].best_value == runs[1].best_value
     assert np.array_equal(runs[0].best_state.mat, runs[1].best_state.mat)
     assert all(
@@ -195,7 +185,7 @@ def test_optimization_is_deterministic_for_a_fixed_seed():
 def test_no_hand_built_context_beats_the_optimizer():
     rng = np.random.default_rng(71)
     family = UnitaryFamily(random_hermitian(rng, 2), passes=1)
-    result = maximize_fisher(family, ContextSpace(2), 0.4, restarts=8, seed=1)
+    result = maximize_fisher(family, 0.4, restarts=8, seed=1)
     for _ in range(100):
         state = random_pure_state(rng, 2)
         povm = random_projective_povm(rng, 2)
@@ -238,8 +228,7 @@ def test_optimizer_matches_the_bloch_sphere_oracle():
         generator = random_hermitian(rng, 2)
         passes = int(rng.integers(1, 3))
         family = UnitaryFamily(generator, passes=passes)
-        result = maximize_fisher(family, ContextSpace(2), float(rng.uniform(-1, 1)),
-                                 restarts=4, seed=2)
+        result = maximize_fisher(family, float(rng.uniform(-1, 1)), restarts=4, seed=2)
         oracle = bloch_state_grid_oracle(generator, passes)
         assert result.best_value >= oracle - 1e-3
 
@@ -254,7 +243,7 @@ def test_unrestricted_maximum_equals_the_best_quantum_value():
     generator = random_hermitian(rng, 2)
     family = UnitaryFamily(generator, passes=1)
     theta = 0.6
-    result = maximize_fisher(family, ContextSpace(2), theta, restarts=8, seed=3)
+    result = maximize_fisher(family, theta, restarts=8, seed=3)
     qfi = sld_solve(family.with_state(result.best_state), theta).qfi
     assert result.best_value <= qfi + 1e-9
     assert abs(result.best_value - qfi) < 1e-3
@@ -264,10 +253,10 @@ def test_fixing_a_side_never_helps():
     rng = np.random.default_rng(83)
     family = UnitaryFamily(random_hermitian(rng, 2))
     theta = 0.4
-    free_value = maximize_fisher(family, ContextSpace(2), theta, restarts=8, seed=4).best_value
+    free_value = maximize_fisher(family, theta, restarts=8, seed=4).best_value
     for _ in range(5):
-        pinned = ContextSpace(2, state=random_pure_state(rng, 2))
-        value = maximize_fisher(family, pinned, theta, restarts=4, seed=4).best_value
+        pinned = random_pure_state(rng, 2)
+        value = maximize_fisher(family, theta, state=pinned, restarts=4, seed=4).best_value
         assert value <= free_value + 1e-9
 
 

@@ -16,7 +16,7 @@ from fisherinfo.errors import (
 from fisherinfo.fisher import bayesian_information, classical_fisher
 from fisherinfo.linalg import MAX_DIM, PAULI_Z, adjoint
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.optimize import ContextSpace, maximize_fisher
+from fisherinfo.optimize import maximize_fisher
 from fisherinfo.quantum import (
     BORN_CLAMP,
     BORN_SUM_ATOL,
@@ -378,4 +378,4 @@ def test_inputs_within_the_load_bounds_pass_every_later_check(seed, dim, signs, 
     theta = float(rng.uniform(-1.0, 1.0))
     classical_fisher(family, povm, theta)
     bayesian_information(family, povm, uniform_prior(-0.5, 0.5, 21))
-    maximize_fisher(family, ContextSpace(dim, povm=povm), theta, restarts=2)
+    maximize_fisher(family, theta, povm=povm, restarts=2)

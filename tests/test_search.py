@@ -14,8 +14,8 @@ from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import (
     SCORE_BYTES,
     ContextObjective,
-    ContextSpace,
     _ascend,
+    _decode_amplitudes,
     _extreme_superposition,
     _maximize_fisher_many,
     _search,
@@ -93,14 +93,14 @@ def test_the_ascent_climbs_to_a_maximum_and_stops_at_the_cap():
 def test_a_lockstep_batch_of_problems_solves_each_as_alone(seed, dim, n_problems, fixed_povm,
                                                           placements):
     rng = np.random.default_rng(seed)
-    space = ContextSpace(dim, povm=random_projective_povm(rng, dim) if fixed_povm else None)
+    povm = random_projective_povm(rng, dim) if fixed_povm else None
     # one Kraus count, so that every problem's map has one shape, as in a suite
     kraus = int(rng.integers(1, 3))
     problems = [(random_problem(rng, dim, placements, kraus), float(rng.uniform(-1.0, 1.0)),
                  int(rng.integers(1000))) for _ in range(n_problems)]
-    together = _maximize_fisher_many(space, problems, 2)
+    together = _maximize_fisher_many(problems, 2, povm=povm)
     for (family, theta, opt_seed), result in zip(problems, together):
-        alone = maximize_fisher(family, space, theta, restarts=2, seed=opt_seed)
+        alone = maximize_fisher(family, theta, povm=povm, restarts=2, seed=opt_seed)
         assert result.best_value == alone.best_value
         assert result.best_state.mat.tobytes() == alone.best_state.mat.tobytes()
 
@@ -114,9 +114,8 @@ def test_each_row_of_a_stacked_score_matches_its_score_alone(seed, dim, measurem
     families = [random_problem(rng, dim, placements) for _ in range(3)]
     povm = random_projective_povm(rng, dim) if measurement == "fixed" else None
     score = ContextObjective(families, rng.uniform(-1.0, 1.0, size=len(families)), povm)
-    space = ContextSpace(dim)
-    params = rng.uniform(-np.pi, np.pi, size=(12, space.n_params))
-    states = space.decode_amplitudes(params)
+    params = rng.uniform(-np.pi, np.pi, size=(12, 2 * (dim - 1)))
+    states = _decode_amplitudes(params, dim)
     problems = rng.integers(len(families), size=12)
     values, grads = score(problems, states)
     for i in range(12):
@@ -225,7 +224,7 @@ def bloch_grid(n):
 @pytest.mark.parametrize("kraus", [2, 3])
 def test_the_qubit_search_reaches_the_grid_maximum(kraus):
     problems = suite_problems(2, kraus, 6)
-    results = _maximize_fisher_many(ContextSpace(2), problems, dpi.OPT_RESTARTS)
+    results = _maximize_fisher_many(problems, dpi.OPT_RESTARTS)
     grid = bloch_grid(181)
     for (family, theta, _), result in zip(problems, results):
         score = ContextObjective([family], [theta])
@@ -253,7 +252,7 @@ DEEP_REFERENCE = {
 @pytest.mark.parametrize("dim,kraus", sorted(DEEP_REFERENCE))
 def test_the_search_reaches_a_deep_search_above_the_qubit(dim, kraus):
     problems = suite_problems(dim, kraus, len(DEEP_REFERENCE[dim, kraus]))
-    results = _maximize_fisher_many(ContextSpace(dim), problems, dpi.OPT_RESTARTS)
+    results = _maximize_fisher_many(problems, dpi.OPT_RESTARTS)
     for (family, theta, _), result, reference in zip(problems, results,
                                                     DEEP_REFERENCE[dim, kraus]):
         found = sld_solve(family.with_state(result.best_state), theta).qfi
@@ -270,7 +269,7 @@ def test_a_fixed_povm_search_reaches_the_maximum_that_nelder_mead_found():
         family = family.with_channel(random_channel(rng, 4, int(rng.integers(1, 4))), placement)
     povm = random_projective_povm(rng, 4)
     theta = float(rng.uniform(-1.0, 1.0))
-    result = maximize_fisher(family, ContextSpace(4, povm=povm), theta, restarts=8, seed=32)
+    result = maximize_fisher(family, theta, povm=povm, restarts=8, seed=32)
     assert result.best_value >= 3.8541611232756883 * (1.0 - 1e-12)
 
 
@@ -279,10 +278,10 @@ def test_no_restarts_keeps_the_structured_start(measurement):
     rng = np.random.default_rng(5)
     family = random_problem(rng, 3, ["pre"])
     povm = random_projective_povm(rng, 3) if measurement == "fixed" else None
-    result = maximize_fisher(family, ContextSpace(3, povm=povm), 0.3, restarts=0)
+    result = maximize_fisher(family, 0.3, povm=povm, restarts=0)
     start = pure_state(_extreme_superposition(family))
     assert result.best_state.mat.tobytes() == start.mat.tobytes()
-    assert maximize_fisher(family, ContextSpace(3, povm=povm), 0.3, restarts=1).best_value \
+    assert maximize_fisher(family, 0.3, povm=povm, restarts=1).best_value \
         > result.best_value
 
 
@@ -290,6 +289,7 @@ class Synthetic:
     """An objective of one qubit problem with no kink inputs, from a function
     ``score(u) -> (F, G)`` of the unit rows u."""
 
+    dim = 2
     extremes = np.zeros((1, 0, 2), dtype=complex)
 
     def __init__(self, score):
@@ -304,7 +304,7 @@ class Synthetic:
 
 def search_one(score, start):
     """``_search`` of one qubit problem from ``start``."""
-    return _search(Synthetic(score), ContextSpace(2), start[None], 3, [7])[0]
+    return _search(Synthetic(score), start[None], 3, [7])[0]
 
 
 def test_a_search_scores_floats_and_keeps_the_earliest_best():
@@ -339,5 +339,5 @@ def test_a_channel_that_fixes_the_output_purity_is_searched_without_error():
     # pair of Kraus operators is singular, and its kink inputs stay finite
     damping = [np.array([[1.0, 0.0], [0.0, 0.0]]), np.array([[0.0, 1.0], [0.0, 0.0]])]
     family = UnitaryFamily(PAULI_Z).with_channel(KrausChannel(damping), "pre")
-    result = maximize_fisher(family, ContextSpace(2), 0.3, restarts=2)
+    result = maximize_fisher(family, 0.3, restarts=2)
     assert np.isfinite(result.best_value)

@@ -1,10 +1,14 @@
 """Compare the CLI outputs of two source trees on a fixed command set.
 
     python tools/compare_outputs.py PARENT_SRC
+    python tools/compare_outputs.py REVISION
 
 PARENT_SRC is a directory holding the ``fisherinfo`` package; it is
 compared with the ``src`` of the tree this script lives in (to compare two
-other trees, run the script from one of them).  The documents are written
+other trees, run the script from one of them).  An argument that is not a
+directory is read as a git revision of this repository, such as ``HEAD~1``
+or ``origin/main``: its ``src/`` is extracted with ``git archive`` into the
+temporary directory and compared.  The documents are written
 once to a temporary directory; then each tree runs every command in one
 fresh interpreter (``PYTHONPATH=<tree>``, ``PYTHONDONTWRITEBYTECODE=1``) through
 ``fisherinfo.cli.main``.  Exit codes, stderr and stdout with the
@@ -255,6 +259,20 @@ def command_set(directory: Path) -> list:
     return commands + _optimize_commands(directory) + _corrupted_commands(directory)
 
 
+def parent_source(parent: str, directory: Path) -> Path:
+    """The parent's package directory: ``parent`` itself if it is a
+    directory, else the ``src/`` of the git revision ``parent``, extracted
+    under ``directory``."""
+    if Path(parent).is_dir():
+        return Path(parent).resolve()
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", parent, "src"],
+                             capture_output=True, check=True).stdout
+    tree = directory / "revision"
+    tree.mkdir()
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, capture_output=True, check=True)
+    return tree / "src"
+
+
 def run_tree(src: Path, commands_file: Path, out: Path) -> list:
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
     subprocess.run([sys.executable, "-c", RUNNER, str(commands_file), str(out)],
@@ -326,14 +344,19 @@ def kind_summary(commands: list, differing: list) -> list:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("parent", metavar="PARENT_SRC|REVISION")
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        try:
+            parent_src = parent_source(args.parent, tmp)
+        except subprocess.CalledProcessError as exc:
+            parser.error(f"{args.parent} is neither a directory nor a git revision: "
+                         f"{exc.stderr.decode(errors='replace').strip()}")
         commands = command_set(tmp)
         commands_file = tmp / "commands.json"
         commands_file.write_text(json.dumps(commands), encoding="utf-8")
-        parent = run_tree(args.parent_src.resolve(), commands_file, tmp / "parent.json")
+        parent = run_tree(parent_src, commands_file, tmp / "parent.json")
         change = run_tree(ROOT / "src", commands_file, tmp / "change.json")
     fields = ("exit code", "stdout", "stderr")
     differing = []
