@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -277,7 +278,13 @@ def main(argv=None) -> int:
             report = {"command": args.command, "inputs": inputs, **fields,
                       "runtime_ms": (time.perf_counter() - started) * 1000.0}
             print(_dumps(report, indent=2))
+            sys.stdout.flush()
             return code
+    except BrokenPipeError:
+        # the reader closed stdout: the rest of the report, and the
+        # interpreter's flush at exit, go to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except DimensionMismatch as exc:
         print(f"error:{EXIT_DIMENSION}:{exc}", file=sys.stderr)
         return EXIT_DIMENSION

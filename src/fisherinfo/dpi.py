@@ -18,7 +18,7 @@ import numpy as np
 from .fisher import outcome_information, outcome_trajectory, sld_solve
 from .models import UnitaryFamily
 from .optimize import _check_dims, _maximize_fisher_many
-from .quantum import Povm, apply_channel_matrix, apply_dual_matrix
+from .quantum import apply_channel_matrix, apply_dual_matrix
 from .sampling import (
     random_channel,
     random_hermitian,
@@ -67,8 +67,12 @@ class StochasticMap:
         return self.matrix.shape[0]
 
     def push(self, p: np.ndarray) -> np.ndarray:
-        """Push distributions whose outcome index is the last axis."""
-        return np.asarray(p, dtype=float) @ self.matrix.T
+        """Push distributions whose outcome index is the last axis; T is
+        linear, so it carries a derivative as it carries the probabilities."""
+        p = np.asarray(p, dtype=float)
+        if p.shape[-1] != self.in_count:
+            raise ValueError(f"map expects {self.in_count} outcomes, got {p.shape[-1]}")
+        return p @ self.matrix.T
 
 
 @dataclass
@@ -89,22 +93,12 @@ class DpiTrialReport:
         return out
 
 
-def _push(tmap: StochasticMap, povm: Povm, blocks) -> tuple:
-    """Push each outcome block (p, dp) through the map; T is linear, so it
-    carries the derivative as it carries the probabilities."""
-    if tmap.in_count != len(povm):
-        raise ValueError(
-            f"map expects {tmap.in_count} outcomes, POVM has {len(povm)}"
-        )
-    return tuple(tmap.push(block) for block in blocks)
-
-
 def _bayesian_pair(model, povm, tmap, nodes, weights):
     """Prior-averaged information before and after post-processing; one node
     of weight 1 gives the pointwise pair.  Pushed outcome y has the effect
     sum_x T_yx E_x, whose factor rows are the sqrt(T_yx) F_x."""
     before = outcome_trajectory(model, povm, nodes)
-    after = _push(tmap, povm, before)
+    after = tuple(map(tmap.push, before))
 
     def pushed_factors():
         f = povm.factors

@@ -143,27 +143,46 @@ def sld_solve(model: UnitaryFamily, theta: float) -> SldResult:
     the support and misses the term, so ``basis`` is then the eigenbasis of
     the SLD's block on the support and a basis of the null space."""
     a, da = model.kraus_vectors([theta])
-    blocks = _singular_blocks(a, da)
-    sld, rank = _singular_sld(*blocks)[0], int(np.count_nonzero(blocks[1][0]))
-    result = SldResult(sld, float(_singular_qfi(*blocks[1:])[0]), rank)
-    if rank < blocks[1].shape[-1]:
+    qfi, sld, s = _singular_form(a, da)
+    sld, rank = sld[0], int(np.count_nonzero(s[0]))
+    result = SldResult(sld, float(qfi[0]), rank)
+    if rank < s.shape[-1]:
         result.basis = u = np.linalg.svd(a[0])[0]
         u[:, :rank] = u[:, :rank] @ np.linalg.eigh(adjoint(u[:, :rank]) @ sld @ u[:, :rank])[1]
     return result
 
 
-def _singular_sld(v, sigma, b, n) -> np.ndarray:
-    """The SLD of each stacked row from its singular-value blocks: with
-    A = V S W^dag, B = V^dag dA W and N = dA W - V B, the part of dA W off
-    the span of V, L = V L_B V^dag + X + X^dag, where (L_B)_ij =
-    2 (B_ij s_j + s_i B*_ji) / (s_i^2 + s_j^2), 0 where both singular values
-    are 0, and X = N diag(2 / s) V^dag over the nonzero s."""
-    pair_sums, r = _pairs(sigma, b)
-    inner = np.where(pair_sums > 0.0, 2.0 * r / np.where(pair_sums > 0.0, pair_sums, 1.0), 0.0)
-    x = (n * np.where(sigma > 0.0, 2.0 / np.where(sigma > 0.0, sigma, 1.0), 0.0)[..., None, :]
-         ) @ adjoint(v)
-    sld = v @ inner @ adjoint(v) + x + adjoint(x)
-    return (sld + adjoint(sld)) / 2.0
+def _singular_form(a, da):
+    """(values, SLDs, s) of Kraus vectors (m, d, r) from the thin SVD
+    A = V S W^dag, its singular values s with those that are 0 (ROUNDED_ZERO)
+    set to 0, B = V^dag dA W, N = dA W - V B, the part of dA W off the span
+    of V, and R_ij = B_ij s_j + s_i B*_ji.
+
+    The value is sum_ij 2 |R_ij|^2 / (s_i^2 + s_j^2) over the pairs with a
+    nonzero singular value, each term at most 2 (|B_ij|^2 + |B_ji|^2), plus
+    4 |N|^2, the pairs of a nonzero singular value with the null space of
+    rho.  A singular value s_z that is 0 adds the limit 4 sum_t |B_tz|^2 over
+    the s_t that are 0 and 4 |N_z|^2: A w_z vanishes, and the rate at which
+    it leaves 0 is the part of dA w_z off the support of rho.  The SLD is
+    (L + L^dag) / 2, exactly Hermitian, with L = V L_B V^dag + X + X^dag,
+    (L_B)_ij = 2 R_ij / (s_i^2 + s_j^2), 0 where both singular values are 0,
+    and X = N diag(2 / s) V^dag over the nonzero s."""
+    v, s, wh = np.linalg.svd(a, full_matrices=False)
+    y = da @ adjoint(wh)
+    b = adjoint(v) @ y
+    n = y - v @ b
+    s = np.where(s * s > ROUNDED_ZERO, s, 0.0)
+    s2 = s * s
+    pair_sums = s2[..., :, None] + s2[..., None, :]
+    r = b * s[..., None, :] + s[..., :, None] * np.conj(np.swapaxes(b, -1, -2))
+    paired = pair_sums > 0.0
+    pair_sums = np.where(paired, pair_sums, 1.0)
+    terms = np.where(paired, 2.0 * (r.real * r.real + r.imag * r.imag) / pair_sums,
+                     4.0 * (b.real * b.real + b.imag * b.imag))
+    x = (n * np.where(s > 0.0, 2.0 / np.where(s > 0.0, s, 1.0), 0.0)[..., None, :]) @ adjoint(v)
+    sld = v @ np.where(paired, 2.0 * r / pair_sums, 0.0) @ adjoint(v) + x + adjoint(x)
+    rows = _real_rows(n)
+    return np.sum(terms, axis=(-2, -1)) + 4.0 * _dots(rows, rows), (sld + adjoint(sld)) / 2.0, s
 
 
 def qfi_from_vectors(a, da):
@@ -180,8 +199,7 @@ def qfi_from_vectors(a, da):
     """
     if a.shape[-2] == 2:
         return _qubit_qfi(a, da)
-    blocks = _singular_blocks(a, da)
-    return _singular_qfi(*blocks[1:]), _singular_sld(*blocks)
+    return _singular_form(a, da)[:2]
 
 
 def _qubit_qfi(a, da):
@@ -204,38 +222,6 @@ def _qubit_qfi(a, da):
     return qfi, 2.0 * drho + ratio * (np.eye(2) - a @ adjoint(a))
 
 
-def _singular_blocks(a, da):
-    """(V, s, B, N) of Kraus vectors (m, d, r): the thin SVD A = V S W^dag,
-    its singular values s with those that are 0 (ROUNDED_ZERO) set to 0,
-    B = V^dag dA W and N = dA W - V B."""
-    v, s, wh = np.linalg.svd(a, full_matrices=False)
-    y = da @ adjoint(wh)
-    b = adjoint(v) @ y
-    return v, np.where(s * s > ROUNDED_ZERO, s, 0.0), b, y - v @ b
-
-
-def _pairs(sigma, b):
-    """The singular-value pair sums s_i^2 + s_j^2 and R_ij = B_ij s_j + s_i B*_ji."""
-    s2 = sigma * sigma
-    return (s2[..., :, None] + s2[..., None, :],
-            b * sigma[..., None, :] + sigma[..., :, None] * np.conj(np.swapaxes(b, -1, -2)))
-
-
-def _singular_qfi(sigma, b, n) -> np.ndarray:
-    """sum_ij 2 |R_ij|^2 / (s_i^2 + s_j^2) over the pairs with a nonzero
-    singular value, each term at most 2 (|B_ij|^2 + |B_ji|^2), plus 4 |N|^2,
-    the pairs of a nonzero singular value with the null space of rho.  A
-    singular value s_z that is 0 adds the limit 4 sum_t |B_tz|^2 over the
-    s_t that are 0 and 4 |N_z|^2: A w_z vanishes, and the rate at which it
-    leaves 0 is the part of dA w_z off the support of rho."""
-    pair_sums, r = _pairs(sigma, b)
-    terms = np.where(pair_sums > 0.0, 2.0 * (r.real * r.real + r.imag * r.imag)
-                     / np.where(pair_sums > 0.0, pair_sums, 1.0),
-                     4.0 * (b.real * b.real + b.imag * b.imag))
-    n = _real_rows(n)
-    return np.sum(terms, axis=(-2, -1)) + 4.0 * _dots(n, n)
-
-
 def sld_optimal_povm(result: SldResult) -> Povm:
     """Projective measurement in the SLD eigenbasis, or in the result's
     ``basis`` where the rank of rho drops.
@@ -245,5 +231,4 @@ def sld_optimal_povm(result: SldResult) -> Povm:
     """
     if result.basis is not None:
         return projective_povm(result.basis)
-    _, v = np.linalg.eigh((result.sld + adjoint(result.sld)) / 2.0)
-    return projective_povm(v)
+    return projective_povm(np.linalg.eigh(result.sld)[1])

@@ -306,17 +306,10 @@ def require_unitary(u, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def basis_projectors(bases) -> np.ndarray:
-    """Rank-one projectors onto the columns of a unitary or of each unitary
-    in a stack (..., d, d); the outcome index is third from last."""
-    u = require_unitary(bases, "measurement basis")
-    return projectors(np.swapaxes(u, -1, -2))
-
-
 def projective_povm(basis) -> Povm:
     """Rank-one projectors onto the columns of a unitary basis matrix."""
-    u = as_complex_matrix(basis, "measurement basis")
-    return Povm(basis_projectors(u), validate=False, factors=adjoint(u)[:, None, :])
+    u = require_unitary(as_complex_matrix(basis, "measurement basis"), "measurement basis")
+    return Povm(projectors(u.T), validate=False, factors=adjoint(u)[:, None, :])
 
 
 def unitary_channel(u) -> KrausChannel:

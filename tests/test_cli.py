@@ -539,6 +539,20 @@ def test_a_restart_count_too_large_to_allocate_exits_2_at_once(model_file, x_pov
     assert result.stderr.startswith("error:2:Unable to allocate") and result.stderr.count("\n") == 1
 
 
+def test_a_reader_that_closes_stdout_early_leaves_stderr_empty():
+    # about 268 KB of trial lines, several times a pipe's buffer, so the
+    # command writes after the reader has gone
+    process = subprocess.Popen(
+        [sys.executable, "-m", "fisherinfo", "dpi", "--mode", "classical", "--trials", "1000",
+         "--seed", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert json.loads(process.stdout.readline())["trial"] == 0
+    process.stdout.close()
+    assert process.stderr.read() == b""
+    assert process.wait(timeout=60) == 0
+
+
 @pytest.mark.parametrize("argv, code", [
     (["qfi", "--model", "{model}", "--theta", "x" * 5000], 2),
     (["qfi", "--model", "{model}", "--theta", "1 " * 3000], 2),

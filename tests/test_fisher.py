@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fisherinfo.errors import DimensionMismatch
 from fisherinfo.fisher import (
@@ -20,6 +20,7 @@ from fisherinfo.sampling import (
     random_channel,
     random_hermitian,
     random_projective_povm,
+    random_pure_state,
 )
 
 from mixed_states import random_full_rank_state
@@ -205,12 +206,29 @@ def test_the_sld_measurement_attains_the_limit_where_the_output_is_pure(dim, see
     model = output_pure_at(dim, seed)[0]
     result = sld_solve(model, 0.7)
     assert result.support_rank == 1 and result.basis is not None
+    assert np.array_equal(result.sld, adjoint(result.sld))
     assert classical_fisher(model, sld_optimal_povm(result), 0.7) == pytest.approx(
         result.qfi, rel=1e-12)
     # the SLD's own eigenbasis mixes the null space with the support and
     # misses how fast the null space fills
     _, v = np.linalg.eigh(result.sld)
     assert classical_fisher(model, projective_povm(v), 0.7) < result.qfi * (1 - 1e-6)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(2, 6), pre=st.integers(1, 3),
+       post=st.integers(1, 3), pure=st.booleans(), theta=st.floats(-1.5, 1.5))
+@example(seed=11, dim=3, pre=1, post=1, pure=True, theta=0.4)
+@example(seed=11, dim=6, pre=1, post=1, pure=True, theta=0.4)
+def test_the_sld_equals_its_adjoint_exactly(seed, dim, pre, post, pure, theta):
+    # sld_optimal_povm diagonalizes the SLD as it is; a pure input through one
+    # Kraus operator on each side is a pure output, a drop in rank
+    rng = np.random.default_rng(seed)
+    rho0 = random_pure_state(rng, dim) if pure else random_full_rank_state(rng, dim)
+    model = UnitaryFamily(random_hermitian(rng, dim), rho0)
+    for count, placement in ((pre, "pre"), (post, "post")):
+        model = model.with_channel(random_channel(rng, dim, count), placement)
+    sld = sld_solve(model, theta).sld
+    assert np.array_equal(sld, adjoint(sld))
 
 
 @settings(max_examples=60)

@@ -19,9 +19,12 @@ the numbers of the two outputs over all of them (``relative_gap``); then
 the first differences, each with its own gap.  It exits 1 on any
 difference.
 
-The command set, 1,291 commands: every ``cli-light`` op and defect-probe
+The command set, 1,295 commands: every ``cli-light`` op and defect-probe
 op of seeds 1-3 and the first 540 ``dpi`` ops of seed 1
-(``perfbench/workloads.py``, read only); two long DPI suites per mode; ``paper-example`` at three thetas;
+(``perfbench/workloads.py``, read only); three long qubit and one long
+classical DPI suite; quantum DPI suites at dimensions 3 and 4 with 2 and 3
+Kraus operators, where the state search takes the singular-value form;
+``paper-example`` at three thetas;
 ``optimize`` with each of its fixings on six documents with channels; a
 dozen corrupted documents; ten bad arguments; four counts above 2**53;
 twelve long values that an error line must cut, two of them paths of 3,000
@@ -254,6 +257,8 @@ def command_set(directory: Path) -> list:
     commands += [op.argv for op in workloads.build("dpi", 1, str(directory))[:DPI_OPS]]
     commands += [["dpi", "--mode", "quantum", "--trials", "200", "--seed", "11",
                   "--kraus", str(k)] for k in (1, 2, 3)]
+    commands += [["dpi", "--mode", "quantum", "--trials", "50", "--seed", "11",
+                  "--dim", str(d), "--kraus", str(k)] for d in (3, 4) for k in (2, 3)]
     commands.append(["dpi", "--mode", "classical", "--trials", "1000", "--seed", "7"])
     commands += [["paper-example", f"--theta={t!r}"] for t in (0.4, math.pi / 2, 0.0)]
     return commands + _optimize_commands(directory) + _corrupted_commands(directory)
