@@ -33,12 +33,10 @@ from .errors import (
 )
 from .fisher import (
     SldResult,
-    bayesian_information,
     classical_fisher,
     sld_optimal_povm,
     sld_solve,
 )
-from .linalg import PAULI_X, PAULI_Y, PAULI_Z, eig_hermitian, unitary_exp
 from .models import UnitaryFamily
 from .optimize import (
     OptimizationResult,
@@ -46,6 +44,9 @@ from .optimize import (
     maximize_fisher,
 )
 from .quantum import (
+    PAULI_X,
+    PAULI_Y,
+    PAULI_Z,
     DensityMatrix,
     KrausChannel,
     Povm,

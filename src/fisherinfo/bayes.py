@@ -128,7 +128,8 @@ def _risk(prior: PriorGrid, like: np.ndarray) -> float:
 
 @dataclass
 class BcrbReport:
-    """Bayes risk against the inverse of the prior-averaged information."""
+    """Bayes risk against the inverse of the prior-averaged information;
+    ``j`` is the package's one value of that average, J."""
 
     risk: float
     j: float

@@ -7,7 +7,8 @@ runtime_ms field.
 
 Exit codes: 0 success, 2 parse/schema error or any other invalid input,
 a size too large to allocate included, 3 dimension mismatch, 4 a
-non-finite result, 5 data-processing violation found.
+non-finite result, 5 data-processing violation found.  A closed stdout or
+stderr loses what would go to it, never the exit code.
 """
 
 from __future__ import annotations
@@ -278,7 +279,8 @@ def main(argv=None) -> int:
             report = {"command": args.command, "inputs": inputs, **fields,
                       "runtime_ms": (time.perf_counter() - started) * 1000.0}
             print(_dumps(report, indent=2))
-            sys.stdout.flush()
+            if sys.stdout is not None:  # None: descriptor 1 was closed at start
+                sys.stdout.flush()
             return code
     except BrokenPipeError:
         # the reader closed stdout: the rest of the report, and the
@@ -286,14 +288,22 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except DimensionMismatch as exc:
-        print(f"error:{EXIT_DIMENSION}:{exc}", file=sys.stderr)
-        return EXIT_DIMENSION
+        return _error(EXIT_DIMENSION, exc)
     except SingularOutcome as exc:
-        print(f"error:{EXIT_SINGULAR}:{exc}", file=sys.stderr)
-        return EXIT_SINGULAR
+        return _error(EXIT_SINGULAR, exc)
     except (FisherinfoError, MemoryError) as exc:  # a bad document, or a size too large
-        print(f"error:{EXIT_PARSE}:{exc}", file=sys.stderr)
-        return EXIT_PARSE
+        return _error(EXIT_PARSE, exc)
+
+
+def _error(code: int, exc: Exception) -> int:
+    """Write the error line of ``exc`` to stderr and return ``code``; a closed
+    stderr loses the line, not the code."""
+    try:
+        if sys.stderr is not None:  # None: descriptor 2 was closed at start
+            print(f"error:{code}:{exc}", file=sys.stderr, flush=True)
+    except OSError:
+        pass
+    return code
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from .models import UnitaryFamily
 from .optimize import _check_dims, _maximize_fisher_many
 from .quantum import apply_channel_matrix, apply_dual_matrix
 from .sampling import (
+    check_channel_size,
     random_channel,
     random_hermitian,
     random_projective_povm,
@@ -159,6 +160,7 @@ def quantum_dpi_suite(trials: int, seed: int, dim: int = 2,
     """
     seeds = trial_seeds(seed, trials)
     _check_dims(dim)
+    check_channel_size(dim, kraus_count)
     reports = []
     for first in range(0, trials, SEARCH_TRIALS):
         block = range(first, min(first + SEARCH_TRIALS, trials))

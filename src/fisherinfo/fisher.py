@@ -1,4 +1,4 @@
-"""Fisher information functionals: classical, Bayesian, and quantum (SLD).
+"""Fisher information functionals: classical and quantum (SLD).
 
 The classical score sums (dp_x)^2 / p_x over measurement outcomes.  A
 package model is analytic in theta, so a vanishing p_x vanishes to even
@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint
 from .models import UnitaryFamily
-from .quantum import Povm, born_probabilities, outcome_traces, projective_povm
+from .quantum import Povm, adjoint, born_probabilities, outcome_traces, projective_povm
 
 NEAR_NULL = 1e-8      # a model's outcome with p below this is scored from its amplitudes
 
@@ -125,13 +124,6 @@ def classical_fisher(model: UnitaryFamily, povm: Povm, theta: float) -> float:
     """Fisher information of the Born distribution at ``theta``."""
     p, dp = outcome_trajectory(model, povm, [theta])
     return float(outcome_information(model, [theta], p, dp, lambda: povm.factors)[0])
-
-
-def bayesian_information(model: UnitaryFamily, povm: Povm, prior) -> float:
-    """Average Fisher information of the measurement under a prior grid."""
-    p, dp = outcome_trajectory(model, povm, prior.nodes)
-    return float(np.dot(prior.weights,
-                        outcome_information(model, prior.nodes, p, dp, lambda: povm.factors)))
 
 
 def sld_solve(model: UnitaryFamily, theta: float) -> SldResult:

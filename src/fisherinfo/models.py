@@ -14,10 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidChannel, InvalidState, SingularOutcome, _shown
-from .linalg import adjoint, eig_hermitian, require_hermitian
 from .quantum import (CHANNEL_ATOL, DensityMatrix, KrausChannel, _completeness_defect,
-                      _effect_stack, apply_channel_matrix, apply_dual_matrix,
-                      checked_probabilities, checked_states)
+                      _effect_stack, adjoint, apply_channel_matrix, apply_dual_matrix,
+                      checked_probabilities, checked_states, require_hermitian)
 
 
 class UnitaryFamily:
@@ -29,8 +28,9 @@ class UnitaryFamily:
     order when the model is built, "post" channels act after the dynamics,
     also in list order.  The channels' completeness defects share one budget,
     CHANNEL_ATOL.  ``rho0`` may be left unset to describe the dynamics
-    alone; ``with_state`` binds one.  The generator's eigendecomposition is
-    cached and shared by every derived instance.
+    alone; ``with_state`` binds one.  The eigendecomposition of the
+    generator's Hermitian part, eigenvalues ascending, is cached and shared
+    by every derived instance.
     """
 
     def __init__(self, generator, rho0: DensityMatrix | None = None, passes: int = 1,
@@ -49,7 +49,8 @@ class UnitaryFamily:
             raise InvalidChannel(f"the channels' Kraus completeness defects sum to {defect:.3e}")
         self.passes = int(passes)
         self.channels = tuple(channels)
-        self._gen_eig = _gen_eig if _gen_eig is not None else eig_hermitian(self.generator)
+        g = self.generator
+        self._gen_eig = _gen_eig if _gen_eig is not None else np.linalg.eigh((g + adjoint(g)) / 2.0)
         self.rho0 = rho0
         self._input = None  # rho0 after the "pre" channels, each output validated
         if rho0 is not None:

@@ -30,9 +30,9 @@ from .fisher import (
     sld_optimal_povm,
     sld_solve,
 )
-from .linalg import PAULI_X, PAULI_Z, adjoint, unitary_exp
 from .models import UnitaryFamily, kraus_columns
-from .quantum import DensityMatrix, Povm, projective_povm, pure_state, unitary_channel
+from .quantum import (PAULI_X, PAULI_Z, DensityMatrix, Povm, adjoint, projective_povm,
+                      pure_state, unitary_channel)
 
 MAX_OPT_DIM = 8          # larger searches are out of scope
 ASCENT_TOL = 1e-12       # relative step in the value at which an ascent stops
@@ -354,7 +354,7 @@ def circumvention_report(theta: float) -> dict:
     """
     plus = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
     z_basis = projective_povm(np.eye(2))
-    rotation = unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0))
+    rotation = unitary_channel(UnitaryFamily(PAULI_X).propagator(np.pi / 4.0))
 
     base_family = UnitaryFamily(PAULI_Z)
     base = maximize_fisher(base_family, theta)

@@ -1,8 +1,11 @@
-"""Validated quantum objects: states, measurements, channels.
+"""Validated quantum objects: states, measurements, channels, and the dense
+matrix helpers they are built from.
 
-Density matrices, POVMs and Kraus channels check their defining invariants
-at construction, so downstream numerics can assume well-formed inputs.
-Channels are represented by Kraus operators only.
+Everything works on square complex matrices of dimension at most MAX_DIM,
+stored as numpy complex128 arrays.  Density matrices, POVMs and Kraus
+channels check their defining invariants at construction, so downstream
+numerics can assume well-formed inputs.  Channels are represented by Kraus
+operators only.
 """
 
 from __future__ import annotations
@@ -14,10 +17,14 @@ from .errors import (
     InvalidChannel,
     InvalidPovm,
     InvalidState,
+    NotHermitian,
     NotNormalized,
     NotUnitary,
 )
-from .linalg import adjoint, as_complex_matrix, hermiticity_defect, identity
+
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 # An eigenvalue of a state or an effect at or below FACTOR_CUT times its
 # dimension is zero when the matrix is factored (``psd_factors``): eigh's
@@ -27,7 +34,6 @@ FACTOR_CUT = 4 * np.finfo(float).eps
 
 # Compute-time checks, of every state a computation forms and of every row
 # of Born probabilities
-STATE_HERMITIAN_ATOL = 1e-12
 STATE_TRACE_ATOL = 1e-10
 STATE_EIG_FLOOR = -1e-10          # eigenvalues above this are clamped to zero
 BORN_CLAMP = -1e-12               # probabilities above this are clamped to zero
@@ -35,6 +41,14 @@ BORN_SUM_ATOL = 1e-10
 
 # Load-time bounds.  A defect D is measured in the Frobenius norm, which is at
 # least the operator norm, so |tr(rho D)| <= tr(rho) ||D|| for every state rho.
+#   MAX_DIM             the largest dimension of a matrix, and the largest
+#                       row count dim * kraus_count of a sampled channel's
+#                       isometry (``sampling.check_channel_size``).
+#   HERMITIAN_ATOL      max |A - A^dag| entry of a generator, diagonalized as
+#                       (G + G^dag) / 2, and of every density matrix, loaded
+#                       or formed; a loaded state is kept as its Hermitian
+#                       part, and a channel's output of it is Hermitian to
+#                       rounding.
 #   NORMALIZATION_ATOL  |tr rho - 1| of a pure input state.
 #   CHANNEL_ATOL        ||sum_j K_j^dag K_j - I|| of a channel, and the sum of
 #                       these over a model's channels, which also bounds every
@@ -52,10 +66,39 @@ BORN_SUM_ATOL = 1e-10
 # STATE_TRACE_ATOL of 1, a Born row sums to within (1 + NORMALIZATION_ATOL)
 # (1 + CHANNEL_ATOL)(1 + POVM_ATOL) - 1 < BORN_SUM_ATOL of 1, and every
 # probability is at least BORN_CLAMP / 2 (1 + BORN_SUM_ATOL) > BORN_CLAMP.
+MAX_DIM = 64
+HERMITIAN_ATOL = 1e-12
 NORMALIZATION_ATOL = 5e-11
 CHANNEL_ATOL = 2e-11
 POVM_ATOL = 2e-11
 UNITARY_ATOL = min(CHANNEL_ATOL, POVM_ATOL)
+
+
+def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
+    """Coerce ``a`` to a square complex128 array of dimension <= MAX_DIM."""
+    m = np.asarray(a, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
+    if m.shape[0] < 1 or m.shape[0] > MAX_DIM:
+        raise DimensionMismatch(
+            f"{name} dimension {m.shape[0]} outside supported range 1..{MAX_DIM}"
+        )
+    return m
+
+
+def identity(dim: int) -> np.ndarray:
+    return np.eye(dim, dtype=complex)
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.conj(np.swapaxes(a, -1, -2))
+
+
+def hermiticity_defect(a: np.ndarray) -> np.ndarray:
+    """Largest entrywise deviation from its adjoint of a matrix, or of each
+    matrix of a stack (..., d, d)."""
+    return np.max(np.abs(a - adjoint(a)), axis=(-2, -1))
 
 
 class DensityMatrix:
@@ -108,8 +151,8 @@ def checked_states(mats) -> np.ndarray:
     """
     m = np.asarray(mats, dtype=complex)
     defect = hermiticity_defect(m)
-    if np.any(defect > STATE_HERMITIAN_ATOL):
-        worst = float(defect[defect > STATE_HERMITIAN_ATOL][0])
+    if np.any(defect > HERMITIAN_ATOL):
+        worst = float(defect[defect > HERMITIAN_ATOL][0])
         raise InvalidState(f"density matrix is non-Hermitian by {worst:.3e}")
     m = (m + adjoint(m)) / 2.0
     tr = np.trace(m, axis1=-2, axis2=-1).real
@@ -142,10 +185,12 @@ def _operator_stack(operators, name: str, empty: Exception) -> np.ndarray:
 class Povm:
     """A measurement: positive effects that sum to the identity.
 
-    Labels are stable integers so classical post-processing maps can refer
-    to outcomes by index.  ``effects`` holds the effects as one (n, d, d)
-    array, in their given order; ``factors``, if given, rows (n, r, d) whose
-    products F^dag F are the effects.
+    ``effects`` holds the effects as one (n, d, d) array, in their given
+    order, and every computation refers to an outcome by its position there,
+    a post-processing map's columns included.  ``labels`` are distinct
+    integers, the positions unless a POVM document sets them; they are only
+    validated and written back when the POVM is reported.  ``factors``, if
+    given, rows (n, r, d) whose products F^dag F are the effects.
     """
 
     __slots__ = ("effects", "labels", "_factors")
@@ -296,6 +341,14 @@ def pure_state(amplitudes) -> DensityMatrix:
     return DensityMatrix(projectors(psi), validate=False, vectors=psi[:, None])
 
 
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
+    m = as_complex_matrix(a, name)
+    defect = hermiticity_defect(m)
+    if defect > HERMITIAN_ATOL:
+        raise NotHermitian(f"{name} deviates from Hermiticity by {defect:.3e}")
+    return m
+
+
 def require_unitary(u, name: str = "matrix") -> np.ndarray:
     """A matrix or a stack of them (..., d, d) as a complex array; NotUnitary,
     naming ``name``, if any ||U^dag U - I|| exceeds UNITARY_ATOL."""
@@ -318,8 +371,6 @@ def unitary_channel(u) -> KrausChannel:
 
 def depolarizing_channel(strength: float) -> KrausChannel:
     """Qubit depolarizing channel; strength 1 sends every state to I/2."""
-    from .linalg import PAULI_X, PAULI_Y, PAULI_Z
-
     if not 0.0 <= strength <= 1.0:
         raise InvalidChannel(f"depolarizing strength {strength!r} outside [0, 1]")
     p = float(strength)

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, _cut
-from .linalg import MAX_DIM, adjoint
-from .quantum import DensityMatrix, KrausChannel, Povm, projective_povm, pure_state
+from .quantum import (MAX_DIM, DensityMatrix, KrausChannel, Povm, adjoint, projective_povm,
+                      pure_state)
 
 
 def _ginibre(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -38,6 +38,15 @@ def random_projective_povm(rng: np.random.Generator, dim: int) -> Povm:
     return projective_povm(random_unitary(rng, dim))
 
 
+def check_channel_size(dim: int, kraus_count: int) -> None:
+    """A sampled channel's isometry, (dim * kraus_count) x dim, has at most
+    MAX_DIM rows."""
+    if dim * kraus_count > MAX_DIM:
+        raise DimensionMismatch(
+            f"dim * kraus_count = {_cut(str(dim * kraus_count))} exceeds the supported {MAX_DIM}"
+        )
+
+
 def random_channel(rng: np.random.Generator, dim: int, kraus_count: int) -> KrausChannel:
     """Random channel via a sampled Stinespring isometry.
 
@@ -45,10 +54,7 @@ def random_channel(rng: np.random.Generator, dim: int, kraus_count: int) -> Krau
     its columns, and slices the isometry into kraus_count blocks.  Kraus
     completeness then holds by construction.
     """
-    if dim * kraus_count > MAX_DIM:
-        raise DimensionMismatch(
-            f"dim * kraus_count = {_cut(str(dim * kraus_count))} exceeds the supported {MAX_DIM}"
-        )
+    check_channel_size(dim, kraus_count)
     g = _ginibre(rng, dim * kraus_count, dim)
     q, _ = np.linalg.qr(g)
     return KrausChannel(q.reshape(kraus_count, dim, dim))

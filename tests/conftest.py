@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from fisherinfo.linalg import PAULI_Z
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.quantum import projective_povm, pure_state
+from fisherinfo.quantum import PAULI_Z, projective_povm, pure_state
 
 # Property tests run without a per-example deadline (numpy's first calls are
 # slow) and draw the same examples on every run, so a failure reproduces.

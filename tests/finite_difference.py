@@ -8,8 +8,7 @@ checks the derivatives that ``UnitaryFamily`` computes in closed form.
 import numpy as np
 
 from fisherinfo.errors import InvalidState
-from fisherinfo.linalg import adjoint
-from fisherinfo.quantum import DensityMatrix, apply_channel_matrix
+from fisherinfo.quantum import DensityMatrix, adjoint, apply_channel_matrix
 
 FD_STEP = 1e-5  # central-difference step
 

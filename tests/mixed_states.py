@@ -3,8 +3,7 @@ seeded full-rank state, and a channel's output as a validated state."""
 
 import numpy as np
 
-from fisherinfo.linalg import adjoint, identity
-from fisherinfo.quantum import DensityMatrix, KrausChannel, apply_channel_matrix
+from fisherinfo.quantum import DensityMatrix, KrausChannel, adjoint, apply_channel_matrix, identity
 from fisherinfo.sampling import _ginibre
 
 FULL_RANK_FLOOR = 0.05  # eigenvalue floor of random_full_rank_state

@@ -21,14 +21,14 @@ from fisherinfo.dpi import (
 )
 from fisherinfo.documents import pairs_from_matrix
 from fisherinfo.fisher import (
-    bayesian_information,
     classical_fisher,
     sld_optimal_povm,
     sld_solve,
 )
-from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import (
+    PAULI_X,
+    PAULI_Z,
     KrausChannel,
     apply_channel_matrix,
     apply_dual_matrix,
@@ -69,7 +69,8 @@ def test_criterion_02_multipass_information(acceptance_log, multipass_model, x_b
 
 def test_criterion_03_restriction_and_recovery(acceptance_log, base_model, z_basis_povm):
     restricted = [abs(classical_fisher(base_model, z_basis_povm, t)) for t in THETAS]
-    rotated = base_model.with_channel(unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post")
+    quarter_x = unitary_channel(UnitaryFamily(PAULI_X).propagator(np.pi / 4.0))
+    rotated = base_model.with_channel(quarter_x, "post")
     recovered = [abs(classical_fisher(rotated, z_basis_povm, t) - 4.0) for t in THETAS]
     ok = max(restricted) < 1e-10 and max(recovered) < 1e-8
     assert acceptance_log(
@@ -187,7 +188,7 @@ def bcrb_configurations(target: int = 500, attempts: int = 5000):
         quick = classical_fisher(model, povm, grid_mean(prior))
         if quick * grid_variance(prior) < 2.0:
             continue
-        j = bayesian_information(model, povm, prior)
+        j = check_bcrb(prior, model, povm).j
         if j * grid_variance(prior) < 5.0:
             continue
         configs.append((model, povm, prior))
@@ -225,13 +226,14 @@ def test_criterion_08_bayesian_layer(acceptance_log, base_model, z_basis_povm):
 
 
 def test_criterion_09_derivative_hygiene(acceptance_log, base_model, multipass_model, plus_state):
+    quarter_x = unitary_channel(UnitaryFamily(PAULI_X).propagator(np.pi / 4.0))
     builtins = [
         base_model,
         multipass_model,
-        base_model.with_channel(unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post"),
+        base_model.with_channel(quarter_x, "post"),
         base_model.with_channel(depolarizing_channel(0.3), "post"),
-        base_model.with_channel(unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "pre"),
-        KrausFamily(lambda t: KrausChannel([unitary_exp(PAULI_Z, t)]), plus_state),
+        base_model.with_channel(quarter_x, "pre"),
+        KrausFamily(lambda t: KrausChannel([UnitaryFamily(PAULI_Z).propagator(t)]), plus_state),
     ]
     worst_builtin = 0.0
     for model in builtins:

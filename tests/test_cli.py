@@ -9,8 +9,7 @@ import pytest
 from fisherinfo.cli import main
 from fisherinfo.documents import pairs_from_matrix, povm_to_document
 from fisherinfo.errors import _cut
-from fisherinfo.linalg import PAULI_X, PAULI_Z
-from fisherinfo.quantum import projective_povm
+from fisherinfo.quantum import PAULI_X, PAULI_Z, projective_povm
 
 
 @pytest.fixture()
@@ -553,6 +552,21 @@ def test_a_reader_that_closes_stdout_early_leaves_stderr_empty():
     assert process.wait(timeout=60) == 0
 
 
+@pytest.mark.parametrize("closed, argv, code", [
+    (1, ["paper-example", "--theta", "0.4"], 0),
+    (2, ["qfi", "--model", "missing.json", "--theta", "0"], 2),
+], ids=["stdout", "stderr"])
+def test_a_closed_standard_stream_keeps_the_exit_code(tmp_path, closed, argv, code):
+    # the descriptor is closed when the interpreter starts, as by the shell's
+    # >&- or 2>&-: the report or the error line is lost, and only it
+    result = subprocess.run(
+        [sys.executable, "-m", "fisherinfo", *argv], capture_output=True, text=True,
+        cwd=tmp_path, timeout=60, preexec_fn=lambda: os.close(closed),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert result.returncode == code
+    assert result.stdout == "" and result.stderr == ""
+
+
 @pytest.mark.parametrize("argv, code", [
     (["qfi", "--model", "{model}", "--theta", "x" * 5000], 2),
     (["qfi", "--model", "{model}", "--theta", "1 " * 3000], 2),
@@ -562,13 +576,14 @@ def test_a_reader_that_closes_stdout_early_leaves_stderr_empty():
     (["dpi", "--mode", "quantum", "--dim", "9" * 5000], 2),
     (["dpi", "--mode", "quantum", "--dim", "9" * 300], 3),
     (["dpi", "--mode", "quantum", "--trials", "1", "--kraus", "9" * 4000], 3),
+    (["dpi", "--mode", "quantum", "--trials", "0", "--kraus", "9" * 4000], 3),
     (["qfi", "--model", "{tmp}/" + "m" * 3000, "--theta", "0.3"], 2),
     (["qfi", "--model", "{tmp}/{brace}", "--theta", "0.3"], 2),
     (["qfi", "--model", "{long}kind.json", "--theta", "0.3"], 2),
     (["fisher", "--model", "{model}", "--povm", "{long}effects.json", "--theta", "0.3"], 2),
 ], ids=["theta-letters", "theta-words", "command", "option", "restarts", "dim-digits",
-        "dim-value", "kraus-value", "missing-path", "invalid-json-path", "schema-error-model-path",
-        "schema-error-povm-path"])
+        "dim-value", "kraus-value", "kraus-value-no-trials", "missing-path", "invalid-json-path",
+        "schema-error-model-path", "schema-error-povm-path"])
 def test_a_long_value_is_cut_in_its_one_error_line(capsys, tmp_path, model_file, argv, code):
     brace = "b" * (200 - len(str(tmp_path)))
     (tmp_path / brace).write_text("{")

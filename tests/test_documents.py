@@ -21,9 +21,8 @@ from fisherinfo.documents import (
 from fisherinfo.cli import main
 from fisherinfo.errors import DocumentError, _cut
 from fisherinfo.fisher import classical_fisher, sld_solve
-from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.quantum import KrausChannel, Povm, projective_povm, pure_state
+from fisherinfo.quantum import PAULI_X, PAULI_Z, KrausChannel, Povm, projective_povm, pure_state
 from fisherinfo.sampling import random_channel, random_hermitian, random_unitary
 
 from mixed_states import apply_channel
@@ -61,7 +60,7 @@ def test_model_document_defaults_to_one_pass():
 
 
 def test_model_document_with_composed_channels():
-    u = unitary_exp(PAULI_X, np.pi / 4.0)
+    u = UnitaryFamily(PAULI_X).propagator(np.pi / 4.0)
     doc = model_doc(compose=[
         {"kraus": [pairs_from_matrix(u)]},
         {"kraus": [pairs_from_matrix(np.eye(2))], "placement": "pre"},
@@ -75,7 +74,7 @@ def test_model_document_with_composed_channels():
 
 @pytest.mark.parametrize("order", [("post", "pre"), ("pre", "pre")])
 def test_fisher_and_qfi_apply_pre_channels_in_list_order(capsys, tmp_path, order):
-    rotation = KrausChannel([unitary_exp(PAULI_X, 0.3)])
+    rotation = KrausChannel([UnitaryFamily(PAULI_X).propagator(0.3)])
     damping = KrausChannel([np.diag([1.0, np.sqrt(0.6)]), np.array([[0.0, np.sqrt(0.4)], [0.0, 0.0]])])
     plus = pure_state(np.array([1.0, 1.0]) / np.sqrt(2.0))
     if order == ("post", "pre"):

@@ -15,8 +15,8 @@ from fisherinfo.dpi import (
     quantum_dpi_suite,
 )
 from fisherinfo.fisher import sld_solve
-from fisherinfo.linalg import adjoint
 from fisherinfo.models import UnitaryFamily
+from fisherinfo.quantum import adjoint
 from fisherinfo.sampling import (
     random_channel,
     random_hermitian,

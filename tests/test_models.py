@@ -4,15 +4,16 @@ from hypothesis import given, settings, strategies as st
 
 from fisherinfo.errors import DimensionMismatch, InvalidState, NotHermitian
 from fisherinfo.fisher import classical_fisher, sld_solve
-from fisherinfo.linalg import PAULI_X, PAULI_Z, adjoint
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.quantum import (
+    PAULI_X,
+    PAULI_Z,
     KrausChannel,
+    adjoint,
     depolarizing_channel,
     pure_state,
     unitary_channel,
 )
-from fisherinfo.linalg import unitary_exp
 from fisherinfo.sampling import (
     random_channel,
     random_hermitian,
@@ -73,7 +74,7 @@ def test_make_unitary_family_validates_inputs(plus_state):
 
 def test_kraus_family_reproduces_unitary_dynamics(plus_state, base_model):
     def kraus_at(theta):
-        return KrausChannel([unitary_exp(PAULI_Z, theta)])
+        return KrausChannel([UnitaryFamily(PAULI_Z).propagator(theta)])
 
     model = KrausFamily(kraus_at, plus_state)
     for theta in (0.0, 0.3, 1.1):
@@ -97,7 +98,7 @@ def test_compose_full_depolarizing_kills_dependence(base_model):
 
 
 def test_compose_post_applies_channel_to_derivative(base_model):
-    channel = unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0))
+    channel = unitary_channel(UnitaryFamily(PAULI_X).propagator(np.pi / 4.0))
     wrapped = base_model.with_channel(channel, "post")
     theta = 0.5
     u = channel.kraus[0]
@@ -108,7 +109,7 @@ def test_compose_post_applies_channel_to_derivative(base_model):
 
 
 def test_compose_pre_transforms_the_input(plus_state, base_model):
-    channel = unitary_channel(unitary_exp(PAULI_X, 0.3))
+    channel = unitary_channel(UnitaryFamily(PAULI_X).propagator(0.3))
     wrapped = base_model.with_channel(channel, "pre")
     u = channel.kraus[0]
     moved = pure_state(u @ np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -158,7 +159,7 @@ def amplitude_damping(gamma: float) -> KrausChannel:
 @pytest.mark.parametrize("order", ["post-pre", "pre-pre"])
 def test_pre_channels_act_on_the_input_in_list_order(plus_state, base_model, order):
     # the two pre channels do not commute, so list order shows in the result
-    first = unitary_channel(unitary_exp(PAULI_X, 0.3))
+    first = unitary_channel(UnitaryFamily(PAULI_X).propagator(0.3))
     second = amplitude_damping(0.4)
     if order == "post-pre":
         model = base_model.with_channel(second, "post").with_channel(first, "pre")

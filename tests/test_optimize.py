@@ -3,7 +3,6 @@ import pytest
 
 from fisherinfo.errors import DimensionMismatch
 from fisherinfo.fisher import classical_fisher, sld_solve
-from fisherinfo.linalg import PAULI_X, PAULI_Z, unitary_exp
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import (
     OptimizationResult,
@@ -11,7 +10,7 @@ from fisherinfo.optimize import (
     circumvention_report,
     maximize_fisher,
 )
-from fisherinfo.quantum import KrausChannel
+from fisherinfo.quantum import PAULI_X, PAULI_Z, KrausChannel
 from fisherinfo.sampling import (
     random_channel,
     random_hermitian,
@@ -158,7 +157,7 @@ def test_fixed_rotation_revives_a_frozen_context(plus_state, z_basis_povm):
     from fisherinfo.quantum import unitary_channel
 
     family = UnitaryFamily(PAULI_Z).with_channel(
-        unitary_channel(unitary_exp(PAULI_X, np.pi / 4.0)), "post"
+        unitary_channel(UnitaryFamily(PAULI_X).propagator(np.pi / 4.0)), "post"
     )
     result = maximize_fisher(family, 0.3, state=plus_state, povm=z_basis_povm, restarts=4)
     assert result.best_value == pytest.approx(4.0, abs=1e-8)

@@ -12,17 +12,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fisherinfo import fisher, quantum
-from fisherinfo.bayes import uniform_prior
+from fisherinfo.bayes import check_bcrb, uniform_prior
 from fisherinfo.errors import DimensionMismatch, InvalidPovm, InvalidState
 from fisherinfo.fisher import (
-    bayesian_information,
     classical_fisher,
     outcome_blocks,
     outcome_information,
 )
-from fisherinfo.linalg import PAULI_Z, adjoint
 from fisherinfo.models import UnitaryFamily
-from fisherinfo.quantum import Povm, pure_state
+from fisherinfo.quantum import PAULI_Z, Povm, adjoint, pure_state
 from fisherinfo.sampling import (
     random_channel,
     random_hermitian,
@@ -120,7 +118,7 @@ def test_a_grid_pulls_the_effects_back_and_a_point_pushes_the_state(monkeypatch)
     povm = random_projective_povm(rng, 3)
     calls = count_calls(monkeypatch, [(UnitaryFamily, "trajectory"), (quantum, "born_probabilities"),
                                       (fisher, "born_probabilities")])
-    bayesian_information(model, povm, uniform_prior(0.0, 1.0, 21))
+    check_bcrb(uniform_prior(0.0, 1.0, 21), model, povm)
     assert calls == []
     classical_fisher(model, povm, 0.4)
     assert calls == ["trajectory", "born_probabilities"]

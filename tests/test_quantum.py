@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fisherinfo.bayes import uniform_prior
+from fisherinfo.bayes import check_bcrb, uniform_prior
 from fisherinfo.errors import (
     DimensionMismatch,
     FisherinfoError,
@@ -13,21 +13,23 @@ from fisherinfo.errors import (
     NotNormalized,
     NotUnitary,
 )
-from fisherinfo.fisher import bayesian_information, classical_fisher
-from fisherinfo.linalg import MAX_DIM, PAULI_Z, adjoint
+from fisherinfo.fisher import classical_fisher
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import maximize_fisher
 from fisherinfo.quantum import (
     BORN_CLAMP,
     BORN_SUM_ATOL,
     CHANNEL_ATOL,
+    MAX_DIM,
     NORMALIZATION_ATOL,
+    PAULI_Z,
     POVM_ATOL,
     STATE_TRACE_ATOL,
     UNITARY_ATOL,
     DensityMatrix,
     KrausChannel,
     Povm,
+    adjoint,
     apply_dual_matrix,
     born_probabilities,
     depolarizing_channel,
@@ -278,7 +280,7 @@ def test_operators_are_held_as_one_array_in_their_order(seed, dim, count, defect
     for name in OPERATOR_FORMS:
         noisy = family.with_channel(channels[name], "post")
         values.add((classical_fisher(noisy, povms[name], theta),
-                    bayesian_information(noisy, povms[name], prior)))
+                    check_bcrb(prior, noisy, povms[name]).j))
     assert len(values) == 1
 
 
@@ -377,5 +379,5 @@ def test_inputs_within_the_load_bounds_pass_every_later_check(seed, dim, signs, 
                            channels=((pre, "pre"), (post, "post")))
     theta = float(rng.uniform(-1.0, 1.0))
     classical_fisher(family, povm, theta)
-    bayesian_information(family, povm, uniform_prior(-0.5, 0.5, 21))
+    check_bcrb(uniform_prior(-0.5, 0.5, 21), family, povm)
     maximize_fisher(family, theta, povm=povm, restarts=2)

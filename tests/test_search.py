@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from finite_difference import fd_gradient
 from fisherinfo import dpi
 from fisherinfo.fisher import qfi_from_vectors, sld_solve
-from fisherinfo.linalg import PAULI_Z
 from fisherinfo.models import UnitaryFamily
 from fisherinfo.optimize import (
     SCORE_BYTES,
@@ -21,7 +20,7 @@ from fisherinfo.optimize import (
     _search,
     maximize_fisher,
 )
-from fisherinfo.quantum import KrausChannel, pure_state
+from fisherinfo.quantum import PAULI_Z, KrausChannel, pure_state
 from fisherinfo.sampling import (
     random_channel,
     random_hermitian,
