@@ -3,7 +3,9 @@
 Every command reads JSON documents, computes, and writes one JSON report
 to stdout (the dpi command writes one JSON line per trial followed by a
 summary).  Outputs are deterministic for fixed inputs and seed, except the
-runtime_ms field.
+runtime_ms field.  Each call builds the parser of its command only; an
+argv that names no command first builds the full parser, for its help text
+or its error line.
 
 Exit codes: 0 success, 2 parse/schema error or any other invalid input,
 a size too large to allocate included, 3 dimension mismatch, 4 a
@@ -41,10 +43,11 @@ EXIT_DIMENSION = 3
 EXIT_SINGULAR = 4
 EXIT_VIOLATION = 5
 
-# The largest count --trials, --restarts and --grid accept: 2**53, up to
-# which a float64, and so a JSON reader of a report's inputs, holds every
-# integer exactly.  A count up to it that is too large fails its allocation
-# with a MemoryError (exit 2); a larger one could fail otherwise.
+# The largest count --trials, --restarts and --grid, and the largest
+# --seed, accept: 2**53, up to which a float64, and so a JSON reader of a
+# report's inputs, holds every integer exactly.  A count up to it that is
+# too large fails its allocation with a MemoryError (exit 2); a larger one
+# could fail otherwise, and a larger seed could be read back as another.
 MAX_COUNT = 2 ** 53
 
 
@@ -185,78 +188,100 @@ class _Parser(argparse.ArgumentParser):
         raise DocumentError("'".join(parts))
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's function, help line and options, in the order a report's
+# inputs echo them: the one list that the parser and main read the commands from
+COMMANDS = {
+    "fisher": (cmd_fisher, "classical Fisher information of a model and POVM", (
+        ("--model", {"required": True}),
+        ("--povm", {"required": True}),
+        ("--theta", {"type": _finite_float, "required": True}),
+    )),
+    "qfi": (cmd_qfi, "quantum Fisher information via the SLD", (
+        ("--model", {"required": True}),
+        ("--theta", {"type": _finite_float, "required": True}),
+    )),
+    "bayes": (cmd_bayes, "Bayes risk and the Bayesian bound", (
+        ("--model", {"required": True}),
+        ("--povm", {"required": True}),
+        ("--prior", {"required": True, "help": "uniform:a,b or gauss:mu,sigma,a,b"}),
+        ("--grid", {"type": _int_at_least(bayes_mod.MIN_GRID, MAX_COUNT),
+                    "default": bayes_mod.DEFAULT_GRID}),
+    )),
+    "optimize": (cmd_optimize, "maximize Fisher information over contexts", (
+        ("--model", {"required": True}),
+        ("--theta", {"type": _finite_float, "required": True}),
+        ("--restarts", {"type": _int_at_least(0, MAX_COUNT), "default": DEFAULT_RESTARTS}),
+        ("--seed", {"type": _int_at_least(0, MAX_COUNT), "default": 0}),
+        ("--fix-state", {"action": "store_true",
+                         "help": "freeze the state to the model document's initial state"}),
+        ("--fix-povm", {"default": None, "metavar": "FILE",
+                        "help": "freeze the measurement to the POVM in FILE"}),
+    )),
+    "dpi": (cmd_dpi, "randomized data-processing inequality suites", (
+        ("--mode", {"choices": ("classical", "quantum"), "required": True}),
+        ("--trials", {"type": _int_at_least(0, MAX_COUNT), "default": 100}),
+        ("--dim", {"type": int, "default": 2}),
+        ("--kraus", {"type": _int_at_least(1), "default": 2}),
+        ("--seed", {"type": _int_at_least(0, MAX_COUNT), "default": 0}),
+    )),
+    "paper-example": (cmd_paper_example, "the built-in qubit scenario: base, multipass, "
+                                         "restricted, restricted plus rotation", (
+        ("--theta", {"type": _finite_float, "required": True}),
+    )),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of ``command`` alone: the same help
+    text, namespace and error line for that command's arguments."""
     parser = _Parser(
         prog="fisherinfo",
         description="Fisher information of small quantum models, with "
                     "data-processing checks",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("fisher", help="classical Fisher information of a model and POVM")
-    p.add_argument("--model", required=True)
-    p.add_argument("--povm", required=True)
-    p.add_argument("--theta", type=_finite_float, required=True)
-    p.set_defaults(run=cmd_fisher)
-
-    p = sub.add_parser("qfi", help="quantum Fisher information via the SLD")
-    p.add_argument("--model", required=True)
-    p.add_argument("--theta", type=_finite_float, required=True)
-    p.set_defaults(run=cmd_qfi)
-
-    p = sub.add_parser("bayes", help="Bayes risk and the Bayesian bound")
-    p.add_argument("--model", required=True)
-    p.add_argument("--povm", required=True)
-    p.add_argument("--prior", required=True,
-                   help="uniform:a,b or gauss:mu,sigma,a,b")
-    p.add_argument("--grid", type=_int_at_least(bayes_mod.MIN_GRID, MAX_COUNT),
-                   default=bayes_mod.DEFAULT_GRID)
-    p.set_defaults(run=cmd_bayes)
-
-    p = sub.add_parser("optimize", help="maximize Fisher information over contexts")
-    p.add_argument("--model", required=True)
-    p.add_argument("--theta", type=_finite_float, required=True)
-    p.add_argument("--restarts", type=_int_at_least(0, MAX_COUNT), default=DEFAULT_RESTARTS)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--fix-state", action="store_true",
-                   help="freeze the state to the model document's initial state")
-    p.add_argument("--fix-povm", default=None, metavar="FILE",
-                   help="freeze the measurement to the POVM in FILE")
-    p.set_defaults(run=cmd_optimize)
-
-    p = sub.add_parser("dpi", help="randomized data-processing inequality suites")
-    p.add_argument("--mode", choices=("classical", "quantum"), required=True)
-    p.add_argument("--trials", type=_int_at_least(0, MAX_COUNT), default=100)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--kraus", type=_int_at_least(1), default=2)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.set_defaults(run=cmd_dpi)
-
-    p = sub.add_parser("paper-example",
-                       help="the built-in qubit scenario: base, multipass, "
-                            "restricted, restricted plus rotation")
-    p.add_argument("--theta", type=_finite_float, required=True)
-    p.set_defaults(run=cmd_paper_example)
-
+    for name in COMMANDS if command is None else (command,):
+        run, help_line, options = COMMANDS[name]
+        p = sub.add_parser(name, help=help_line)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(run=run)
     return parser
 
 
-def _attach_negative_values(argv: list) -> list:
-    """Write '--theta -5e-05' as '--theta=-5e-05'.
+def _theta_spellings(command: str | None) -> set:
+    """The tokens that ``command``'s parser reads as --theta: the name and
+    each prefix of it, down to '--t', that no other option of the command
+    shares.  Without a command (an argv the full parser rejects, or its
+    help), the name alone."""
+    if command is None:
+        return {"--theta"}
+    _, _, options = COMMANDS[command]
+    flags = [flag for flag, _ in options]
+    if "--theta" not in flags:
+        return set()
+    prefixes = ("--theta"[:k] for k in range(3, 8))
+    return {p for p in prefixes if sum(flag.startswith(p) for flag in flags) == 1}
+
+
+def _attach_negative_values(argv: list, command: str | None) -> list:
+    """Write '--theta -5e-05' as '--theta=-5e-05', and '--the -5e-05' as
+    '--the=-5e-05'.
 
     argparse takes a token that starts with '-' for an option name unless it
     is a plain negative decimal, so a negative value in exponent form would
     leave --theta without its argument.
     """
+    spellings = _theta_spellings(command)
     out = []
     for token in argv:
-        if out and out[-1] == "--theta" and token.startswith("-"):
+        if out and out[-1] in spellings and token.startswith("-"):
             try:
                 float(token)
             except ValueError:
                 pass
             else:
-                out[-1] = f"--theta={token}"
+                out[-1] = f"{out[-1]}={token}"
                 continue
         out.append(token)
     return out
@@ -264,8 +289,11 @@ def _attach_negative_values(argv: list) -> list:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    # a first token that names a command builds that command's parser only;
+    # any other argv builds the full one, whose help and errors name them all
+    command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser().parse_args(_attach_negative_values(argv))
+        args = build_parser(command).parse_args(_attach_negative_values(argv, command))
         started = time.perf_counter()
         # numpy's overflow and invalid-value warnings stay off stderr: a
         # non-finite result is reported once, by the report's finiteness check

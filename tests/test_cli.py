@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from fisherinfo.cli import main
+from fisherinfo import cli
+from fisherinfo.cli import COMMANDS, _attach_negative_values, build_parser, main
 from fisherinfo.documents import pairs_from_matrix, povm_to_document
-from fisherinfo.errors import _cut
+from fisherinfo.errors import DocumentError, _cut
 from fisherinfo.quantum import PAULI_X, PAULI_Z, projective_povm
 
 
@@ -254,13 +255,22 @@ def test_integer_too_large_for_a_float_exits_2(capsys, tmp_path, model_file):
 
 @pytest.mark.parametrize("theta", ["-5.4e-05", "-1E-3", "-2.5e+00", "-0.5"])
 def test_negative_theta_in_exponent_form(capsys, model_file, x_povm_file, theta):
+    # argparse expands a prefix of --theta, down to --t, to the option
     for argv in (["fisher", "--model", model_file, "--povm", x_povm_file],
                  ["qfi", "--model", model_file],
                  ["optimize", "--model", model_file, "--restarts", "1"],
                  ["paper-example"]):
-        code, out, _ = run_cli(capsys, argv + ["--theta", theta])
-        assert code == 0
-        assert json.loads(out)["inputs"]["theta"] == float(theta)
+        for option in (["--theta", theta], ["--the", theta], ["--t", theta], [f"--the={theta}"]):
+            code, out, _ = run_cli(capsys, argv + option)
+            assert code == 0
+            assert json.loads(out)["inputs"]["theta"] == float(theta)
+
+
+def test_only_a_command_with_theta_attaches_a_negative_value():
+    for argv in (["dpi", "--mode", "quantum", "--t", "-1e-3"],
+                 ["bayes", "--theta", "-1e-3", "--prior", "uniform:0,1"]):
+        assert _attach_negative_values(argv, argv[0]) == argv
+    assert _attach_negative_values(["qfi", "--th", "-1e-3"], "qfi") == ["qfi", "--th=-1e-3"]
 
 
 def test_non_integer_povm_labels_exit_2(capsys, tmp_path, model_file):
@@ -400,17 +410,27 @@ def test_bad_arguments_exit_2(capsys, model_file, x_povm_file, argv):
     assert err.startswith("error:2:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, keys", [
-    (["fisher", "--model", "{model}", "--povm", "{povm}", "--theta", "0.3"],
-     ["model", "povm", "theta"]),
-    (["qfi", "--model", "{model}", "--theta", "0.3"], ["model", "theta"]),
-    (["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1"],
-     ["model", "povm", "prior", "grid"]),
-    (["optimize", "--model", "{model}", "--theta", "0.3", "--restarts", "1"],
-     ["model", "theta", "restarts", "seed", "fix_state", "fix_povm"]),
-    (["dpi", "--mode", "classical", "--trials", "0"], ["mode", "trials", "dim", "kraus", "seed"]),
-    (["paper-example", "--theta", "0.3"], ["theta"]),
-], ids=["fisher", "qfi", "bayes", "optimize", "dpi", "paper-example"])
+# one valid argv of each command, and the keys of its report's inputs
+VALID_ARGV = {
+    "fisher": ["fisher", "--model", "{model}", "--povm", "{povm}", "--theta", "0.3"],
+    "qfi": ["qfi", "--model", "{model}", "--theta", "0.3"],
+    "bayes": ["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1"],
+    "optimize": ["optimize", "--model", "{model}", "--theta", "0.3", "--restarts", "1"],
+    "dpi": ["dpi", "--mode", "classical", "--trials", "0"],
+    "paper-example": ["paper-example", "--theta", "0.3"],
+}
+INPUT_KEYS = {
+    "fisher": ["model", "povm", "theta"],
+    "qfi": ["model", "theta"],
+    "bayes": ["model", "povm", "prior", "grid"],
+    "optimize": ["model", "theta", "restarts", "seed", "fix_state", "fix_povm"],
+    "dpi": ["mode", "trials", "dim", "kraus", "seed"],
+    "paper-example": ["theta"],
+}
+
+
+@pytest.mark.parametrize("argv, keys", [(VALID_ARGV[c], INPUT_KEYS[c]) for c in COMMANDS],
+                         ids=list(COMMANDS))
 def test_each_report_echoes_its_inputs_in_parser_order(capsys, model_file, x_povm_file,
                                                        argv, keys):
     code, out, err = run_cli(capsys, [a.format(model=model_file, povm=x_povm_file)
@@ -419,6 +439,85 @@ def test_each_report_echoes_its_inputs_in_parser_order(capsys, model_file, x_pov
     report = json.loads(out)
     assert list(report)[:2] == ["command", "inputs"] and report["command"] == argv[0]
     assert list(report["inputs"]) == keys
+
+
+# a bad value of one option of each command
+BAD_VALUE = {
+    "fisher": ["--theta", "x"],
+    "qfi": ["--theta", "nan"],
+    "bayes": ["--grid", "2"],
+    "optimize": ["--restarts", "-1"],
+    "dpi": ["--mode", "sideways"],
+    "paper-example": ["--t", "inf"],
+}
+
+
+def _parse(parser, argv):
+    """The namespace of argv, or the error line the parser raises for it."""
+    try:
+        return vars(parser.parse_args(_attach_negative_values(argv, argv[0])))
+    except DocumentError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_command_parser_reads_its_command_as_the_full_parser_does(capsys, command):
+    valid = VALID_ARGV[command]
+    bad = [[command], valid + ["--nosuch"], valid + ["extra"], valid + BAD_VALUE[command]]
+    for argv in [valid, *bad]:
+        own, full = _parse(build_parser(command), argv), _parse(build_parser(), argv)
+        assert own == full
+        assert isinstance(own, str) == (argv in bad)
+    # the command's parser holds that command alone
+    with pytest.raises(DocumentError, match=rf"^argument command: invalid choice: 'nosuch' "
+                                            rf"\(choose from '{command}'\)$"):
+        build_parser(command).parse_args(["nosuch"])
+    helps = []
+    for parser in (build_parser(command), build_parser()):
+        with pytest.raises(SystemExit) as stop:
+            parser.parse_args([command, "--help"])
+        assert stop.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and f"usage: fisherinfo {command} " in helps[0]
+
+
+def _count_builds(monkeypatch):
+    """Record the command and the parser of each build_parser call of main."""
+    built = []
+
+    def recording(command=None):
+        built.append((command, build_parser(command)))
+        return built[-1][1]
+    monkeypatch.setattr(cli, "build_parser", recording)
+    return built
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h", "dpi"], ["nosuch"], [], ["--x", "dpi"]],
+                         ids=["help", "help-before-command", "unknown-command", "no-command",
+                              "option-before-command"])
+def test_an_argv_without_a_leading_command_builds_the_full_parser(capsys, monkeypatch, argv):
+    built = _count_builds(monkeypatch)
+    if argv[0:1] in (["--help"], ["-h"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        text = capsys.readouterr().out
+    else:
+        code, out, text = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+    assert [command for command, _ in built] == [None]
+    if argv == []:  # argparse names a missing subcommand by its dest
+        assert text == "error:2:the following arguments are required: command\n"
+    elif argv != ["--x", "dpi"]:
+        assert all(name in text for name in COMMANDS)
+
+
+def test_each_main_call_builds_its_own_parser(capsys, monkeypatch):
+    built = _count_builds(monkeypatch)
+    for _ in range(2):
+        assert run_cli(capsys, VALID_ARGV["dpi"])[0] == 0
+    assert [command for command, _ in built] == ["dpi", "dpi"]
+    assert built[0][1] is not built[1][1]
 
 
 def _write_model(path, generator, passes=1):
@@ -511,8 +610,10 @@ def test_inputs_that_would_fail_a_later_check_exit_2_at_load(capsys, tmp_path, x
     (["bayes", "--model", "{model}", "--povm", "{povm}", "--prior", "uniform:0,1",
       "--grid", str(2 ** 63 - 1)], "--grid"),
     (["dpi", "--mode", "quantum", "--trials", "9" * 300], "--trials"),
+    (["dpi", "--mode", "classical", "--trials", "1", "--seed", str(2 ** 53 + 1)], "--seed"),
+    (["optimize", "--model", "{model}", "--theta", "0.3", "--seed", str(2 ** 64)], "--seed"),
 ], ids=["bayes-grid", "dpi-trials", "dpi-trials-2^61", "optimize-restarts-2^59",
-        "bayes-grid-2^63-1", "dpi-trials-300-nines"])
+        "bayes-grid-2^63-1", "dpi-trials-300-nines", "dpi-seed-2^53+1", "optimize-seed-2^64"])
 def test_a_size_too_large_to_allocate_exits_2(capsys, model_file, x_povm_file, argv, refused):
     # up to 2**53 each array would take petabytes, more than any address
     # space, so the allocation fails at once; a larger count is refused as
