@@ -5,12 +5,14 @@ to stdout (the dpi command writes one JSON line per trial followed by a
 summary).  Outputs are deterministic for fixed inputs and seed, except the
 runtime_ms field.  Each call builds the parser of its command only; an
 argv that names no command first builds the full parser, for its help text
-or its error line.
+or its error line.  argparse reads argv as given: a '-' followed by
+anything float() reads ('-5e-05', '-inf') is a value, after any option or
+prefix of one, and that option's own check judges it.
 
-Exit codes: 0 success, 2 parse/schema error or any other invalid input,
-a size too large to allocate included, 3 dimension mismatch, 4 a
-non-finite result, 5 data-processing violation found.  A closed stdout or
-stderr loses what would go to it, never the exit code.
+Exit codes: 0 success or a help text, 2 parse/schema error or any other
+invalid input, a size too large to allocate included, 3 dimension
+mismatch, 4 a non-finite result, 5 data-processing violation found.  A
+closed stdout or stderr loses what would go to it, never the exit code.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -158,8 +161,16 @@ def cmd_paper_example(args):
     }, EXIT_OK
 
 
+def _no_command(args):
+    raise DocumentError("the following arguments are required: command (choose from "
+                        + ", ".join(map(repr, COMMANDS)) + ")")
+
+
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
@@ -176,9 +187,24 @@ def _int_at_least(low: int, high: int | None = None):
     return integer
 
 
+# A '-' and anything float() reads: any decimal digits, underscores between
+# them, exponent form, inf, infinity or nan in any ASCII case, and trailing
+# whitespace other than the four separators \x1c-\x1f that float() refuses
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?"
+    r"|(?ai:inf(?:inity)?|nan))[^\S\x1c-\x1f]*$")
+
+
 class _Parser(argparse.ArgumentParser):
     """Raises an argument error as a DocumentError: one error:2: line, no
     usage text, and every value it echoes cut by ``errors._cut``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse's test of a value that looks like an option, by default
+        # a plain negative decimal only
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         # a value is echoed as a repr, or bare when unrecognized: cut each one
@@ -239,7 +265,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Fisher information of small quantum models, with "
                     "data-processing checks",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no command parses, and runs _no_command, whose error names them all
+    sub = parser.add_subparsers(dest="command")
+    parser.set_defaults(run=_no_command)
     for name in COMMANDS if command is None else (command,):
         run, help_line, options = COMMANDS[name]
         p = sub.add_parser(name, help=help_line)
@@ -249,51 +277,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _theta_spellings(command: str | None) -> set:
-    """The tokens that ``command``'s parser reads as --theta: the name and
-    each prefix of it, down to '--t', that no other option of the command
-    shares.  Without a command (an argv the full parser rejects, or its
-    help), the name alone."""
-    if command is None:
-        return {"--theta"}
-    _, _, options = COMMANDS[command]
-    flags = [flag for flag, _ in options]
-    if "--theta" not in flags:
-        return set()
-    prefixes = ("--theta"[:k] for k in range(3, 8))
-    return {p for p in prefixes if sum(flag.startswith(p) for flag in flags) == 1}
-
-
-def _attach_negative_values(argv: list, command: str | None) -> list:
-    """Write '--theta -5e-05' as '--theta=-5e-05', and '--the -5e-05' as
-    '--the=-5e-05'.
-
-    argparse takes a token that starts with '-' for an option name unless it
-    is a plain negative decimal, so a negative value in exponent form would
-    leave --theta without its argument.
-    """
-    spellings = _theta_spellings(command)
-    out = []
-    for token in argv:
-        if out and out[-1] in spellings and token.startswith("-"):
-            try:
-                float(token)
-            except ValueError:
-                pass
-            else:
-                out[-1] = f"{out[-1]}={token}"
-                continue
-        out.append(token)
-    return out
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # a first token that names a command builds that command's parser only;
     # any other argv builds the full one, whose help and errors name them all
     command = argv[0] if argv and argv[0] in COMMANDS else None
     try:
-        args = build_parser(command).parse_args(_attach_negative_values(argv, command))
+        args = build_parser(command).parse_args(argv)
         started = time.perf_counter()
         # numpy's overflow and invalid-value warnings stay off stderr: a
         # non-finite result is reported once, by the report's finiteness check
@@ -310,6 +300,8 @@ def main(argv=None) -> int:
             if sys.stdout is not None:  # None: descriptor 1 was closed at start
                 sys.stdout.flush()
             return code
+    except SystemExit as stop:  # a help request, its text printed
+        return stop.code
     except BrokenPipeError:
         # the reader closed stdout: the rest of the report, and the
         # interpreter's flush at exit, go to the null device

@@ -5,9 +5,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fisherinfo import cli
-from fisherinfo.cli import COMMANDS, _attach_negative_values, build_parser, main
+from fisherinfo.cli import COMMANDS, build_parser, main
 from fisherinfo.documents import pairs_from_matrix, povm_to_document
 from fisherinfo.errors import DocumentError, _cut
 from fisherinfo.quantum import PAULI_X, PAULI_Z, projective_povm
@@ -253,7 +254,8 @@ def test_integer_too_large_for_a_float_exits_2(capsys, tmp_path, model_file):
         assert err.startswith("error:2:")
 
 
-@pytest.mark.parametrize("theta", ["-5.4e-05", "-1E-3", "-2.5e+00", "-0.5"])
+@pytest.mark.parametrize("theta", ["-5.4e-05", "-1E-3", "-2.5e+00", "-0.5",
+                                   "-5.", "-.5", "-1_000.5", "-5E-05"])
 def test_negative_theta_in_exponent_form(capsys, model_file, x_povm_file, theta):
     # argparse expands a prefix of --theta, down to --t, to the option
     for argv in (["fisher", "--model", model_file, "--povm", x_povm_file],
@@ -266,11 +268,51 @@ def test_negative_theta_in_exponent_form(capsys, model_file, x_povm_file, theta)
             assert json.loads(out)["inputs"]["theta"] == float(theta)
 
 
-def test_only_a_command_with_theta_attaches_a_negative_value():
-    for argv in (["dpi", "--mode", "quantum", "--t", "-1e-3"],
-                 ["bayes", "--theta", "-1e-3", "--prior", "uniform:0,1"]):
-        assert _attach_negative_values(argv, argv[0]) == argv
-    assert _attach_negative_values(["qfi", "--th", "-1e-3"], "qfi") == ["qfi", "--th=-1e-3"]
+@pytest.mark.parametrize("theta", ["-Infinity", "-nan", "x"])
+def test_a_theta_that_is_no_finite_number_is_refused(capsys, model_file, theta):
+    # a negative non-finite one is read as the value, as a negative finite one is
+    code, out, err = run_cli(capsys, ["qfi", "--model", model_file, "--theta", theta])
+    assert (code, out) == (2, "")
+    assert err == f"error:2:argument --theta: expected a finite number, got '{theta}'\n"
+
+
+def test_a_negative_number_is_the_value_of_any_option(capsys, model_file, x_povm_file):
+    # the option's own check refuses it; an option the command lacks is unrecognized
+    bayes = ["bayes", "--model", model_file, "--povm", x_povm_file, "--prior", "uniform:0,1"]
+    for argv, line in (
+            (["dpi", "--mode", "quantum", "--t", "-1e-3"],
+             "argument --trials: invalid integer value: '-1e-3'"),
+            (["dpi", "--mode", "classical", "--trials", "1", "--seed", "-1e3"],
+             "argument --seed: invalid integer value: '-1e3'"),
+            (bayes + ["--theta", "-1e-3"], "unrecognized arguments: --theta -1e-3")):
+        assert run_cli(capsys, argv) == (2, "", f"error:2:{line}\n")
+
+
+def _reads_as_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="0123456789_.eEinftyaINFTYA\u0131+-=\t\x1c\u3000\u0663", min_size=1))
+@example("1_000")
+@example("1__0")
+@example("Infinity")
+@example("\u0131nf")
+@example("5\t")
+@example("5\x1c")
+@example("\u0663_\u0663")
+def test_a_token_is_an_option_value_exactly_when_float_reads_it(text):
+    token = "-" + text
+    try:
+        build_parser("paper-example").parse_args(["paper-example", "--theta", token])
+        line = ""
+    except DocumentError as exc:
+        line = str(exc)
+    assert (line == "argument --theta: expected one argument") == (not _reads_as_float(token))
 
 
 def test_non_integer_povm_labels_exit_2(capsys, tmp_path, model_file):
@@ -455,7 +497,7 @@ BAD_VALUE = {
 def _parse(parser, argv):
     """The namespace of argv, or the error line the parser raises for it."""
     try:
-        return vars(parser.parse_args(_attach_negative_values(argv, argv[0])))
+        return vars(parser.parse_args(argv))
     except DocumentError as exc:
         return str(exc)
 
@@ -497,17 +539,17 @@ def _count_builds(monkeypatch):
                               "option-before-command"])
 def test_an_argv_without_a_leading_command_builds_the_full_parser(capsys, monkeypatch, argv):
     built = _count_builds(monkeypatch)
+    code, out, err = run_cli(capsys, argv)
     if argv[0:1] in (["--help"], ["-h"]):
-        with pytest.raises(SystemExit) as stop:
-            main(argv)
-        assert stop.value.code == 0
-        text = capsys.readouterr().out
+        assert code == 0 and err == ""
+        text = out
     else:
-        code, out, text = run_cli(capsys, argv)
         assert code == 2 and out == ""
+        text = err
     assert [command for command, _ in built] == [None]
-    if argv == []:  # argparse names a missing subcommand by its dest
-        assert text == "error:2:the following arguments are required: command\n"
+    if argv == []:
+        assert text == ("error:2:the following arguments are required: command (choose from "
+                        "'fisher', 'qfi', 'bayes', 'optimize', 'dpi', 'paper-example')\n")
     elif argv != ["--x", "dpi"]:
         assert all(name in text for name in COMMANDS)
 
